@@ -8,8 +8,6 @@ streams for stopping decisions.  Each kernel exists twice: a numba
 in the environment selects the numpy path; otherwise numba is used when
 importable.  Both backends consume identical random inputs, so trajectories
 are bit-reproducible across them.
-
-``benchmarks/bench_kernels.py`` times the two backends against each other.
 """
 
 from __future__ import annotations

@@ -124,16 +124,20 @@ def geometric_sums(t0: np.ndarray, n: int):
 
     Index doubling via G_{a+b} = G_a + T^a G_b and
     H_{a+b} = H_a + T^a (H_b + a G_b), so only O(log n) products are needed.
+    The first block taken is assigned, not multiplied by the identity.
     """
     eye = np.eye(t0.shape[0], dtype=np.complex128)
-    p_acc, g_acc, h_acc, k_acc = eye, np.zeros_like(eye), np.zeros_like(eye), 0
+    p_acc, g_acc, h_acc, k_acc = None, None, None, 0
     p_cur, g_cur, h_cur, k_cur = t0.astype(np.complex128), eye.copy(), eye.copy(), 1
     bits = n
     while bits:
         if bits & 1:
-            g_acc = g_acc + p_acc @ g_cur
-            h_acc = h_acc + p_acc @ (h_cur + k_acc * g_cur)
-            p_acc = p_acc @ p_cur
+            if p_acc is None:
+                p_acc, g_acc, h_acc = p_cur, g_cur, h_cur
+            else:
+                g_acc = g_acc + p_acc @ g_cur
+                h_acc = h_acc + p_acc @ (h_cur + k_acc * g_cur)
+                p_acc = p_acc @ p_cur
             k_acc += k_cur
         bits >>= 1
         if bits:
@@ -143,6 +147,8 @@ def geometric_sums(t0: np.ndarray, n: int):
             )
             p_cur = p_cur @ p_cur
             k_cur *= 2
+    if p_acc is None:
+        return eye, np.zeros_like(eye), np.zeros_like(eye)
     return p_acc, g_acc, h_acc
 
 
@@ -160,27 +166,16 @@ def _check_failure_recovery(t0: np.ndarray, t1: np.ndarray, rho0: np.ndarray):
         )
 
 
-def expected_state_general(t0, t1, rho0: np.ndarray, n: int) -> np.ndarray:
-    """Expected stopped state E0^n W^{-1} |rho0>>, W = 1 - E1 sum_{j<n} E0^j."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    t0m, t1m = _as_matrix(t0), _as_matrix(t1)
-    _check_failure_recovery(t0m, t1m, rho0)
-    t0n, g_n, _ = geometric_sums(t0m, n)
-    w = np.eye(t0m.shape[0]) - t1m @ g_n
-    x = _LuSolver(w, "stopped-state W").solve(vec(rho0))
-    rho = unvec(t0n @ x)
-    return (rho + rho.conj().T) / 2.0
+def expected_stopped_general(t0, t1, rho0: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """Expected stopped state and stopping time of the generally resampled process.
 
-
-def expected_tau_general(t0, t1, rho0: np.ndarray, n: int) -> float:
-    """Expected stopping time of the generally resampled stopped process.
-
-    Evaluated in the attempt decomposition
+    The state is E0^n W^{-1} |rho0>> with W = 1 - E1 sum_{j<n} E0^j.  The
+    time is evaluated in the attempt decomposition
     E(tau_n) = n + <<1| E0^n W^{-1} E1 H_n W^{-1} |rho0>> with
     H_n = sum_{j<n} (j+1) E0^j, which is the corollary's
     E1 (1-E0^n)(1-E0)^{-2} form with the lemma-valued resolvent tail
-    already cancelled, so it stays finite at Gamma = 1.
+    already cancelled, so it stays finite at Gamma = 1.  Both share one
+    geometric sum and one LU factorization of W.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
@@ -188,11 +183,22 @@ def expected_tau_general(t0, t1, rho0: np.ndarray, n: int) -> float:
     _check_failure_recovery(t0m, t1m, rho0)
     t0n, g_n, h_n = geometric_sums(t0m, n)
     w = np.eye(t0m.shape[0]) - t1m @ g_n
-    solver = _LuSolver(w, "run-time W")
+    solver = _LuSolver(w, "stopped-process W")
     x = solver.solve(vec(rho0))
+    rho = unvec(t0n @ x)
     y = solver.solve(t1m @ (h_n @ x))
-    row = trace_row(int(round(np.sqrt(t0m.shape[0]))))
-    return float(n + (row @ (t0n @ y)).real)
+    row = trace_row(rho0.shape[0])
+    return (rho + rho.conj().T) / 2.0, float(n + (row @ (t0n @ y)).real)
+
+
+def expected_state_general(t0, t1, rho0: np.ndarray, n: int) -> np.ndarray:
+    """Expected stopped state; see ``expected_stopped_general``."""
+    return expected_stopped_general(t0, t1, rho0, n)[0]
+
+
+def expected_tau_general(t0, t1, rho0: np.ndarray, n: int) -> float:
+    """Expected stopping time; see ``expected_stopped_general``."""
+    return expected_stopped_general(t0, t1, rho0, n)[1]
 
 
 def expected_state_schedule(success_transfers, failure_transfers, rho0: np.ndarray) -> np.ndarray:

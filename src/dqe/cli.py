@@ -51,7 +51,17 @@ class ExperimentConfig:
         return d
 
     def hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Hash of the fields that determine the results.
+
+        ``workers`` only spreads trajectories over processes, so it is left
+        out; a Hamiltonian file enters as its canonical JSON, not its path.
+        """
+        d = self.to_dict()
+        d.pop("workers")
+        if self.system.get("builder") == "file":
+            ham = pauli.hamiltonian_to_json(build_system(self.system))
+            d["system"] = {"builder": "file", "hamiltonian": ham}
+        blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -76,7 +86,7 @@ def build_system(system: dict) -> pauli.PauliHamiltonian:
     raise ConfigError(f"unknown system spec {system!r}")
 
 
-def parse_stopping(spec: str, time_cap: int | None) -> stopping.StoppingRule:
+def parse_stopping(spec: str) -> stopping.StoppingRule:
     name, _, arg = spec.partition(":")
     if name == "run-of-zeros":
         return stopping.FirstRunOfZeros(int(arg))
@@ -105,7 +115,7 @@ def parse_epsilon(spec: str, ham) -> stopping.EpsilonSchedule:
 
 def make_run_config(cfg: ExperimentConfig, noise_model=None) -> trajectory.RunConfig:
     ham = build_system(cfg.system)
-    rule = parse_stopping(cfg.stopping_rule, cfg.time_cap)
+    rule = parse_stopping(cfg.stopping_rule)
     max_steps = cfg.max_steps if cfg.time_cap is None else min(cfg.max_steps, cfg.time_cap)
     return trajectory.RunConfig(
         hamiltonian=ham,
@@ -222,9 +232,8 @@ def cmd_ensemble(args) -> int:
         engine = trajectory.TrajectoryEngine(rc)
         t0, t1 = engine.sweep_transfers(rc.schedule.base)
         rho0 = np.eye(engine.dim) / engine.dim
-        ex_state = analytics.expected_state_general(t0, t1, rho0, rule.n)
+        ex_state, ex_tau = analytics.expected_stopped_general(t0, t1, rho0, rule.n)
         ex_ov = float(np.trace(engine.pi0 @ ex_state).real)
-        ex_tau = analytics.expected_tau_general(t0, t1, rho0, rule.n)
         z_ov = (stats.mean_overlap - ex_ov) / max(stats.stderr_overlap, 1e-30)
         z_tau = (stats.mean_tau - ex_tau) / max(stats.stderr_tau, 1e-30)
         footer.append(f"oracle_overlap {ex_ov!r} z {z_ov!r}")
@@ -257,9 +266,8 @@ def cmd_analytics(args) -> int:
         params = agsp.verify_agsp(kraus, engine.pi0)
     rows = []
     for n in _parse_int_list(args.n_values):
-        state = analytics.expected_state_general(t0, t1, rho0, n)
+        state, tau = analytics.expected_stopped_general(t0, t1, rho0, n)
         overlap = float(np.trace(engine.pi0 @ state).real)
-        tau = analytics.expected_tau_general(t0, t1, rho0, n)
         if params is not None:
             lb = analytics.overlap_lower_bound(params, spec.dimension, spec.degeneracy, n).value
             ub = analytics.tau_upper_bound(params, spec.dimension, spec.degeneracy, n)
@@ -413,14 +421,17 @@ def _noise_from_args(args):
     return noise.DepolarizingPerGate(p1 or 0.0, p2 or 0.0)
 
 
-def _system_from_args(args) -> dict:
-    file_cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file: invalid JSON: {exc}") from exc
+def _read_config_file(args) -> dict:
+    if not getattr(args, "config", None):
+        return {}
+    with open(args.config, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file: invalid JSON: {exc}") from exc
+
+
+def _system_from_args(args, file_cfg: dict) -> dict:
     if getattr(args, "heisenberg", None) is not None:
         return {"builder": "heisenberg", "n": args.heisenberg, "periodic": bool(args.periodic)}
     if getattr(args, "maxsat_vars", None) is not None:
@@ -445,13 +456,7 @@ _AGSP_CLI = {
 
 
 def _experiment_from_args(args, command: str) -> ExperimentConfig:
-    file_cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file: invalid JSON: {exc}") from exc
+    file_cfg = _read_config_file(args)
 
     def pick(name, default):
         flag = getattr(args, name, None)
@@ -464,7 +469,7 @@ def _experiment_from_args(args, command: str) -> ExperimentConfig:
         raise ConfigError(f"agsp must be one of {sorted(_AGSP_CLI)}, got {mode!r}")
     return ExperimentConfig(
         command=command,
-        system=_system_from_args(args),
+        system=_system_from_args(args, file_cfg),
         agsp_mode=_AGSP_CLI[mode],
         eps=str(pick("eps", "0.2")),
         resampler=pick("resampler", "global"),

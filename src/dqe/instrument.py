@@ -364,14 +364,84 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # Per-sweep channel transfers: the exact density-matrix view of one sweep of
-# the trajectory engine, used as the oracle for Monte Carlo runs.
+# the trajectory engine, used as the oracle for Monte Carlo runs.  Each
+# micro-step acts on the qubits it touches, as a local superoperator on a
+# stack of vectorized matrices (Wood, Biamonte & Cory, QIC 15 (2015)).
 # ---------------------------------------------------------------------------
 
+_PADDING_TOL = 1e-10
 
-def _micro_transfer(inst: Instrument, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    t0 = transfer_of_instrument_success(inst).matrix
-    t1 = transfer_of_instrument_failure(inst, num_qubits).matrix
-    return t0, t1
+
+def apply_local_transfer(t_loc: np.ndarray, support, num_qubits: int, x: np.ndarray) -> np.ndarray:
+    """Apply a k-local transfer matrix to every column of a D^2 x N stack.
+
+    ``t_loc`` is the 4^k x 4^k transfer of a map on the ascending qubits
+    ``support``, in the column-stacking convention of this module.  The
+    result equals (t_loc padded with the identity elsewhere) @ x at
+    O(D^2 N 4^k) cost instead of O(D^4 N).
+    """
+    n, k = num_qubits, len(support)
+    axes = list(support) + [n + q for q in support]
+    xt = x.reshape((2,) * (2 * n) + (x.shape[1],))
+    out = np.tensordot(t_loc.reshape((2,) * (4 * k)), xt, axes=(range(2 * k, 4 * k), axes))
+    return np.moveaxis(out, range(2 * k), axes).reshape(x.shape)
+
+
+def _support_block(op: np.ndarray, table: np.ndarray, name: str) -> np.ndarray:
+    """The block of ``op`` on a support, checked to be identity-padded."""
+    block = op[np.ix_(table[0], table[0])]
+    padded = np.zeros_like(op)
+    padded[table[:, :, None], table[:, None, :]] = block
+    defect = float(np.abs(op - padded).max())
+    if defect > _PADDING_TOL:
+        raise ParameterError(
+            f"{name} is not the identity outside its declared support (defect {defect:.2e})"
+        )
+    return block
+
+
+class _MicroStep:
+    """One instrument of a sweep as local superoperators on its qubits.
+
+    The qubits are the instrument's support joined with a local resampler's
+    qubits.  An instrument without a support, or with a custom resampler,
+    acts on all qubits.  The global resampler stays a rank-one update.
+    """
+
+    def __init__(self, inst: Instrument, num_qubits: int):
+        res = inst.resampler
+        if inst.support is None or res.kind is ResamplerKind.CUSTOM:
+            qubits = tuple(range(num_qubits))
+        else:
+            extra = res.qubits if res.kind is ResamplerKind.LOCAL else ()
+            qubits = tuple(sorted(set(inst.support) | set(extra)))
+        table = support_index_table(num_qubits, qubits)
+        e0 = _support_block(inst.e0, table, "E0")
+        e1 = _support_block(inst.e1, table, "E1")
+        self.qubits, self.num_qubits, self.dim = qubits, num_qubits, inst.dimension
+        self.t0 = np.kron(e0.conj(), e0)
+        self.t_full = None
+        if res.kind is not ResamplerKind.GLOBAL:
+            t1 = np.kron(e1.conj(), e1)
+            if res.kind is ResamplerKind.LOCAL:
+                local = Resampler.local_mixed(qubits.index(q) for q in res.qubits)
+                t1 = resampler_transfer(local, len(qubits)).matrix @ t1
+            elif res.kind is ResamplerKind.CUSTOM:
+                t1 = resampler_transfer(res, num_qubits).matrix @ t1
+            self.t_full = self.t0 + t1
+
+    def success(self, x: np.ndarray) -> np.ndarray:
+        return apply_local_transfer(self.t0, self.qubits, self.num_qubits, x)
+
+    def channel(self, x: np.ndarray) -> np.ndarray:
+        """Success plus failure branch; global resampling is
+        Y + |1/D>>(<<1|X - <<1|Y) with Y the success branch."""
+        if self.t_full is not None:
+            return apply_local_transfer(self.t_full, self.qubits, self.num_qubits, x)
+        y = self.success(x)
+        diag = np.arange(self.dim) * (self.dim + 1)
+        y[diag] += (x[diag].sum(axis=0) - y[diag].sum(axis=0)) / self.dim
+        return y
 
 
 def sweep_transfer_product(instruments, num_qubits: int):
@@ -381,25 +451,26 @@ def sweep_transfer_product(instruments, num_qubits: int):
     branch is everything else: resampling fires right after the failing
     term and the sweep continues, so T1 = (full sweep channel) - T0.
     """
-    m = len(instruments)
-    micro = [_micro_transfer(inst, num_qubits) for inst in instruments]
-    d2 = micro[0][0].shape[0]
-    full = np.eye(d2, dtype=np.complex128)
-    succ = np.eye(d2, dtype=np.complex128)
-    seq = list(range(m)) + list(reversed(range(m)))
-    for v in seq:
-        t0, t1 = micro[v]
-        full = (t0 + t1) @ full
-        succ = t0 @ succ
+    d = instruments[0].dimension
+    _check_transfer_dim(d)
+    steps = [_MicroStep(inst, num_qubits) for inst in instruments]
+    full = np.eye(d * d, dtype=np.complex128)
+    succ = np.eye(d * d, dtype=np.complex128)
+    for v in list(range(len(steps))) + list(reversed(range(len(steps)))):
+        full = steps[v].channel(full)
+        succ = steps[v].success(succ)
     return TransferMatrix(succ), TransferMatrix(full - succ)
 
 
 def sweep_transfer_mixture(instruments, num_qubits: int):
     """(T0_sweep, T1_sweep) for 2m uniformly sampled single-term micro-steps."""
     m = len(instruments)
-    micro = [_micro_transfer(inst, num_qubits) for inst in instruments]
-    a = sum(t0 for t0, _ in micro) / m
-    b = sum(t0 + t1 for t0, t1 in micro) / m
+    d = instruments[0].dimension
+    _check_transfer_dim(d)
+    eye = np.eye(d * d, dtype=np.complex128)
+    steps = [_MicroStep(inst, num_qubits) for inst in instruments]
+    a = sum(s.success(eye) for s in steps) / m
+    b = sum(s.channel(eye) for s in steps) / m
     succ = np.linalg.matrix_power(a, 2 * m)
     full = np.linalg.matrix_power(b, 2 * m)
     return TransferMatrix(succ), TransferMatrix(full - succ)

@@ -22,7 +22,7 @@ from .circuits import (
     measurement_circuit,
 )
 from .errors import InvalidNoiseError, ParameterError
-from .instrument import Instrument, principal_sqrt_complement
+from .instrument import Instrument, apply_local_transfer, principal_sqrt_complement
 from .pauli import PauliString, PauliTerm
 
 _PAULI_AXES = ("X", "Y", "Z")
@@ -113,11 +113,6 @@ def _apply_depolarizing(rho: np.ndarray, words, p: float) -> np.ndarray:
     for perm, pl in words:
         acc += (pl[:, None] * rho[np.ix_(perm, perm)]) * pl.conj()[None, :]
     return (1.0 - p) * rho + (p / len(words)) * acc
-
-
-def depolarize_qubit(rho: np.ndarray, qubit: int, num_qubits: int, p: float) -> np.ndarray:
-    """Single-qubit depolarizing channel on a dense density matrix."""
-    return _apply_depolarizing(rho, _pauli_conj_data(num_qubits, (qubit,)), p)
 
 
 def _gate_noise_targets(gate, num_qubits: int):
@@ -216,7 +211,8 @@ def perturb_instrument(inst: Instrument, model: ChannelPerturbation) -> Instrume
 
     E1 is recomputed as the principal complement root, so the perturbed
     instrument satisfies completeness exactly; the perturbation must keep
-    ||E0'|| <= 1 or the noise model is rejected.
+    ||E0'|| <= 1 or the noise model is rejected.  The direction spans the
+    whole space, so the perturbed instrument declares no support.
     """
     e0 = inst.e0
     d = e0.shape[0]
@@ -230,7 +226,7 @@ def perturb_instrument(inst: Instrument, model: ChannelPerturbation) -> Instrume
     if np.linalg.norm(e0p, 2) > 1.0:
         raise InvalidNoiseError("perturbation pushes ||E0|| above 1; reduce delta")
     e1p = principal_sqrt_complement(e0p)
-    return Instrument(e0p, e1p, inst.resampler, inst.support)
+    return Instrument(e0p, e1p, inst.resampler)
 
 
 def transfer_delta(inst_a: Instrument, inst_b: Instrument) -> float:
@@ -267,22 +263,19 @@ def fixed_point_resilience_bound(params, delta: float, dim: int, degeneracy: int
 
 
 def noisy_sweep_success_transfer(engine) -> np.ndarray:
-    """Transfer matrix of the noisy all-zeros sweep branch of an engine."""
-    ham = engine.cfg.hamiltonian
-    d = ham.dimension
-    micro = []
-    for kraus0, _, table, _ in engine.noisy_terms:
-        t0 = np.zeros((d * d, d * d), dtype=np.complex128)
-        for a in kraus0:
-            full = np.zeros((d, d), dtype=np.complex128)
-            for r in range(table.shape[0]):
-                full[np.ix_(table[r], table[r])] = a
-            t0 += np.kron(full.conj(), full)
-        micro.append(t0)
+    """Transfer matrix of the noisy all-zeros sweep branch of an engine.
+
+    Each term's sum_a conj(a) (x) a acts on the term's support only.
+    """
+    n = engine.num_qubits
+    micro = [
+        (sum(np.kron(a.conj(), a) for a in kraus0), td.support)
+        for (kraus0, _, _, _), td in zip(engine.noisy_terms, engine.terms)
+    ]
     m = len(micro)
-    out = np.eye(d * d, dtype=np.complex128)
+    out = np.eye(engine.dim**2, dtype=np.complex128)
     for v in list(range(m)) + list(range(m - 1, -1, -1)):
-        out = micro[v] @ out
+        out = apply_local_transfer(*micro[v], n, out)
     return out
 
 

@@ -99,3 +99,48 @@ def longest_zero_run(bits):
         else:
             current = 0
     return longest
+
+
+def dense_sweep_transfer_product(instruments, num_qubits):
+    """(T0, T1) of a forward-then-reversed sweep by dense D^2 x D^2 algebra.
+
+    Every micro-instrument becomes a full kron transfer pair and the sweep
+    is composed by matmuls, the O(D^6)-per-step form that the local
+    superoperator path in ``dqe.instrument`` replaces.
+    """
+    from dqe import instrument as im
+
+    micro = [
+        (
+            im.transfer_of_instrument_success(inst).matrix,
+            im.transfer_of_instrument_failure(inst, num_qubits).matrix,
+        )
+        for inst in instruments
+    ]
+    d2 = micro[0][0].shape[0]
+    full = np.eye(d2, dtype=np.complex128)
+    succ = np.eye(d2, dtype=np.complex128)
+    for v in list(range(len(micro))) + list(reversed(range(len(micro)))):
+        t0, t1 = micro[v]
+        full = (t0 + t1) @ full
+        succ = t0 @ succ
+    return succ, full - succ
+
+
+def dense_noisy_sweep_success_transfer(engine):
+    """Noisy all-zeros sweep transfer with every term's Kraus set embedded
+    in the full space and composed by dense matmuls."""
+    d = engine.dim
+    micro = []
+    for kraus0, _, table, _ in engine.noisy_terms:
+        t0 = np.zeros((d * d, d * d), dtype=np.complex128)
+        for a in kraus0:
+            full = np.zeros((d, d), dtype=np.complex128)
+            for r in range(table.shape[0]):
+                full[np.ix_(table[r], table[r])] = a
+            t0 += np.kron(full.conj(), full)
+        micro.append(t0)
+    out = np.eye(d * d, dtype=np.complex128)
+    for v in list(range(len(micro))) + list(range(len(micro) - 1, -1, -1)):
+        out = micro[v] @ out
+    return out

@@ -186,6 +186,33 @@ class TestGeneralFormulas:
             an.expected_tau_general(t0, t1, rho0, 300)
 
 
+class TestGeometricSums:
+    def test_matches_naive_partial_sums(self, rng):
+        t0 = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        t0 *= 0.9 / np.abs(np.linalg.eigvals(t0)).max()
+        for n in range(10):
+            power = np.eye(9, dtype=complex)
+            g = np.zeros((9, 9), dtype=complex)
+            h = np.zeros((9, 9), dtype=complex)
+            for j in range(n):
+                g += power
+                h += (j + 1) * power
+                power = power @ t0
+            p_n, g_n, h_n = an.geometric_sums(t0, n)
+            scale = max(1.0, np.abs(h).max())
+            assert np.abs(p_n - power).max() <= 1e-12
+            assert np.abs(g_n - g).max() <= 1e-12 * scale
+            assert np.abs(h_n - h).max() <= 1e-12 * scale
+
+    def test_fused_equals_wrappers(self, heis3, spec3):
+        t0, t1, _ = _local_sweep(heis3, 0.2, spec3)
+        rho0 = np.eye(8) / 8
+        for n in (1, 3, 4):
+            state, tau = an.expected_stopped_general(t0, t1, rho0, n)
+            assert np.array_equal(state, an.expected_state_general(t0, t1, rho0, n))
+            assert tau == an.expected_tau_general(t0, t1, rho0, n)
+
+
 class TestScheduleOracle:
     def test_constant_schedule_reduces(self, heis2, spec2):
         t0, t1, _ = _local_sweep(heis2, 0.1, spec2)

@@ -98,6 +98,44 @@ class TestReproducibility:
         assert lines[3] == "step,outcome,energy,overlap"
 
 
+class TestConfigHash:
+    @staticmethod
+    def _hash(capsys, argv):
+        assert run_cli(["spectrum"] + argv) == 0
+        out = capsys.readouterr().out
+        return out.split("config_hash: ", 1)[1].split()[0]
+
+    def test_worker_count_not_hashed(self, capsys):
+        one = self._hash(capsys, ["--heisenberg", "2", "--workers", "1"])
+        two = self._hash(capsys, ["--heisenberg", "2", "--workers", "2"])
+        assert one == two
+
+    def test_hamiltonian_file_hashed_by_content(self, tmp_path, capsys):
+        text = json.dumps(
+            {"num_qubits": 2, "terms": [{"coeff": 1.0, "paulis": "XX"}, {"coeff": 0.5, "paulis": "ZZ"}]}
+        )
+        (tmp_path / "sub").mkdir()
+        paths = [tmp_path / "a.json", tmp_path / "sub" / "b.json"]
+        for path in paths:
+            path.write_text(text)
+        hashes = [self._hash(capsys, ["--hamiltonian", str(path)]) for path in paths]
+        assert hashes[0] == hashes[1]
+        other = tmp_path / "c.json"
+        other.write_text(text.replace("0.5", "0.25"))
+        assert self._hash(capsys, ["--hamiltonian", str(other)]) != hashes[0]
+
+    def test_printed_config_keeps_workers_and_path(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"num_qubits": 1, "terms": [{"coeff": 1.0, "paulis": "Z"}]}))
+        out = tmp_path / "run.csv"
+        argv = ["run", "--hamiltonian", str(path), "--workers", "3", "--seed", "1", "-o", str(out)]
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        cfg = json.loads(out.read_text().splitlines()[2].split("# config: ", 1)[1])
+        assert cfg["workers"] == 3
+        assert cfg["system"] == {"builder": "file", "path": str(path)}
+
+
 class TestEnsembleOracle:
     def test_z_scores_reported_and_small(self, tmp_path, capsys):
         out = tmp_path / "ens.csv"

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dqe import agsp, instrument as im, pauli
+from dqe import stopping as stp, trajectory as tj
 from dqe.errors import InvalidAgspError, ParameterError, SingularFixedPointError
 
-from oracles import global_run_success_probs, markov_expected_absorption
+from oracles import (
+    dense_sweep_transfer_product,
+    global_run_success_probs,
+    markov_expected_absorption,
+)
 
 
 def _rand_state(rng, d):
@@ -252,6 +258,95 @@ class TestSweepTransfers:
         t0, t1 = im.sweep_transfer_mixture(insts, 2)
         row = im.trace_row(4)
         assert np.abs(row @ (t0.matrix + t1.matrix) - row).max() <= 1e-9
+
+
+@st.composite
+def pauli_hamiltonians(draw):
+    """Random Pauli Hamiltonians on 1..4 qubits with weight-1..3 terms on
+    arbitrary, not necessarily adjacent, supports."""
+    n = draw(st.integers(1, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        support = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(3, n)))
+        factors = ["I"] * n
+        for q in support:
+            factors[q] = draw(st.sampled_from("XYZ"))
+        coeff = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from((-1.0, 1.0)))
+        terms.append(pauli.PauliTerm(coeff, pauli.PauliString("".join(factors))))
+    return pauli.PauliHamiltonian(n, tuple(terms))
+
+
+def _sweep_instruments(ham, eps, resampler):
+    cfg = tj.RunConfig(
+        ham,
+        schedule=stp.EpsilonSchedule.constant(eps),
+        resampler=resampler,
+        rule=stp.FirstRunOfZeros(2),
+    )
+    return tj.TrajectoryEngine(cfg).instruments_at(eps)
+
+
+_NON_ADJACENT = pauli.PauliHamiltonian(
+    4,
+    (
+        pauli.PauliTerm(0.7, pauli.PauliString("XIZI")),
+        pauli.PauliTerm(-1.3, pauli.PauliString("IYIX")),
+        pauli.PauliTerm(0.4, pauli.PauliString("ZIIY")),
+    ),
+)
+
+
+class TestLocalSweepTransfer:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        ham=pauli_hamiltonians(),
+        eps=st.floats(0.0, 1.0, exclude_min=True),
+        resampler=st.sampled_from(("global", "local", "identity")),
+    )
+    @example(ham=_NON_ADJACENT, eps=0.5, resampler="local")
+    @example(ham=_NON_ADJACENT, eps=1.0, resampler="global")
+    def test_matches_dense_reference(self, ham, eps, resampler):
+        insts = _sweep_instruments(ham, eps, resampler)
+        t0, t1 = im.sweep_transfer_product(insts, ham.num_qubits)
+        r0, r1 = dense_sweep_transfer_product(insts, ham.num_qubits)
+        assert np.abs(t0.matrix - r0).max() <= 1e-13
+        assert np.abs(t1.matrix - r1).max() <= 1e-13
+        row = im.trace_row(ham.dimension)
+        assert np.abs(row @ (t0.matrix + t1.matrix) - row).max() <= 1e-12
+
+    def test_local_action_matches_padded_transfer(self, rng):
+        # a 2-qubit map on qubits (0, 2) of 3, applied to a stack of columns
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        table = pauli.support_index_table(3, (0, 2))
+        full = np.zeros((8, 8), dtype=complex)
+        full[table[:, :, None], table[:, None, :]] = a
+        x = rng.normal(size=(64, 5)) + 1j * rng.normal(size=(64, 5))
+        out = im.apply_local_transfer(np.kron(a.conj(), a), (0, 2), 3, x)
+        assert np.abs(out - np.kron(full.conj(), full) @ x).max() <= 1e-12
+
+    def test_mixture_matches_dense_composition(self, heis2):
+        insts = _sweep_instruments(heis2, 0.3, "local")
+        m = len(insts)
+        micro = [
+            (im.transfer_of_instrument_success(i).matrix, im.transfer_of_instrument_failure(i, 2).matrix)
+            for i in insts
+        ]
+        a = sum(t0 for t0, _ in micro) / m
+        b = sum(t0 + t1 for t0, t1 in micro) / m
+        succ = np.linalg.matrix_power(a, 2 * m)
+        t0, t1 = im.sweep_transfer_mixture(insts, 2)
+        assert np.abs(t0.matrix - succ).max() <= 1e-13
+        assert np.abs(t1.matrix - (np.linalg.matrix_power(b, 2 * m) - succ)).max() <= 1e-13
+
+    @pytest.mark.parametrize("branch", ["e0", "e1"])
+    def test_unpadded_instrument_refused(self, heis3, branch):
+        inst = _sweep_instruments(heis3, 0.3, "local")[0]
+        assert inst.support == (0, 1)
+        ops = {"e0": inst.e0.copy(), "e1": inst.e1.copy()}
+        ops[branch][0, 1] += 0.1  # couples |000> and |001>: acts on qubit 2
+        bad = im.Instrument(ops["e0"], ops["e1"], inst.resampler, support=inst.support)
+        with pytest.raises(ParameterError, match="outside its declared support"):
+            im.sweep_transfer_product([bad], 3)
 
 
 class TestCustomResampler:

@@ -5,6 +5,8 @@ from dqe import agsp, analytics as an, instrument as im, noise as nz, pauli
 from dqe import stopping as st, trajectory as tj
 from dqe.errors import InvalidNoiseError
 
+from oracles import dense_noisy_sweep_success_transfer
+
 
 class TestDepolarizingTomography:
     def test_zero_noise_is_exact(self):
@@ -87,6 +89,16 @@ class TestChannelPerturbation:
             measured = nz.transfer_delta(inst, pert)
             assert measured == pytest.approx(delta, rel=0.2)
 
+    def test_perturbed_local_instrument_declares_no_support(self):
+        # the direction acts on every qubit, so the sweep oracle must see a
+        # full-space instrument rather than refuse a false support
+        k = np.diag([0.9, 0.3, 0.9, 0.3]).astype(complex)  # acts on qubit 1 only
+        inst = im.make_instrument(k, 0.5, im.Resampler.global_mixed(4), support=(1,))
+        pert = nz.perturb_instrument(inst, nz.ChannelPerturbation(1e-2, seed=2))
+        assert pert.support is None
+        t0, _ = im.sweep_transfer_product([pert], 2)
+        assert np.abs(t0.matrix - np.kron((pert.e0 @ pert.e0).conj(), pert.e0 @ pert.e0)).max() <= 1e-13
+
     def test_norm_guard(self):
         p = np.diag([1.0, 0.0]).astype(complex)
         inst = im.make_instrument(p, 1.0, im.Resampler.global_mixed(2))
@@ -143,6 +155,17 @@ class TestFreeDecay:
 
 
 class TestNoisyOracle:
+    def test_success_transfer_matches_dense_reference(self, heis3):
+        cfg = tj.RunConfig(
+            heis3,
+            schedule=st.EpsilonSchedule.constant(0.2),
+            rule=st.FirstRunOfZeros(3),
+            noise=nz.DepolarizingPerGate(1e-3, 1e-3),
+        )
+        eng = tj.TrajectoryEngine(cfg)
+        local = nz.noisy_sweep_success_transfer(eng)
+        assert np.abs(local - dense_noisy_sweep_success_transfer(eng)).max() <= 1e-13
+
     def test_monte_carlo_matches_noisy_transfer(self, heis3, spec3):
         # end-to-end: noisy trajectories vs the exact channel built from the
         # same tomography-extracted Kraus sets
