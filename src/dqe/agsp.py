@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInstanceError, ParameterError
-from .pauli import PauliHamiltonian, PauliTerm, SpectralData, to_dense
+from .instrument import TermInstrument, sweep_success_operator, term_instruments
+from .pauli import PauliHamiltonian, SpectralData, to_dense
 
 _HERM_TOL = 1e-12
 
@@ -55,51 +56,20 @@ class AgspParams:
 
 
 @dataclass(frozen=True)
-class LocalFactor:
-    """One weighted local factor kappa_i * k_i of a decomposed AGSP."""
-
-    weight: float
-    operator: np.ndarray
-    support: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Agsp:
     """Dense AGSP operator with claimed-or-measured parameters attached."""
 
     operator: np.ndarray
     params: AgspParams
     claimed: bool = True
-    local_factors: tuple[LocalFactor, ...] | None = None
+    # each term's weak measurement at the linear-AGSP weight |alpha_v|/kappa
+    local_factors: tuple[TermInstrument, ...] | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         k = self.operator
         if np.abs(k - k.conj().T).max() > _HERM_TOL:
             raise ParameterError("AGSP operator is not Hermitian within 1e-12")
-
-
-def local_projector(term: PauliTerm) -> np.ndarray:
-    """k_v = (1 - s_v h_v)/2 restricted to the term's support qubits."""
-    sub = "".join(c for c in term.string.factors if c != "I")
-    if not sub:
-        # identity term: k_v is 0 (s_v > 0) or 1 (s_v < 0) on a trivial support
-        d = 1
-        return np.zeros((d, d), dtype=np.complex128) if term.sign > 0 else np.eye(d, dtype=np.complex128)
-    from .pauli import PauliString
-
-    h_loc = PauliString(sub).to_matrix()
-    d = h_loc.shape[0]
-    return (np.eye(d) - term.sign * h_loc) / 2.0
-
-
-def _dense_factors(ham: PauliHamiltonian) -> tuple[LocalFactor, ...]:
-    d = ham.dimension
-    factors = []
-    for t in ham.terms:
-        k_full = (np.eye(d) - t.sign * t.string.to_matrix()) / 2.0
-        factors.append(LocalFactor(abs(t.coefficient) / ham.kappa, k_full, t.string.support))
-    return tuple(factors)
 
 
 def agsp_linear(ham: PauliHamiltonian, spec: SpectralData) -> Agsp:
@@ -118,7 +88,7 @@ def agsp_linear(ham: PauliHamiltonian, spec: SpectralData) -> Agsp:
         sqrt_gamma=(1.0 - spec.lambda0 / ham.kappa) / 2.0,
         epsilon=0.0,
     )
-    return Agsp(k, params, claimed=True, local_factors=_dense_factors(ham))
+    return Agsp(k, params, claimed=True, local_factors=tuple(term_instruments(ham, "sum")))
 
 
 def agsp_product(
@@ -132,14 +102,8 @@ def agsp_product(
     """
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
-    factors = _dense_factors(ham)
-    d = ham.dimension
-    eye = np.eye(d)
-    fwd = eye
-    for f in factors:
-        fwd = fwd @ ((1.0 - eps) * eye + eps * f.weight * f.operator)
-    k = fwd @ fwd.conj().T
-    k = (k + k.conj().T) / 2.0
+    factors = tuple(term_instruments(ham, "sum"))
+    k = sweep_success_operator(factors, eps)
     m = ham.num_terms
     if spec is not None:
         pref = (1.0 - eps) ** (2 * m - 1)
@@ -157,10 +121,9 @@ def mixture_kraus(ham: PauliHamiltonian, eps: float) -> list[np.ndarray]:
     """Kraus set E_i = ((1-eps)1 + eps*kappa_i*k_i)/sqrt(m) of the mixture map."""
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
-    factors = _dense_factors(ham)
+    factors = term_instruments(ham, "sum")
     m = len(factors)
-    eye = np.eye(ham.dimension)
-    return [((1.0 - eps) * eye + eps * f.weight * f.operator) / np.sqrt(m) for f in factors]
+    return [f.embed(f.kraus(eps)[0]) / np.sqrt(m) for f in factors]
 
 
 def _chebyshev_t(ell: int, y: np.ndarray) -> np.ndarray:
@@ -220,24 +183,19 @@ def verify_agsp(k: np.ndarray, pi0: np.ndarray) -> AgspParams:
     """
     if np.abs(k - k.conj().T).max() > _HERM_TOL:
         raise ParameterError("verify_agsp needs a Hermitian operator")
-    n_ground = int(round(float(np.trace(pi0).real)))
-    w, v = np.linalg.eigh(k)
-    overlaps = np.einsum("ij,jk,ki->i", v.conj().T, pi0, v).real
-    order = np.lexsort((-w, -overlaps))
-    chosen = order[:n_ground]
-    rest = order[n_ground:]
-    pi = v[:, chosen] @ v[:, chosen].conj().T
+    w, chosen, rest, pi = _select_block(k, pi0)
     sqrt_gamma = float(np.min(w[chosen])) if chosen.size else 0.0
     sqrt_delta = float(np.max(np.abs(w[rest]))) if rest.size else 0.0
     epsilon = float(np.linalg.norm(pi - pi0, ord=2))
     return AgspParams.from_sqrt(sqrt_delta=sqrt_delta, sqrt_gamma=sqrt_gamma, epsilon=epsilon)
 
 
-def find_block_projector(k: np.ndarray, pi0: np.ndarray) -> np.ndarray:
-    """The rank-N projector Pi selected by the verify_agsp matching rule."""
+def _select_block(k: np.ndarray, pi0: np.ndarray):
+    """Eigenvalues of K, the chosen and the remaining eigen-indices, and the
+    rank-N projector Pi onto the chosen ones."""
     n_ground = int(round(float(np.trace(pi0).real)))
     w, v = np.linalg.eigh(k)
     overlaps = np.einsum("ij,jk,ki->i", v.conj().T, pi0, v).real
     order = np.lexsort((-w, -overlaps))
     chosen = order[:n_ground]
-    return v[:, chosen] @ v[:, chosen].conj().T
+    return w, chosen, order[n_ground:], v[:, chosen] @ v[:, chosen].conj().T

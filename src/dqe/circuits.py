@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ParameterError
+from .instrument import TermInstrument
 from .pauli import PauliHamiltonian, PauliTerm
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
@@ -76,16 +77,13 @@ class DilationUnitary:
     phi: float
 
 
-def dilation_unitary(kappa_v: float, eps: float) -> DilationUnitary:
+def dilation_unitary(inst: TermInstrument, eps: float) -> DilationUnitary:
     """U = R_phi (x) Pi + R_theta (x) (1 - Pi) reduced to its 2x2 blocks.
 
-    theta = arccos(1 - eps), phi = arccos(1 - eps(1 - kappa_v)); the |0>-row
-    blocks are the E0 eigenvalues on (Pi, 1-Pi) and the |1>-row blocks E1's.
+    (theta, phi) are the instrument's dilation angles; the |0>-row blocks
+    are the E0 eigenvalues on (Pi, 1-Pi) and the |1>-row blocks E1's.
     """
-    if not 0.0 <= eps <= 1.0 or not 0.0 <= kappa_v <= 1.0:
-        raise ParameterError("dilation needs 0 <= eps <= 1 and 0 <= kappa_v <= 1")
-    theta = math.acos(1.0 - eps)
-    phi = math.acos(1.0 - eps * (1.0 - kappa_v))
+    theta, phi = inst.angles(eps)
     cp, sp = math.cos(phi), math.sin(phi)
     ct, st = math.cos(theta), math.sin(theta)
     mat = np.array(
@@ -110,11 +108,8 @@ def measurement_circuit(term: PauliTerm, eps: float, weight: float = 1.0) -> Cir
     support = term.string.support
     if not support:
         raise ParameterError("identity terms have no measurement circuit")
-    if not 0.0 <= eps <= 1.0:
-        raise ParameterError(f"eps must be in [0, 1], got {eps}")
     k = len(support)
-    dil = dilation_unitary(weight, eps)
-    theta, phi = dil.theta, dil.phi
+    theta, phi = TermInstrument(term, weight).angles(eps)
     # the ladder parity p tags the sectors: even parity is range(Pi) for
     # negative-coefficient terms, the complement for positive ones
     if term.sign < 0:

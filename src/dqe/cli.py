@@ -387,7 +387,7 @@ def cmd_circuit(args) -> int:
     ham = build_system(cfg.system)
     eps_schedule = parse_epsilon(cfg.eps, ham)
     eps = eps_schedule.base
-    weights = trajectory.term_weights(ham, cfg.weighting)
+    weights = instrument.term_weights(ham, cfg.weighting)
     from .circuits import export_qasm, full_sweep_circuit, measurement_circuit
 
     if args.full_sweep:

@@ -7,9 +7,10 @@ functional is the row vector <<1| = vec(identity)^dag.
 
 from __future__ import annotations
 
-import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -20,9 +21,7 @@ from .errors import (
     ResourceLimitError,
     SingularFixedPointError,
 )
-from .pauli import support_index_table
-
-logger = logging.getLogger(__name__)
+from .pauli import PauliHamiltonian, PauliString, PauliTerm, support_index_table
 
 TRANSFER_LIMIT_QUBITS = 6
 
@@ -163,8 +162,7 @@ def make_instrument(op: np.ndarray, eps: float, resampler: Resampler, support=No
     local factor kappa_v k_v embedded in the full space.  eps = 1 recovers
     the bare AGSP Kraus pair, eps = 0 the trivial instrument.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ParameterError(f"eps must be in [0, 1], got {eps}")
+    _check_eps(eps)
     d = op.shape[0]
     e0 = (1.0 - eps) * np.eye(d) + eps * op
     if np.linalg.norm(e0, ord=2) > 1.0 + 1e-12:
@@ -173,60 +171,141 @@ def make_instrument(op: np.ndarray, eps: float, resampler: Resampler, support=No
     return Instrument(e0, e1, resampler, tuple(support) if support is not None else None)
 
 
-def _resample_pure(state: np.ndarray, resampler: Resampler, rng, num_qubits: int) -> np.ndarray:
-    d = state.shape[0]
-    if resampler.kind is ResamplerKind.GLOBAL:
-        out = np.zeros(d, dtype=np.complex128)
-        out[rng.integers(d)] = 1.0
-        return out
-    if resampler.kind is ResamplerKind.IDENTITY:
-        return state
-    if resampler.kind is ResamplerKind.LOCAL:
-        table = support_index_table(num_qubits, resampler.qubits)
-        block = state[table]
-        probs = np.einsum("ra,ra->a", block.real, block.real) + np.einsum(
-            "ra,ra->a", block.imag, block.imag
-        )
-        total = probs.sum()
-        if total < 1e-15:
-            raise InvalidAgspError("zero-norm state passed to local resampler")
-        a_old = rng.choice(probs.size, p=probs / total)
-        a_new = rng.integers(probs.size)
-        out = np.zeros(d, dtype=np.complex128)
-        out[table[:, a_new]] = state[table[:, a_old]] / np.sqrt(probs[a_old])
-        return out
-    weights = np.array([float(np.vdot(a @ state, a @ state).real) for a in resampler.kraus])
-    total = weights.sum()
-    j = rng.choice(weights.size, p=weights / total)
-    new = resampler.kraus[j] @ state
-    return new / np.linalg.norm(new)
+def _check_eps(eps: float):
+    if not 0.0 <= eps <= 1.0:
+        raise ParameterError(f"eps must be in [0, 1], got {eps}")
 
 
-def apply_sampled(inst: Instrument, state: np.ndarray, rng, num_qubits: int | None = None):
-    """One sampled application of the instrument to a normalized pure state.
+@dataclass(frozen=True, eq=False)
+class TermInstrument:
+    """The weak measurement of one Pauli term at measurement weight w.
 
-    Returns (outcome, new_state).  Outcome 0 keeps E0|psi> renormalized;
-    outcome 1 applies E1, renormalizes, then resamples.  A branch whose norm
-    underflows (< 1e-15) triggers an unconditional resample and a diagnostic.
+    With the local projector k_v = (1 - s_v h_v)/2, the success Kraus
+    operator is E0 = (1 - eps) 1 + eps w k_v and the failure operator its
+    principal complement root E1.  Both are diagonal in the eigenbasis of
+    k_v, so both are affine in the Pauli string: E_b = a_b 1 + b_b h_v.
+    ``coefficients`` is the only copy of that closed form; the local Kraus
+    pair, the embedded instrument and the dilation angles are built from it.
+    ``table``, ``perm`` and ``phase`` act on the full register: the term's
+    support index table and the phase-permutation h|psi> = (phase psi)[perm].
     """
-    if num_qubits is None:
-        num_qubits = int(round(np.log2(state.shape[0])))
-    phi0 = inst.e0 @ state
-    p0 = float(np.vdot(phi0, phi0).real)
-    if rng.random() < p0:
-        if p0 < 1e-15:
-            logger.warning("zero-norm success branch; resampling unconditionally")
-            return 0, _resample_pure(state, inst.resampler, rng, num_qubits)
-        return 0, phi0 / np.sqrt(p0)
-    phi1 = inst.e1 @ state
-    p1 = float(np.vdot(phi1, phi1).real)
-    if p1 < 1e-15:
-        logger.warning("zero-norm failure branch; resampling unconditionally")
-        return 1, _resample_pure(state, inst.resampler, rng, num_qubits)
-    if inst.resampler.kind in (ResamplerKind.GLOBAL,):
-        # the resampled state does not depend on E1|psi>
-        return 1, _resample_pure(state, inst.resampler, rng, num_qubits)
-    return 1, _resample_pure(phi1 / np.sqrt(p1), inst.resampler, rng, num_qubits)
+
+    term: PauliTerm
+    weight: float
+    support: tuple[int, ...] = field(init=False)
+    sign: float = field(init=False)
+    table: np.ndarray = field(init=False, repr=False)
+    perm: np.ndarray = field(init=False, repr=False)
+    phase: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not 0.0 <= self.weight <= 1.0:
+            raise ParameterError(f"measurement weight must be in [0, 1], got {self.weight}")
+        string = self.term.string
+        support = string.support
+        perm, phase = string.perm_and_phase()
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "sign", self.term.sign)
+        object.__setattr__(self, "table", support_index_table(string.num_qubits, support))
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "phase", phase)
+
+    @property
+    def num_qubits(self) -> int:
+        return self.term.string.num_qubits
+
+    # the local matrices are built on first use: sampling never needs them,
+    # and the engine build stays as cheap as its perm/phase/table arrays
+    @cached_property
+    def h_local(self) -> np.ndarray:
+        """h_v on the support qubits; an identity term has h_v = 1 on a
+        trivial support."""
+        sub = "".join(c for c in self.term.string.factors if c != "I")
+        return PauliString(sub).to_matrix() if sub else np.ones((1, 1), dtype=np.complex128)
+
+    @cached_property
+    def k_local(self) -> np.ndarray:
+        """k_v = (1 - s_v h_v)/2 on the support qubits."""
+        return (np.eye(self.h_local.shape[0]) - self.sign * self.h_local) / 2.0
+
+    def _in_range(self, eps: float) -> float:
+        """Eigenvalue of E0 on the range of k_v, cos(phi)."""
+        return 1.0 - eps * (1.0 - self.weight)
+
+    def coefficients(self, eps: float) -> tuple[complex, complex, complex, complex]:
+        """(a0, b0, a1, b1) with E0 = a0 1 + b0 h_v and E1 = a1 1 + b1 h_v.
+
+        E0 is cos(phi) on the range of k_v and 1 - eps = cos(theta) off it;
+        E1 is sin(phi) and sin(theta) = sqrt(eps (2 - eps)) there.
+        """
+        _check_eps(eps)
+        w, s = self.weight, self.sign
+        s_theta = np.sqrt(max(eps * (2.0 - eps), 0.0))
+        c = self._in_range(eps)
+        s_phi = np.sqrt(max(1.0 - c * c, 0.0))
+        return (
+            complex(1.0 - eps + eps * w / 2.0),
+            complex(-eps * w * s / 2.0),
+            complex((s_phi + s_theta) / 2.0),
+            complex(-s * (s_phi - s_theta) / 2.0),
+        )
+
+    def angles(self, eps: float) -> tuple[float, float]:
+        """Dilation angles (theta, phi) = (acos(1 - eps), acos(1 - eps(1 - w)))."""
+        _check_eps(eps)
+        return math.acos(1.0 - eps), math.acos(self._in_range(eps))
+
+    def kraus(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """The local 2^k x 2^k pair (E0, E1) on the term's support."""
+        a0, b0, a1, b1 = self.coefficients(eps)
+        eye = np.eye(self.h_local.shape[0], dtype=np.complex128)
+        return a0 * eye + b0 * self.h_local, a1 * eye + b1 * self.h_local
+
+    def embed(self, op: np.ndarray) -> np.ndarray:
+        """A local operator on the support, padded with the identity elsewhere."""
+        d = 1 << self.num_qubits
+        full = np.zeros((d, d), dtype=np.complex128)
+        full[self.table[:, :, None], self.table[:, None, :]] = op
+        return full
+
+    def instrument(self, eps: float, resampler: Resampler) -> Instrument:
+        """The full-space instrument with this term's support declared."""
+        e0, e1 = self.kraus(eps)
+        return Instrument(self.embed(e0), self.embed(e1), resampler, self.support)
+
+
+def term_weights(ham: PauliHamiltonian, weighting: str) -> list[float]:
+    """Per-term measurement weights kappa_v.
+
+    "sum" divides by kappa = sum |alpha| (the linear-AGSP factorization);
+    "max" divides by max |alpha|, so uniform-coefficient Hamiltonians get
+    kappa_v = 1 exactly (the simplified projective-factor case).
+    """
+    if weighting == "sum":
+        return [abs(t.coefficient) / ham.kappa for t in ham.terms]
+    amax = max(abs(t.coefficient) for t in ham.terms)
+    return [abs(t.coefficient) / amax for t in ham.terms]
+
+
+def term_instruments(ham: PauliHamiltonian, weighting: str) -> list[TermInstrument]:
+    return [TermInstrument(t, w) for t, w in zip(ham.terms, term_weights(ham, weighting))]
+
+
+def sweep_success_operator(terms, eps: float) -> np.ndarray:
+    """M M^dag with M = E0_1 ... E0_m: the all-success branch of a
+    forward-then-reversed sweep, as one Hermitian Kraus operator.
+
+    Each factor acts through its phase-permutation, fwd E0 = a0 fwd +
+    b0 fwd h, at O(D^2) per term.
+    """
+    d = 1 << terms[0].num_qubits
+    fwd = np.eye(d, dtype=np.complex128)
+    for t in terms:
+        a0, b0, _, _ = t.coefficients(eps)
+        # (fwd h)[:, c] = fwd[:, perm[c]] phase[c]
+        fwd = a0 * fwd + b0 * (fwd[:, t.perm] * t.phase)
+    k = fwd @ fwd.conj().T
+    return (k + k.conj().T) / 2.0
 
 
 @dataclass(frozen=True)

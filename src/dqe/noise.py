@@ -22,7 +22,12 @@ from .circuits import (
     measurement_circuit,
 )
 from .errors import InvalidNoiseError, ParameterError
-from .instrument import Instrument, apply_local_transfer, principal_sqrt_complement
+from .instrument import (
+    Instrument,
+    TermInstrument,
+    apply_local_transfer,
+    principal_sqrt_complement,
+)
 from .pauli import PauliString, PauliTerm
 
 _PAULI_AXES = ("X", "Y", "Z")
@@ -177,8 +182,6 @@ def noisy_term_instrument(
     delta_measured is the transfer-norm distance between the noisy and
     clean success branches on the term's support.
     """
-    from .agsp import local_projector
-
     circ = measurement_circuit(term, eps, weight)
     choi0, choi1 = noisy_circuit_branches(circ, model)
     d = 1 << len(term.string.support)
@@ -188,7 +191,7 @@ def noisy_term_instrument(
     defect = float(np.abs(comp - np.eye(d)).max())
     if defect > 1e-8:
         raise InvalidNoiseError(f"noisy instrument completeness defect {defect:.2e}")
-    e0_clean = (1.0 - eps) * np.eye(d) + eps * weight * local_projector(term)
+    e0_clean = TermInstrument(term, weight).kraus(eps)[0]
     t_clean = np.kron(e0_clean.conj(), e0_clean)
     t_noisy = sum(np.kron(a.conj(), a) for a in kraus0)
     delta = float(np.linalg.norm(t_noisy - t_clean, 2))
@@ -313,18 +316,13 @@ def run_resilience_experiment(
     parallelism: int | None = None,
 ) -> ResilienceReport:
     """Noisy ensembles at several run-time caps plus the free-decay baseline."""
+    from .agsp import verify_agsp
     from .stopping import EpsilonSchedule, Secretary
     from .trajectory import RunConfig, TrajectoryEngine, run_ensemble
 
-    from .agsp import verify_agsp
-
     runtimes = tuple(int(t) for t in runtimes)
-    overlaps, stderrs, energies = [], [], []
-    delta = float("nan")
-    sweep_delta = float("nan")
-    bound = float("nan")
-    for cap in runtimes:
-        cfg = RunConfig(
+    configs = [
+        RunConfig(
             ham,
             agsp_mode="product-sweep",
             schedule=EpsilonSchedule.constant(eps),
@@ -334,24 +332,26 @@ def run_resilience_experiment(
             weighting=weighting,
             noise=model,
         )
-        stats = run_ensemble(cfg, num_trajectories, parallelism=parallelism)
+        for cap in runtimes
+    ]
+    # the first cap's engine also yields the deltas and the bound
+    engine = TrajectoryEngine(configs[0])
+    overlaps, stderrs, energies = [], [], []
+    for cfg in configs:
+        stats = run_ensemble(
+            cfg, num_trajectories, parallelism=parallelism,
+            engine=engine if cfg is configs[0] else None,
+        )
         overlaps.append(stats.mean_overlap)
         stderrs.append(stats.stderr_overlap)
         energies.append(stats.mean_energy)
-        if np.isnan(delta):
-            engine = TrajectoryEngine(cfg)
-            delta = max(nt.delta_measured for nt in engine.noisy_instruments)
-            kraus_clean = engine.sweep_success_kraus(eps)
-            t_clean = np.kron(kraus_clean.conj(), kraus_clean)
-            sweep_delta = float(
-                np.linalg.norm(noisy_sweep_success_transfer(engine) - t_clean, 2)
-            )
-            params = verify_agsp(kraus_clean, engine.pi0)
-            bound = resilience_bound_asymptotic(params, sweep_delta).value
-    from .pauli import diagonalize
-
-    spectral = diagonalize(ham)
-    series = free_decay_overlaps(spectral, model.p1, max(runtimes))
+    delta = max(nt.delta_measured for nt in engine.noisy_instruments)
+    kraus_clean = engine.sweep_success_kraus(eps)
+    t_clean = np.kron(kraus_clean.conj(), kraus_clean)
+    sweep_delta = float(np.linalg.norm(noisy_sweep_success_transfer(engine) - t_clean, 2))
+    params = verify_agsp(kraus_clean, engine.pi0)
+    bound = resilience_bound_asymptotic(params, sweep_delta).value
+    series = free_decay_overlaps(engine.spectral, model.p1, max(runtimes))
     baseline = tuple(float(series[t]) for t in runtimes)
     return ResilienceReport(
         runtimes=runtimes,

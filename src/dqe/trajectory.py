@@ -17,8 +17,15 @@ import numpy as np
 from . import _kernels
 from .agsp import agsp_chebyshev, agsp_linear
 from .errors import ConfigError, ParameterError
-from .instrument import Instrument, Resampler, make_instrument
-from .pauli import PauliHamiltonian, SpectralData, diagonalize, support_index_table, to_dense
+from .instrument import (
+    Instrument,
+    Resampler,
+    TermInstrument,
+    make_instrument,
+    sweep_success_operator,
+    term_instruments,
+)
+from .pauli import PauliHamiltonian, SpectralData, diagonalize, to_dense
 from .stopping import EpsilonSchedule, RuleTracker, StoppingRule, epsilon_at
 
 AGSP_MODES = ("linear-global", "chebyshev-global", "product-sweep", "mixture-random")
@@ -89,34 +96,6 @@ class EnsembleStats:
     truncated_count: int
 
 
-class _TermData:
-    """Per-term arrays the hot loop needs for a Pauli weak measurement."""
-
-    __slots__ = ("perm", "phase", "sign", "weight", "support", "table")
-
-    def __init__(self, term, weight, num_qubits):
-        self.perm, self.phase = term.string.perm_and_phase()
-        self.sign = term.sign
-        self.weight = weight
-        self.support = term.string.support
-        self.table = (
-            support_index_table(num_qubits, self.support) if self.support else None
-        )
-
-
-def term_weights(ham: PauliHamiltonian, weighting: str) -> list[float]:
-    """Per-term measurement weights kappa_v.
-
-    "sum" divides by kappa = sum |alpha| (the linear-AGSP factorization);
-    "max" divides by max |alpha|, so uniform-coefficient Hamiltonians get
-    kappa_v = 1 exactly (the simplified projective-factor case).
-    """
-    if weighting == "sum":
-        return [abs(t.coefficient) / ham.kappa for t in ham.terms]
-    amax = max(abs(t.coefficient) for t in ham.terms)
-    return [abs(t.coefficient) / amax for t in ham.terms]
-
-
 class TrajectoryEngine:
     """Precomputed operators shared (read-only) by all trajectories."""
 
@@ -142,46 +121,31 @@ class TrajectoryEngine:
             self.terms = None
         else:
             self.k_global = None
-            weights = term_weights(ham, cfg.weighting)
-            self.terms = [
-                _TermData(t, w, ham.num_qubits) for t, w in zip(ham.terms, weights)
-            ]
+            self.terms = term_instruments(ham, cfg.weighting)
             if cfg.noise is not None:
                 from .noise import noisy_term_instrument
 
                 eps = cfg.schedule.base
                 self.noisy_instruments = [
-                    noisy_term_instrument(t, eps, w, cfg.noise)
-                    for t, w in zip(ham.terms, weights)
+                    noisy_term_instrument(t.term, eps, t.weight, cfg.noise) for t in self.terms
                 ]
                 self.noisy_terms = []
-                for ni, td in zip(self.noisy_instruments, self.terms):
+                for ni, term in zip(self.noisy_instruments, self.terms):
                     # heaviest Kraus first so the lazy branch walk usually
                     # stops after one application
                     k0 = sorted(ni.kraus0, key=lambda a: -np.linalg.norm(a))
                     k1 = sorted(ni.kraus1, key=lambda a: -np.linalg.norm(a))
                     m0 = sum(a.conj().T @ a for a in k0)
                     m0 = (m0 + m0.conj().T) / 2.0
-                    self.noisy_terms.append((tuple(k0), tuple(k1), td.table, m0))
+                    self.noisy_terms.append((tuple(k0), tuple(k1), term.table, m0))
 
     # -- instruments for the analytics oracle ------------------------------
 
     def instruments_at(self, eps: float) -> list[Instrument]:
         """Instrument list matching the engine's sweep at a fixed eps."""
-        ham = self.cfg.hamiltonian
-        d = self.dim
         if self.k_global is not None:
             return [make_instrument(self.k_global, eps, self._resampler_for(None))]
-        weights = term_weights(ham, self.cfg.weighting)
-        insts = []
-        for t, w in zip(ham.terms, weights):
-            k_full = (np.eye(d) - t.sign * t.string.to_matrix()) / 2.0
-            insts.append(
-                make_instrument(
-                    w * k_full, eps, self._resampler_for(t.string.support), support=t.string.support
-                )
-            )
-        return insts
+        return [t.instrument(eps, self._resampler_for(t.support)) for t in self.terms]
 
     def _resampler_for(self, support) -> Resampler:
         if self.cfg.resampler == "global":
@@ -217,17 +181,7 @@ class TrajectoryEngine:
             return (1.0 - eps) * np.eye(self.dim) + eps * self.k_global
         if self.cfg.agsp_mode != "product-sweep":
             raise ParameterError("mixture sweeps have no single success Kraus operator")
-        insts = self.instruments_at(eps)
-        fwd = np.eye(self.dim, dtype=np.complex128)
-        for inst in insts:
-            fwd = fwd @ inst.e0
-        k = fwd @ fwd.conj().T
-        return (k + k.conj().T) / 2.0
-
-    def measure_observables(self, state: np.ndarray) -> tuple[float, float]:
-        energy = float(np.vdot(state, self.h_dense @ state).real)
-        overlap = float(np.vdot(state, self.pi0 @ state).real)
-        return energy, overlap
+        return sweep_success_operator(self.terms, eps)
 
 
 def measure_observables(state, h_dense, pi0):
@@ -254,18 +208,21 @@ class _TrajectoryState:
         self.psi = np.zeros(d, dtype=np.complex128)
         self.psi[self.rng.integers(d)] = 1.0
         self.buf = np.empty(d, dtype=np.complex128)
+        self.eps = None  # eps of the cached per-term coefficients
+        self.coeffs = None
 
     def reset_random_basis(self):
         self.psi[:] = 0.0
         self.psi[self.rng.integers(self.psi.shape[0])] = 1.0
 
 
-def _measure_term_clean(ts: _TrajectoryState, td: _TermData, eps: float, resampler: str) -> int:
-    """One weak measurement of a Pauli term; returns the outcome bit."""
-    w = td.weight
-    a0 = complex(1.0 - eps + eps * w / 2.0)
-    b0 = complex(-eps * w * td.sign / 2.0)
-    p0 = _kernels.axpb_pauli(ts.psi, ts.buf, td.perm, td.phase, a0, b0)
+def _measure_term_clean(ts: _TrajectoryState, term: TermInstrument, coeffs, resampler: str) -> int:
+    """One weak measurement of a Pauli term; returns the outcome bit.
+
+    ``coeffs`` is ``term.coefficients(eps)``: each branch is a0 psi + b0 h psi.
+    """
+    a0, b0, a1, b1 = coeffs
+    p0 = _kernels.axpb_pauli(ts.psi, ts.buf, term.perm, term.phase, a0, b0)
     u = ts.rng.random()
     if u < p0 and p0 > 1e-15:
         ts.buf *= 1.0 / np.sqrt(p0)
@@ -274,20 +231,14 @@ def _measure_term_clean(ts: _TrajectoryState, td: _TermData, eps: float, resampl
     if resampler == "global":
         ts.reset_random_basis()
         return 1
-    # failure Kraus E1 = s_phi Pi + s_theta (1 - Pi), affine in (psi, h psi)
-    s_theta = np.sqrt(max(eps * (2.0 - eps), 0.0))
-    c = 1.0 - eps * (1.0 - w)
-    s_phi = np.sqrt(max(1.0 - c * c, 0.0))
-    a1 = complex((s_phi + s_theta) / 2.0)
-    b1 = complex(-td.sign * (s_phi - s_theta) / 2.0)
-    p1 = _kernels.axpb_pauli(ts.psi, ts.buf, td.perm, td.phase, a1, b1)
+    p1 = _kernels.axpb_pauli(ts.psi, ts.buf, term.perm, term.phase, a1, b1)
     if p1 < 1e-15:
         ts.reset_random_basis()
         return 1
     ts.buf *= 1.0 / np.sqrt(p1)
     ts.psi, ts.buf = ts.buf, ts.psi
-    if resampler == "local" and td.table is not None:
-        _local_measure_replace(ts, td.table)
+    if resampler == "local" and term.support:
+        _local_measure_replace(ts, term.table)
     return 1
 
 
@@ -396,11 +347,13 @@ def _run_sweep(ts: _TrajectoryState, engine: TrajectoryEngine, eps: float, micro
     else:
         order = [int(ts.rng.integers(m)) for _ in range(2 * m)]
     micro = [] if micro_sink is not None else None
+    if engine.noisy_terms is None and eps != ts.eps:
+        ts.eps, ts.coeffs = eps, [t.coefficients(eps) for t in engine.terms]
     for v in order:
         if engine.noisy_terms is not None:
             out = _measure_term_noisy(ts, engine.noisy_terms[v], cfg.resampler)
         else:
-            out = _measure_term_clean(ts, engine.terms[v], eps, cfg.resampler)
+            out = _measure_term_clean(ts, engine.terms[v], ts.coeffs[v], cfg.resampler)
         bit |= out
         if micro is not None:
             micro.append(out)
@@ -442,7 +395,7 @@ def run_trajectory(
         stop = tracker.update(bit)
         if record_series:
             outcomes[t - 1] = bit
-            series[t - 1] = engine.measure_observables(ts.psi)
+            series[t - 1] = measure_observables(ts.psi, engine.h_dense, engine.pi0)
         if bit:
             t1_last = t
         elif tracker.history.current_run > snap_len:
@@ -450,7 +403,7 @@ def run_trajectory(
             snap_len = tracker.history.current_run
             snap_step = t
         if stop:
-            energy, overlap = engine.measure_observables(ts.psi)
+            energy, overlap = measure_observables(ts.psi, engine.h_dense, engine.pi0)
             return TrajectoryRecord(
                 stop_step=t,
                 stopped_run_length=tracker.history.current_run,

@@ -135,7 +135,7 @@ def test_criterion_04_general_resampling_identities():
         amax = max(abs(t.coefficient) for t in ham.terms)
         insts = [
             im.make_instrument(
-                (abs(t.coefficient) / amax) * f.operator,
+                f.embed((abs(t.coefficient) / amax) * f.k_local),
                 0.2,
                 im.Resampler.local_mixed(f.support),
                 support=f.support,
@@ -368,7 +368,7 @@ def test_criterion_09_circuit_consistency(heis4):
         for eps in (0.05, 0.2, 1.0):
             for weight in (1.0, 1.0 / 9.0):
                 circ = cc.measurement_circuit(term, eps, weight)
-                piloc = agsp.local_projector(term)
+                piloc = im.TermInstrument(term, weight).k_local
                 d = piloc.shape[0]
                 inst = im.make_instrument(weight * piloc, eps, im.Resampler.identity())
                 for _ in range(8):
@@ -389,9 +389,10 @@ def test_criterion_09_circuit_consistency(heis4):
                             worst_stats, float(np.abs(post1 - e1psi / np.sqrt(q1)).max())
                         )
     worst_unitarity = 0.0
+    z = pauli.PauliTerm(-1.0, pauli.PauliString("Z"))
     for eps in np.linspace(0.0, 1.0, 10):
         for kv in np.linspace(0.0, 1.0, 10):
-            u = cc.dilation_unitary(kv, eps).matrix
+            u = cc.dilation_unitary(im.TermInstrument(z, kv), eps).matrix
             worst_unitarity = max(worst_unitarity, float(np.abs(u @ u.T - np.eye(4)).max()))
     ok = worst_stats <= 1e-10 and worst_unitarity <= 1e-12
     assert _report(

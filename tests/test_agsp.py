@@ -46,7 +46,7 @@ class TestLinear:
         a = agsp.agsp_linear(heis3, spec)
         total = np.zeros_like(a.operator)
         for f in a.local_factors:
-            k = f.operator
+            k = f.embed(f.k_local)
             assert np.linalg.norm(k, 2) <= 1.0 + 1e-12
             assert np.abs(k @ k - k).max() <= 1e-10  # Pauli factors are projectors
             total += f.weight * k
@@ -188,7 +188,7 @@ class TestVerify:
         a = agsp.agsp_product(heis3, 0.1, spec3)
         pi0 = spec3.ground_projector
         first = agsp.verify_agsp(a.operator, pi0)
-        pi = agsp.find_block_projector(a.operator, pi0)
+        _, _, _, pi = agsp._select_block(a.operator, pi0)
         k_projected = pi @ a.operator @ pi + (np.eye(8) - pi) @ a.operator @ (np.eye(8) - pi)
         second = agsp.verify_agsp(k_projected, pi0)
         assert second.epsilon == pytest.approx(first.epsilon, abs=1e-10)

@@ -25,7 +25,7 @@ def _local_sweep(ham, eps, spectral=None, weighting="max"):
         weights = [f.weight for f in a.local_factors]
     insts = [
         im.make_instrument(
-            w * f.operator, eps, im.Resampler.local_mixed(f.support), support=f.support
+            f.embed(w * f.k_local), eps, im.Resampler.local_mixed(f.support), support=f.support
         )
         for w, f in zip(weights, a.local_factors)
     ]
@@ -230,7 +230,7 @@ class TestScheduleOracle:
             eps_j = 0.0625 / j
             insts = [
                 im.make_instrument(
-                    f.weight * f.operator, eps_j, im.Resampler.global_mixed(4), support=f.support
+                    f.embed(f.weight * f.k_local), eps_j, im.Resampler.global_mixed(4), support=f.support
                 )
                 for f in a.local_factors
             ]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dqe import circuits as cc, instrument as im, pauli
-from dqe.agsp import local_projector
 from dqe.errors import ConfigError, ParameterError
 
 from oracles import brute_force_chromatic
@@ -10,7 +9,7 @@ from oracles import brute_force_chromatic
 
 def _check_term_against_instrument(term, eps, weight, rng, samples=12):
     circ = cc.measurement_circuit(term, eps, weight)
-    piloc = local_projector(term)
+    piloc = im.TermInstrument(term, weight).k_local
     d = piloc.shape[0]
     inst = im.make_instrument(weight * piloc, eps, im.Resampler.identity())
     worst = 0.0
@@ -30,30 +29,35 @@ def _check_term_against_instrument(term, eps, weight, rng, samples=12):
     return worst
 
 
+def _dilation(kappa_v, eps):
+    term = pauli.PauliTerm(-1.0, pauli.PauliString("Z"))
+    return cc.dilation_unitary(im.TermInstrument(term, kappa_v), eps)
+
+
 class TestDilation:
     def test_angles(self):
-        d = cc.dilation_unitary(0.5, 0.2)
+        d = _dilation(0.5, 0.2)
         assert d.theta == pytest.approx(np.arccos(0.8))
         assert d.phi == pytest.approx(np.arccos(0.9))
 
     def test_kappa_one_simplifies(self):
-        assert cc.dilation_unitary(1.0, 0.37).phi == pytest.approx(0.0)
+        assert _dilation(1.0, 0.37).phi == pytest.approx(0.0)
 
     def test_eps_zero_identity(self):
-        d = cc.dilation_unitary(0.3, 0.0)
+        d = _dilation(0.3, 0.0)
         assert np.abs(d.matrix - np.eye(4)).max() <= 1e-12
 
     def test_unitarity_grid(self):
         worst = 0.0
         for eps in np.linspace(0.0, 1.0, 10):
             for kv in np.linspace(0.0, 1.0, 10):
-                u = cc.dilation_unitary(kv, eps).matrix
+                u = _dilation(kv, eps).matrix
                 worst = max(worst, np.abs(u @ u.T - np.eye(4)).max())
         assert worst <= 1e-12
 
     def test_row_blocks_are_instrument_eigenvalues(self):
         eps, kv = 0.2, 0.5
-        d = cc.dilation_unitary(kv, eps)
+        d = _dilation(kv, eps)
         # |0>-row blocks: E0 eigenvalues on (Pi, 1-Pi); |1>-row blocks: E1's
         assert d.matrix[0, 0] == pytest.approx(1 - eps * (1 - kv))
         assert d.matrix[1, 1] == pytest.approx(1 - eps)

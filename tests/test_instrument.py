@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dqe import agsp, instrument as im, pauli
+from dqe import _kernels, agsp, circuits as cc, instrument as im, pauli
 from dqe import stopping as stp, trajectory as tj
 from dqe.errors import InvalidAgspError, ParameterError, SingularFixedPointError
 
@@ -61,21 +61,124 @@ class TestMakeInstrument:
             im.make_instrument(np.eye(2), 1.5, im.Resampler.global_mixed(2))
 
 
+@st.composite
+def pauli_terms(draw):
+    """One Pauli term of weight 1..3 on at most 4 qubits, either sign."""
+    n = draw(st.integers(1, 4))
+    support = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(3, n)))
+    factors = ["I"] * n
+    for q in support:
+        factors[q] = draw(st.sampled_from("XYZ"))
+    coeff = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    return pauli.PauliTerm(coeff, pauli.PauliString("".join(factors)))
+
+
+def _assert_roots_close(x, y, lam):
+    """x and y are square roots of the eigenvalues ``lam`` of 1 - E0^dag E0.
+
+    Their squares agree to 1e-12.  The roots are compared only where every
+    eigenvalue is at least 1e-8: near 0, sqrt turns 1e-16 roundoff into
+    1e-16/sqrt(lam), and the eigh path zeroes eigenvalues below 1e-13.
+    """
+    assert np.abs(x @ x.conj().T - y @ y.conj().T).max() <= 1e-12
+    if min(lam) >= 1e-8:
+        assert np.abs(x - y).max() <= 1e-12
+
+
+_ZX = pauli.PauliTerm(-0.7, pauli.PauliString("ZIX"))
+
+
+class TestTermInstrument:
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(
+        term=pauli_terms(),
+        eps=st.floats(0.0, 1.0, exclude_min=True),
+        weight=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    @example(term=_ZX, eps=1.0, weight=0.4, seed=0)
+    @example(term=_ZX, eps=0.3, weight=1.0, seed=1)
+    @example(term=_ZX, eps=1.0, weight=1.0, seed=2)
+    def test_closed_form(self, term, eps, weight, seed):
+        inst = im.TermInstrument(term, weight)
+        e0, e1 = inst.kraus(eps)
+        eye = np.eye(e0.shape[0])
+        c = 1.0 - eps * (1.0 - weight)
+        lam = (1.0 - c * c, eps * (2.0 - eps))
+        # completeness
+        assert np.abs(e0.conj().T @ e0 + e1.conj().T @ e1 - eye).max() <= 1e-12
+        # the eigh path
+        ref = im.make_instrument(weight * inst.k_local, eps, im.Resampler.identity())
+        assert np.abs(e0 - ref.e0).max() <= 1e-12
+        _assert_roots_close(e1, ref.e1, lam)
+        # the engine's affine update equals the embedded Kraus operators
+        psi = _rand_state(np.random.default_rng(seed), 1 << term.string.num_qubits)
+        a0, b0, a1, b1 = inst.coefficients(eps)
+        for (a, b), e in (((a0, b0), e0), ((a1, b1), e1)):
+            out = np.empty_like(psi)
+            norm = _kernels.axpb_pauli(psi, out, inst.perm, inst.phase, a, b)
+            ref_out = inst.embed(e) @ psi
+            assert np.abs(out - ref_out).max() <= 1e-12
+            assert norm == pytest.approx(float(np.vdot(ref_out, ref_out).real), abs=1e-12)
+        # dilation rows: E0 and E1 eigenvalues on (range k_v, its complement)
+        u = cc.dilation_unitary(inst, eps).matrix
+        k, rest = inst.k_local, eye - inst.k_local
+        assert np.abs(e0 - (u[0, 0] * k + u[1, 1] * rest)).max() <= 1e-12
+        _assert_roots_close(e1, u[2, 0] * k + u[3, 1] * rest, lam)
+
+    def test_weight_out_of_range(self):
+        with pytest.raises(ParameterError):
+            im.TermInstrument(_ZX, 1.5)
+
+    def test_identity_term(self):
+        # an identity term has a trivial support: E0 = (1 - eps) + eps w k_v
+        for coeff, k in ((0.5, 0.0), (-0.5, 1.0)):
+            inst = im.TermInstrument(pauli.PauliTerm(coeff, pauli.PauliString("II")), 0.6)
+            assert inst.support == ()
+            e0, e1 = inst.kraus(0.25)
+            assert e0[0, 0] == pytest.approx(0.75 + 0.25 * 0.6 * k)
+            assert np.abs(inst.embed(e0) - e0[0, 0] * np.eye(4)).max() == 0.0
+
+
+def _engine_measurement(term, weight, eps, resampler, rng):
+    """A trajectory workspace drawing from ``rng`` and the engine's weak
+    measurement of one term (``_measure_term_clean``) acting on it."""
+    ham = pauli.PauliHamiltonian(term.string.num_qubits, (term,))
+    cfg = tj.RunConfig(
+        ham,
+        schedule=stp.EpsilonSchedule.constant(eps),
+        resampler=resampler,
+        rule=stp.FirstRunOfZeros(1),
+    )
+    ts = tj._TrajectoryState(tj.TrajectoryEngine(cfg), rng)
+    inst = im.TermInstrument(term, weight)
+    coeffs = inst.coefficients(eps)
+
+    def measure(psi):
+        ts.psi[:] = psi
+        return tj._measure_term_clean(ts, inst, coeffs, resampler)
+
+    return ts, measure
+
+
 class TestApplySampled:
+    """The trajectory engine's sampled weak measurement of one Pauli term."""
+
     def test_projective_in_range(self, rng):
-        p = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        inst = im.make_instrument(p, 1.0, im.Resampler.global_mixed(4))
+        # -ZZ: k_v projects onto even parity, which holds |00>
+        term = pauli.PauliTerm(-1.0, pauli.PauliString("ZZ"))
+        ts, measure = _engine_measurement(term, 1.0, 1.0, "global", rng)
         psi = np.array([1.0, 0, 0, 0], dtype=complex)
         for _ in range(10):
-            out, new = im.apply_sampled(inst, psi, rng)
+            out = measure(psi)
             assert out == 0
-            assert np.allclose(new, psi)
+            assert np.allclose(ts.psi, psi)
 
     def test_projective_orthogonal(self, rng):
-        p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(p, 1.0, im.Resampler.global_mixed(2))
-        psi = np.array([0.0, 1.0], dtype=complex)
-        out, new = im.apply_sampled(inst, psi, rng)
+        # -Z: k_v = |0><0|, orthogonal to |1>
+        term = pauli.PauliTerm(-1.0, pauli.PauliString("Z"))
+        _, measure = _engine_measurement(term, 1.0, 1.0, "global", rng)
+        out = measure(np.array([0.0, 1.0], dtype=complex))
         assert out == 1
 
     def test_weak_z_on_plus_statistics(self, rng):
@@ -85,28 +188,33 @@ class TestApplySampled:
         inst = im.make_instrument(pi, eps, im.Resampler.global_mixed(2))
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
         p0 = float(np.vdot(inst.e0 @ plus, inst.e0 @ plus).real)
+        term = pauli.PauliTerm(1.0, pauli.PauliString("Z"))
+        _, measure = _engine_measurement(term, 1.0, eps, "global", rng)
         n = 100_000
-        hits = sum(im.apply_sampled(inst, plus, rng)[0] == 0 for _ in range(n))
+        hits = sum(measure(plus) == 0 for _ in range(n))
         sigma = np.sqrt(p0 * (1 - p0) / n)
         assert abs(hits / n - p0) <= 3 * sigma
 
     def test_local_resampler_unravelling(self, rng):
         # ensemble of pure-state updates reproduces the channel on average
         table_qubits = (0,)
-        p = np.diag([0.3, 0.3, 0.8, 0.8]).astype(complex)
+        term = pauli.PauliTerm(1.0, pauli.PauliString("ZI"))
+        weight, eps = 0.8, 0.7
+        k_full = (np.eye(4) - term.string.to_matrix()) / 2.0
         inst = im.make_instrument(
-            p, 0.7, im.Resampler.local_mixed(table_qubits), support=table_qubits
+            weight * k_full, eps, im.Resampler.local_mixed(table_qubits), support=table_qubits
         )
         psi = _rand_state(rng, 4)
         rho0 = np.outer(psi, psi.conj())
         t0 = im.transfer_of_instrument_success(inst).matrix
         t1 = im.transfer_of_instrument_failure(inst, 2).matrix
         expected = im.unvec((t0 + t1) @ im.vec(rho0))
+        ts, measure = _engine_measurement(term, weight, eps, "local", rng)
         n = 40_000
         acc = np.zeros((4, 4), dtype=complex)
         for _ in range(n):
-            _, new = im.apply_sampled(inst, psi, rng, num_qubits=2)
-            acc += np.outer(new, new.conj())
+            measure(psi)
+            acc += np.outer(ts.psi, ts.psi.conj())
         acc /= n
         assert np.abs(acc - expected).max() <= 0.02
 
@@ -171,7 +279,7 @@ class TestTransfer:
         a = agsp.agsp_linear(heis3, spec3)
         f = a.local_factors[0]
         inst = im.make_instrument(
-            f.weight * f.operator, 0.3, im.Resampler.local_mixed(f.support), support=f.support
+            f.embed(f.weight * f.k_local), 0.3, im.Resampler.local_mixed(f.support), support=f.support
         )
         t0 = im.transfer_of_instrument_success(inst).matrix
         t1 = im.transfer_of_instrument_failure(inst, 3).matrix
@@ -239,7 +347,7 @@ class TestSweepTransfers:
         a = agsp.agsp_linear(heis3, spec3)
         insts = [
             im.make_instrument(
-                f.weight * f.operator, 0.2, im.Resampler.local_mixed(f.support), support=f.support
+                f.embed(f.weight * f.k_local), 0.2, im.Resampler.local_mixed(f.support), support=f.support
             )
             for f in a.local_factors
         ]
@@ -251,7 +359,7 @@ class TestSweepTransfers:
         a = agsp.agsp_linear(heis2, spec2)
         insts = [
             im.make_instrument(
-                f.weight * f.operator, 0.2, im.Resampler.global_mixed(4), support=f.support
+                f.embed(f.weight * f.k_local), 0.2, im.Resampler.global_mixed(4), support=f.support
             )
             for f in a.local_factors
         ]
@@ -354,14 +462,11 @@ class TestCustomResampler:
         with pytest.raises(ParameterError):
             im.Resampler.custom([0.5 * np.eye(2)])
 
-    def test_unitary_custom_resampler(self, rng):
+    def test_unitary_custom_resampler(self):
         x = pauli.PauliString("X").to_matrix()
         res = im.Resampler.custom([x])
         t = im.resampler_transfer(res, 1)
         assert t.trace_preserving
-        psi = np.array([1.0, 0.0], dtype=complex)
-        new = im._resample_pure(psi, res, rng, 1)
-        assert np.allclose(new, [0.0, 1.0])
 
     def test_min_support_sampling(self, rng):
         # the global maximally mixed map honestly declares mu = 1/D

@@ -4,11 +4,6 @@ import pytest
 from dqe import _kernels
 from dqe.pauli import PauliString, support_index_table
 
-needs_numba = pytest.mark.skipif(
-    _kernels.numba_impl is None, reason="numba backend unavailable"
-)
-
-
 def _rand_state(rng, d):
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     return np.ascontiguousarray(psi / np.linalg.norm(psi))
@@ -24,7 +19,7 @@ class TestNumpyBackend:
         psi = _rand_state(rng, d)
         out = np.empty_like(psi)
         a, b = 0.8 + 0j, -0.35 + 0j
-        norm2 = _kernels.numpy_impl.axpb_pauli(psi, out, perm, phase, a, b)
+        norm2 = _kernels.axpb_pauli(psi, out, perm, phase, a, b)
         ref = a * psi + b * (h @ psi)
         assert np.abs(out - ref).max() <= 1e-14
         assert norm2 == pytest.approx(float(np.vdot(ref, ref).real), abs=1e-14)
@@ -37,7 +32,7 @@ class TestNumpyBackend:
         op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         psi = _rand_state(rng, d)
         out = np.empty_like(psi)
-        _kernels.numpy_impl.apply_local(psi, out, table, op)
+        _kernels.apply_local(psi, out, table, op)
         full = np.zeros((d, d), dtype=complex)
         for r in range(table.shape[0]):
             full[np.ix_(table[r], table[r])] = op
@@ -47,7 +42,7 @@ class TestNumpyBackend:
         n = 3
         table = support_index_table(n, (0, 2))
         psi = _rand_state(rng, 8)
-        probs = _kernels.numpy_impl.local_probs(psi, table)
+        probs = _kernels.local_probs(psi, table)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         ref = np.zeros(4)
         for a in range(4):
@@ -59,71 +54,11 @@ class TestNumpyBackend:
         table = support_index_table(n, (1,))
         psi = _rand_state(rng, 8)
         out = np.empty_like(psi)
-        probs = _kernels.numpy_impl.local_probs(psi, table)
+        probs = _kernels.local_probs(psi, table)
         scale = 1.0 / np.sqrt(probs[0])
-        _kernels.numpy_impl.project_replace(psi, out, table, 0, 1, scale)
+        _kernels.project_replace(psi, out, table, 0, 1, scale)
         assert np.vdot(out, out).real == pytest.approx(1.0, abs=1e-12)
         assert np.abs(out[table[:, 0]]).max() == 0.0
-
-
-@needs_numba
-class TestBackendEquivalence:
-    def test_axpb(self, rng):
-        for n in (2, 5, 8):
-            d = 1 << n
-            factors = ["I"] * n
-            factors[0] = "Y"
-            factors[n - 1] = "X"
-            perm, phase = PauliString("".join(factors)).perm_and_phase()
-            psi = _rand_state(rng, d)
-            out_np = np.empty_like(psi)
-            out_nb = np.empty_like(psi)
-            a, b = 0.7 - 0.1j, 0.2 + 0.05j
-            n_np = _kernels.numpy_impl.axpb_pauli(psi, out_np, perm, phase, a, b)
-            n_nb = _kernels.numba_impl.axpb_pauli(psi, out_nb, perm, phase, a, b)
-            assert np.abs(out_np - out_nb).max() <= 1e-14
-            assert n_np == pytest.approx(n_nb, rel=1e-13)
-
-    def test_apply_local_and_probs(self, rng):
-        table = support_index_table(5, (1, 4))
-        psi = _rand_state(rng, 32)
-        op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        out_np = np.empty_like(psi)
-        out_nb = np.empty_like(psi)
-        n_np = _kernels.numpy_impl.apply_local(psi, out_np, table, op)
-        n_nb = _kernels.numba_impl.apply_local(psi, out_nb, table, op)
-        assert np.abs(out_np - out_nb).max() <= 1e-13
-        assert n_np == pytest.approx(n_nb, rel=1e-12)
-        p_np = _kernels.numpy_impl.local_probs(psi, table)
-        p_nb = _kernels.numba_impl.local_probs(psi, table)
-        assert np.abs(p_np - p_nb).max() <= 1e-14
-
-    def test_project_replace(self, rng):
-        table = support_index_table(4, (0, 2))
-        psi = _rand_state(rng, 16)
-        out_np = np.empty_like(psi)
-        out_nb = np.empty_like(psi)
-        _kernels.numpy_impl.project_replace(psi, out_np, table, 2, 1, 1.3)
-        _kernels.numba_impl.project_replace(psi, out_nb, table, 2, 1, 1.3)
-        assert np.array_equal(out_np, out_nb)
-
-    def test_local_quadform(self, rng):
-        table = support_index_table(5, (0, 3))
-        psi = _rand_state(rng, 32)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        povm = a.conj().T @ a
-        q_np = _kernels.numpy_impl.local_quadform(psi, table, povm)
-        q_nb = _kernels.numba_impl.local_quadform(psi, table, povm)
-        assert q_np == pytest.approx(q_nb, rel=1e-12)
-
-    def test_secretary_scan(self, rng):
-        for _ in range(50):
-            lengths = (rng.geometric(0.5, size=60) - 1).astype(np.int64)
-            horizon = int(rng.integers(10, lengths.sum() + 60))
-            coins = rng.random(60)
-            a = _kernels.numpy_impl.secretary_scan(lengths, horizon // 3, horizon, coins)
-            b = _kernels.numba_impl.secretary_scan(lengths, horizon // 3, horizon, coins)
-            assert a == b
 
 
 class TestSecretaryScanSemantics:
@@ -132,15 +67,15 @@ class TestSecretaryScanSemantics:
         coins = np.ones(4)  # coins >= 0.5: never stop on ties
         # observation covers the first run only; run 1 (length 5) is the
         # first record encountered afterwards
-        stop = _kernels.numpy_impl.secretary_scan(lengths, 3, 100, coins)
+        stop = _kernels.secretary_scan(lengths, 3, 100, coins)
         assert stop == 1
 
     def test_tie_coin(self):
         lengths = np.array([3, 3, 4], dtype=np.int64)
-        stop_heads = _kernels.numpy_impl.secretary_scan(
+        stop_heads = _kernels.secretary_scan(
             lengths, 4, 100, np.array([0.0, 0.0, 0.0])
         )
-        stop_tails = _kernels.numpy_impl.secretary_scan(
+        stop_tails = _kernels.secretary_scan(
             lengths, 4, 100, np.array([1.0, 1.0, 1.0])
         )
         assert stop_heads == 1  # tie at length 3 accepted by the coin
@@ -148,5 +83,5 @@ class TestSecretaryScanSemantics:
 
     def test_horizon_exhausted(self):
         lengths = np.array([1, 1, 1], dtype=np.int64)
-        stop = _kernels.numpy_impl.secretary_scan(lengths, 100, 100, np.ones(3))
+        stop = _kernels.secretary_scan(lengths, 100, 100, np.ones(3))
         assert stop == -1

@@ -14,7 +14,7 @@ class TestDepolarizingTomography:
         ni = nz.noisy_term_instrument(term, 0.2, 1.0, nz.DepolarizingPerGate(0.0, 0.0))
         assert len(ni.kraus0) == 1
         assert ni.delta_measured <= 1e-12
-        e0 = 0.8 * np.eye(4) + 0.2 * agsp.local_projector(term)
+        e0 = 0.8 * np.eye(4) + 0.2 * im.TermInstrument(term, 1.0).k_local
         assert np.abs(np.kron(ni.kraus0[0].conj(), ni.kraus0[0]) - np.kron(e0.conj(), e0)).max() <= 1e-10
 
     def test_delta_scales_with_rate(self):
@@ -38,7 +38,7 @@ class TestDepolarizingTomography:
         # perturbations (each term enters the sweep twice)
         eps = 0.2
         model = nz.DepolarizingPerGate(1e-4, 1e-4)
-        weights = tj.term_weights(heis3, "max")
+        weights = im.term_weights(heis3, "max")
         noisy = [
             nz.noisy_term_instrument(t, eps, w, model)
             for t, w in zip(heis3.terms, weights)
