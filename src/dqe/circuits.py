@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ParameterError
-from .instrument import TermInstrument
+from .instrument import dilation_angles
 from .pauli import PauliHamiltonian, PauliTerm
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
@@ -77,13 +77,13 @@ class DilationUnitary:
     phi: float
 
 
-def dilation_unitary(inst: TermInstrument, eps: float) -> DilationUnitary:
+def dilation_unitary(kappa_v: float, eps: float) -> DilationUnitary:
     """U = R_phi (x) Pi + R_theta (x) (1 - Pi) reduced to its 2x2 blocks.
 
-    (theta, phi) are the instrument's dilation angles; the |0>-row blocks
-    are the E0 eigenvalues on (Pi, 1-Pi) and the |1>-row blocks E1's.
+    (theta, phi) are the dilation angles at weight kappa_v; the |0>-row
+    blocks are the E0 eigenvalues on (Pi, 1-Pi) and the |1>-row blocks E1's.
     """
-    theta, phi = inst.angles(eps)
+    theta, phi = dilation_angles(eps, kappa_v)
     cp, sp = math.cos(phi), math.sin(phi)
     ct, st = math.cos(theta), math.sin(theta)
     mat = np.array(
@@ -109,7 +109,7 @@ def measurement_circuit(term: PauliTerm, eps: float, weight: float = 1.0) -> Cir
     if not support:
         raise ParameterError("identity terms have no measurement circuit")
     k = len(support)
-    theta, phi = TermInstrument(term, weight).angles(eps)
+    theta, phi = dilation_angles(eps, weight)
     # the ladder parity p tags the sectors: even parity is range(Pi) for
     # negative-coefficient terms, the complement for positive ones
     if term.sign < 0:

@@ -176,6 +176,26 @@ def _check_eps(eps: float):
         raise ParameterError(f"eps must be in [0, 1], got {eps}")
 
 
+def _check_weight(weight: float):
+    if not 0.0 <= weight <= 1.0:
+        raise ParameterError(f"measurement weight must be in [0, 1], got {weight}")
+
+
+def _in_range(eps: float, weight: float) -> float:
+    """Eigenvalue of E0 on the range of k_v, cos(phi)."""
+    return 1.0 - eps * (1.0 - weight)
+
+
+def dilation_angles(eps: float, weight: float) -> tuple[float, float]:
+    """Dilation angles (theta, phi) = (acos(1 - eps), acos(1 - eps(1 - w))).
+
+    E0 is cos(phi) on the range of k_v and cos(theta) off it.
+    """
+    _check_eps(eps)
+    _check_weight(weight)
+    return math.acos(1.0 - eps), math.acos(_in_range(eps, weight))
+
+
 @dataclass(frozen=True, eq=False)
 class TermInstrument:
     """The weak measurement of one Pauli term at measurement weight w.
@@ -185,37 +205,49 @@ class TermInstrument:
     principal complement root E1.  Both are diagonal in the eigenbasis of
     k_v, so both are affine in the Pauli string: E_b = a_b 1 + b_b h_v.
     ``coefficients`` is the only copy of that closed form; the local Kraus
-    pair, the embedded instrument and the dilation angles are built from it.
+    pair and the embedded instrument are built from it, and the dilation
+    angles (``dilation_angles``) share its eigenvalue of E0 on range(k_v).
     ``table``, ``perm`` and ``phase`` act on the full register: the term's
     support index table and the phase-permutation h|psi> = (phase psi)[perm].
+    They hold 2^n entries each, so like the local matrices they are built on
+    first use: the closed form, the local Kraus pair and the angles stay
+    O(4^k) on any register size.
     """
 
     term: PauliTerm
     weight: float
-    support: tuple[int, ...] = field(init=False)
-    sign: float = field(init=False)
-    table: np.ndarray = field(init=False, repr=False)
-    perm: np.ndarray = field(init=False, repr=False)
-    phase: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.weight <= 1.0:
-            raise ParameterError(f"measurement weight must be in [0, 1], got {self.weight}")
-        string = self.term.string
-        support = string.support
-        perm, phase = string.perm_and_phase()
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "sign", self.term.sign)
-        object.__setattr__(self, "table", support_index_table(string.num_qubits, support))
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "phase", phase)
+        _check_weight(self.weight)
 
     @property
     def num_qubits(self) -> int:
         return self.term.string.num_qubits
 
-    # the local matrices are built on first use: sampling never needs them,
-    # and the engine build stays as cheap as its perm/phase/table arrays
+    @property
+    def sign(self) -> float:
+        return self.term.sign
+
+    @cached_property
+    def support(self) -> tuple[int, ...]:
+        return self.term.string.support
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        return support_index_table(self.num_qubits, self.support)
+
+    @cached_property
+    def _perm_and_phase(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.term.string.perm_and_phase()
+
+    @cached_property
+    def perm(self) -> np.ndarray:
+        return self._perm_and_phase[0]
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        return self._perm_and_phase[1]
+
     @cached_property
     def h_local(self) -> np.ndarray:
         """h_v on the support qubits; an identity term has h_v = 1 on a
@@ -228,10 +260,6 @@ class TermInstrument:
         """k_v = (1 - s_v h_v)/2 on the support qubits."""
         return (np.eye(self.h_local.shape[0]) - self.sign * self.h_local) / 2.0
 
-    def _in_range(self, eps: float) -> float:
-        """Eigenvalue of E0 on the range of k_v, cos(phi)."""
-        return 1.0 - eps * (1.0 - self.weight)
-
     def coefficients(self, eps: float) -> tuple[complex, complex, complex, complex]:
         """(a0, b0, a1, b1) with E0 = a0 1 + b0 h_v and E1 = a1 1 + b1 h_v.
 
@@ -241,7 +269,7 @@ class TermInstrument:
         _check_eps(eps)
         w, s = self.weight, self.sign
         s_theta = np.sqrt(max(eps * (2.0 - eps), 0.0))
-        c = self._in_range(eps)
+        c = _in_range(eps, w)
         s_phi = np.sqrt(max(1.0 - c * c, 0.0))
         return (
             complex(1.0 - eps + eps * w / 2.0),
@@ -249,11 +277,6 @@ class TermInstrument:
             complex((s_phi + s_theta) / 2.0),
             complex(-s * (s_phi - s_theta) / 2.0),
         )
-
-    def angles(self, eps: float) -> tuple[float, float]:
-        """Dilation angles (theta, phi) = (acos(1 - eps), acos(1 - eps(1 - w)))."""
-        _check_eps(eps)
-        return math.acos(1.0 - eps), math.acos(self._in_range(eps))
 
     def kraus(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
         """The local 2^k x 2^k pair (E0, E1) on the term's support."""

@@ -389,10 +389,9 @@ def test_criterion_09_circuit_consistency(heis4):
                             worst_stats, float(np.abs(post1 - e1psi / np.sqrt(q1)).max())
                         )
     worst_unitarity = 0.0
-    z = pauli.PauliTerm(-1.0, pauli.PauliString("Z"))
     for eps in np.linspace(0.0, 1.0, 10):
         for kv in np.linspace(0.0, 1.0, 10):
-            u = cc.dilation_unitary(im.TermInstrument(z, kv), eps).matrix
+            u = cc.dilation_unitary(kv, eps).matrix
             worst_unitarity = max(worst_unitarity, float(np.abs(u @ u.T - np.eye(4)).max()))
     ok = worst_stats <= 1e-10 and worst_unitarity <= 1e-12
     assert _report(

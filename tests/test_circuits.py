@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,35 +31,30 @@ def _check_term_against_instrument(term, eps, weight, rng, samples=12):
     return worst
 
 
-def _dilation(kappa_v, eps):
-    term = pauli.PauliTerm(-1.0, pauli.PauliString("Z"))
-    return cc.dilation_unitary(im.TermInstrument(term, kappa_v), eps)
-
-
 class TestDilation:
     def test_angles(self):
-        d = _dilation(0.5, 0.2)
+        d = cc.dilation_unitary(0.5, 0.2)
         assert d.theta == pytest.approx(np.arccos(0.8))
         assert d.phi == pytest.approx(np.arccos(0.9))
 
     def test_kappa_one_simplifies(self):
-        assert _dilation(1.0, 0.37).phi == pytest.approx(0.0)
+        assert cc.dilation_unitary(1.0, 0.37).phi == pytest.approx(0.0)
 
     def test_eps_zero_identity(self):
-        d = _dilation(0.3, 0.0)
+        d = cc.dilation_unitary(0.3, 0.0)
         assert np.abs(d.matrix - np.eye(4)).max() <= 1e-12
 
     def test_unitarity_grid(self):
         worst = 0.0
         for eps in np.linspace(0.0, 1.0, 10):
             for kv in np.linspace(0.0, 1.0, 10):
-                u = _dilation(kv, eps).matrix
+                u = cc.dilation_unitary(kv, eps).matrix
                 worst = max(worst, np.abs(u @ u.T - np.eye(4)).max())
         assert worst <= 1e-12
 
     def test_row_blocks_are_instrument_eigenvalues(self):
         eps, kv = 0.2, 0.5
-        d = _dilation(kv, eps)
+        d = cc.dilation_unitary(kv, eps)
         # |0>-row blocks: E0 eigenvalues on (Pi, 1-Pi); |1>-row blocks: E1's
         assert d.matrix[0, 0] == pytest.approx(1 - eps * (1 - kv))
         assert d.matrix[1, 1] == pytest.approx(1 - eps)
@@ -172,6 +169,27 @@ class TestSchedule:
                 else:
                     expected.append(g)
             assert seg == expected
+
+
+class TestLargeRegister:
+    """Circuits and the closed form act on a term's support only: a
+    40-qubit chain builds them without any register-sized array."""
+
+    def test_no_register_sized_allocation(self):
+        ham = pauli.build_heisenberg_chain(40)
+        weights = im.term_weights(ham, "max")
+        tracemalloc.start()
+        try:
+            text = cc.export_qasm(cc.full_sweep_circuit(ham, 0.2, weights))
+            circ = cc.measurement_circuit(ham.terms[-1], 0.2, weights[-1])
+            inst = im.TermInstrument(ham.terms[-1], weights[-1])
+            e0, _ = inst.kraus(0.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "qreg q[41];" in text
+        assert circ.num_qubits == 3 and e0.shape == (4, 4)
+        assert peak < 1 << 20
 
 
 class TestQasm:

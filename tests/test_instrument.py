@@ -121,7 +121,7 @@ class TestTermInstrument:
             assert np.abs(out - ref_out).max() <= 1e-12
             assert norm == pytest.approx(float(np.vdot(ref_out, ref_out).real), abs=1e-12)
         # dilation rows: E0 and E1 eigenvalues on (range k_v, its complement)
-        u = cc.dilation_unitary(inst, eps).matrix
+        u = cc.dilation_unitary(weight, eps).matrix
         k, rest = inst.k_local, eye - inst.k_local
         assert np.abs(e0 - (u[0, 0] * k + u[1, 1] * rest)).max() <= 1e-12
         _assert_roots_close(e1, u[2, 0] * k + u[3, 1] * rest, lam)

@@ -17,6 +17,14 @@ class TestDepolarizingTomography:
         e0 = 0.8 * np.eye(4) + 0.2 * im.TermInstrument(term, 1.0).k_local
         assert np.abs(np.kron(ni.kraus0[0].conj(), ni.kraus0[0]) - np.kron(e0.conj(), e0)).max() <= 1e-10
 
+    def test_term_of_large_register(self):
+        # tomography runs on the term's support: the clean reference of a
+        # 40-qubit chain's term is its local Kraus operator
+        term = pauli.build_heisenberg_chain(40).terms[-1]
+        ni = nz.noisy_term_instrument(term, 0.2, 1.0, nz.DepolarizingPerGate(0.0, 0.0))
+        assert ni.support == term.string.support
+        assert ni.delta_measured <= 1e-12
+
     def test_delta_scales_with_rate(self):
         term = pauli.PauliTerm(1.0, pauli.PauliString("XX"))
         d1 = nz.noisy_term_instrument(term, 0.2, 1.0, nz.DepolarizingPerGate(1e-4, 1e-4))
