@@ -3,10 +3,12 @@
 Global resampling admits scalar spectral formulas; general resampling works
 through transfer matrices.  All W-matrix expressions are evaluated by LU
 solves on W = 1 - E1 (1 + E0 + ... + E0^{n-1}), with the partial geometric
-sums formed explicitly by doubling: this stays regular even when E0 has
-unit-modulus eigenvalues (Gamma = 1), where the equivalent
-(1 - E0 - E1 + E1 E0^n) form is singular.  Explicit inverses and the
-resolvent forms live only in tests as an independent second path.
+sums formed explicitly: this stays regular even when E0 has unit-modulus
+eigenvalues (Gamma = 1), where the equivalent (1 - E0 - E1 + E1 E0^n) form
+is singular.  A table over run lengths is one walk that adds a sweep per
+product.  ``geometric_sums`` forms the same sums by index doubling, for
+checks that want a single large n.  Explicit inverses and the resolvent
+forms live only in tests as an independent second path.
 """
 
 from __future__ import annotations
@@ -166,39 +168,83 @@ def _check_failure_recovery(t0: np.ndarray, t1: np.ndarray, rho0: np.ndarray):
         )
 
 
-def expected_stopped_general(t0, t1, rho0: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """Expected stopped state and stopping time of the generally resampled process.
+class Stopped(NamedTuple):
+    """Exact stopped state and stopping time at one run length n.
 
-    The state is E0^n W^{-1} |rho0>> with W = 1 - E1 sum_{j<n} E0^j.  The
-    time is evaluated in the attempt decomposition
-    E(tau_n) = n + <<1| E0^n W^{-1} E1 H_n W^{-1} |rho0>> with
+    ``state`` is divided by its trace; ``trace_defect`` = |tr - 1| before
+    that division is an a-posteriori error estimate, since the exact trace
+    is 1 whenever T0 + T1 preserves the trace.
+    """
+
+    n: int
+    state: np.ndarray
+    tau: float
+    trace_defect: float
+
+
+def _powers_apply(t0: np.ndarray, x: np.ndarray, n: int):
+    """(T0^n x, sum_{j<n} (j+1) T0^j x) by n matrix-vector products."""
+    h = np.zeros_like(x)
+    for j in range(n):
+        h += (j + 1) * x
+        x = t0 @ x
+    return x, h
+
+
+def expected_stopped_general(t0, t1, rho0: np.ndarray, ns) -> list[Stopped]:
+    """Expected stopped states and stopping times of the generally resampled
+    process, one ``Stopped`` per run length in ``ns``, in the order given.
+
+    The state is E0^n W^{-1} |rho0>> with W = 1 - E1 G_n and
+    G_n = sum_{j<n} E0^j.  The time is evaluated in the attempt
+    decomposition E(tau_n) = n + <<1| E0^n W^{-1} E1 H_n W^{-1} |rho0>> with
     H_n = sum_{j<n} (j+1) E0^j, which is the corollary's
     E1 (1-E0^n)(1-E0)^{-2} form with the lemma-valued resolvent tail
-    already cancelled, so it stays finite at Gamma = 1.  Both share one
-    geometric sum and one LU factorization of W.
+    already cancelled, so it stays finite at Gamma = 1.
+
+    One walk over the sorted distinct n holds F_m = E1 E0^m and
+    S_m = E1 G_m: a step of one sweep is S += F, F = F E0 (one product),
+    none after the largest n, so a table entry equals the one-n call
+    exactly.  Each n then takes one LU factorization of W = 1 - S_n; E0^n
+    and H_n are applied to vectors only.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    ns = list(ns)
+    if any(n < 1 for n in ns):
+        raise ParameterError("run lengths must be >= 1")
     t0m, t1m = _as_matrix(t0), _as_matrix(t1)
     _check_failure_recovery(t0m, t1m, rho0)
-    t0n, g_n, h_n = geometric_sums(t0m, n)
-    w = np.eye(t0m.shape[0]) - t1m @ g_n
-    solver = _LuSolver(w, "stopped-process W")
-    x = solver.solve(vec(rho0))
-    rho = unvec(t0n @ x)
-    y = solver.solve(t1m @ (h_n @ x))
     row = trace_row(rho0.shape[0])
-    return (rho + rho.conj().T) / 2.0, float(n + (row @ (t0n @ y)).real)
+    v0 = vec(rho0)
+    f = t1m.astype(np.complex128, copy=False)
+    # S_0 = 0: the first += makes S a fresh array and leaves T1 untouched
+    s = 0.0
+    steps = sorted(set(ns))
+    done, m = {}, 0
+    for n in steps:
+        for j in range(m, n):
+            s += f
+            if j + 1 < steps[-1]:
+                f = f @ t0m
+        m = n
+        solver = _LuSolver(np.eye(t0m.shape[0]) - s, "stopped-process W")
+        x = solver.solve(v0)
+        t0n_x, h_x = _powers_apply(t0m, x, n)
+        t0n_y, _ = _powers_apply(t0m, solver.solve(t1m @ h_x), n)
+        rho = unvec(t0n_x)
+        rho = (rho + rho.conj().T) / 2.0
+        trace = float(np.trace(rho).real)
+        done[n] = Stopped(n, rho / trace, float(n + (row @ t0n_y).real), abs(trace - 1.0))
+    return [done[n] for n in ns]
 
 
 def expected_state_general(t0, t1, rho0: np.ndarray, n: int) -> np.ndarray:
     """Expected stopped state; see ``expected_stopped_general``."""
-    return expected_stopped_general(t0, t1, rho0, n)[0]
+    return expected_stopped_general(t0, t1, rho0, [n])[0].state
 
 
 def expected_tau_general(t0, t1, rho0: np.ndarray, n: int) -> float:
     """Expected stopping time; see ``expected_stopped_general``."""
-    return expected_stopped_general(t0, t1, rho0, n)[1]
+    return expected_stopped_general(t0, t1, rho0, [n])[0].tau
 
 
 def expected_state_schedule(success_transfers, failure_transfers, rho0: np.ndarray) -> np.ndarray:

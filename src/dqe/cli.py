@@ -232,12 +232,13 @@ def cmd_ensemble(args) -> int:
         engine = trajectory.TrajectoryEngine(rc)
         t0, t1 = engine.sweep_transfers(rc.schedule.base)
         rho0 = np.eye(engine.dim) / engine.dim
-        ex_state, ex_tau = analytics.expected_stopped_general(t0, t1, rho0, rule.n)
-        ex_ov = float(np.trace(engine.pi0 @ ex_state).real)
+        (exact,) = analytics.expected_stopped_general(t0, t1, rho0, [rule.n])
+        ex_ov, ex_tau = float(np.trace(engine.pi0 @ exact.state).real), exact.tau
         z_ov = (stats.mean_overlap - ex_ov) / max(stats.stderr_overlap, 1e-30)
         z_tau = (stats.mean_tau - ex_tau) / max(stats.stderr_tau, 1e-30)
         footer.append(f"oracle_overlap {ex_ov!r} z {z_ov!r}")
         footer.append(f"oracle_tau {ex_tau!r} z {z_tau!r}")
+        footer.append(f"exact_trace_defect {exact.trace_defect!r}")
     write_csv(
         args.output,
         cfg,
@@ -264,9 +265,11 @@ def cmd_analytics(args) -> int:
     if rc.agsp_mode in ("product-sweep", "linear-global", "chebyshev-global"):
         kraus = engine.sweep_success_kraus(eps)
         params = agsp.verify_agsp(kraus, engine.pi0)
-    rows = []
-    for n in _parse_int_list(args.n_values):
-        state, tau = analytics.expected_stopped_general(t0, t1, rho0, n)
+    rows, defect = [], 0.0
+    for n, state, tau, trace_defect in analytics.expected_stopped_general(
+        t0, t1, rho0, _parse_int_list(args.n_values)
+    ):
+        defect = max(defect, trace_defect)
         overlap = float(np.trace(engine.pi0 @ state).real)
         if params is not None:
             lb = analytics.overlap_lower_bound(params, spec.dimension, spec.degeneracy, n).value
@@ -279,6 +282,7 @@ def cmd_analytics(args) -> int:
         cfg,
         ("n", "exact_overlap", "exact_tau", "overlap_lower_bound", "tau_upper_bound"),
         rows,
+        [f"exact_trace_defect_max {defect!r}"],
     )
     return 0
 

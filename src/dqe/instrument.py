@@ -181,19 +181,20 @@ def _check_weight(weight: float):
         raise ParameterError(f"measurement weight must be in [0, 1], got {weight}")
 
 
-def _in_range(eps: float, weight: float) -> float:
-    """Eigenvalue of E0 on the range of k_v, cos(phi)."""
-    return 1.0 - eps * (1.0 - weight)
-
-
 def dilation_angles(eps: float, weight: float) -> tuple[float, float]:
-    """Dilation angles (theta, phi) = (acos(1 - eps), acos(1 - eps(1 - w))).
+    """Dilation angles (theta, phi) with cos(theta) = 1 - eps and
+    cos(phi) = 1 - eps(1 - w): E0 is cos(phi) on the range of k_v and
+    cos(theta) off it.
 
-    E0 is cos(phi) on the range of k_v and cos(theta) off it.
+    They are computed in half-angle form, theta = 2 asin(sqrt(eps/2)) and
+    phi = 2 asin(sqrt(eps(1 - w)/2)), which keeps full relative accuracy
+    as eps -> 0, where acos(1 - eps) loses eps below the spacing of doubles
+    near 1.
     """
     _check_eps(eps)
     _check_weight(weight)
-    return math.acos(1.0 - eps), math.acos(_in_range(eps, weight))
+    theta = 2.0 * math.asin(math.sqrt(eps / 2.0))
+    return theta, 2.0 * math.asin(math.sqrt(eps * (1.0 - weight) / 2.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +207,8 @@ class TermInstrument:
     k_v, so both are affine in the Pauli string: E_b = a_b 1 + b_b h_v.
     ``coefficients`` is the only copy of that closed form; the local Kraus
     pair and the embedded instrument are built from it, and the dilation
-    angles (``dilation_angles``) share its eigenvalue of E0 on range(k_v).
+    angles (``dilation_angles``) have cos(phi) and cos(theta) equal to its
+    eigenvalues of E0.
     ``table``, ``perm`` and ``phase`` act on the full register: the term's
     support index table and the phase-permutation h|psi> = (phase psi)[perm].
     They hold 2^n entries each, so like the local matrices they are built on
@@ -269,7 +271,7 @@ class TermInstrument:
         _check_eps(eps)
         w, s = self.weight, self.sign
         s_theta = np.sqrt(max(eps * (2.0 - eps), 0.0))
-        c = _in_range(eps, w)
+        c = 1.0 - eps * (1.0 - w)
         s_phi = np.sqrt(max(1.0 - c * c, 0.0))
         return (
             complex(1.0 - eps + eps * w / 2.0),
@@ -549,18 +551,20 @@ class _MicroStep:
 def sweep_transfer_product(instruments, num_qubits: int):
     """(T0_sweep, T1_sweep) for one forward-then-reversed sweep.
 
-    The success branch composes all 2m success Kraus maps; the failure
-    branch is everything else: resampling fires right after the failing
-    term and the sweep continues, so T1 = (full sweep channel) - T0.
+    The success branch is conj(K) (x) K with K the product of the 2m E0
+    in sweep order; the failure branch is everything else: resampling
+    fires right after the failing term and the sweep continues, so
+    T1 = (full sweep channel) - T0.
     """
     d = instruments[0].dimension
     _check_transfer_dim(d)
     steps = [_MicroStep(inst, num_qubits) for inst in instruments]
     full = np.eye(d * d, dtype=np.complex128)
-    succ = np.eye(d * d, dtype=np.complex128)
+    kraus = np.eye(d, dtype=np.complex128)
     for v in list(range(len(steps))) + list(reversed(range(len(steps)))):
         full = steps[v].channel(full)
-        succ = steps[v].success(succ)
+        kraus = instruments[v].e0 @ kraus
+    succ = np.kron(kraus.conj(), kraus)
     return TransferMatrix(succ), TransferMatrix(full - succ)
 
 

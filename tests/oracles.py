@@ -127,6 +127,25 @@ def dense_sweep_transfer_product(instruments, num_qubits):
     return succ, full - succ
 
 
+def dense_stopped_general(t0, t1, rho0, n):
+    """(state / tr, E(tau)) at run length n from explicit powers of T0 and
+    dense solves of W = 1 - T1 sum_{j<n} T0^j, with no geometric-sum
+    doubling, walk or LU reuse."""
+    d = rho0.shape[0]
+    powers = [np.eye(d * d, dtype=np.complex128)]
+    for _ in range(n):
+        powers.append(powers[-1] @ t0)
+    g = sum(powers[:n])
+    h = sum((j + 1) * powers[j] for j in range(n))
+    w = np.eye(d * d) - t1 @ g
+    x = np.linalg.solve(w, rho0.reshape(-1, order="F"))
+    rho = (powers[n] @ x).reshape((d, d), order="F")
+    rho = (rho + rho.conj().T) / 2.0
+    y = np.linalg.solve(w, t1 @ (h @ x))
+    tau = n + np.trace((powers[n] @ y).reshape((d, d), order="F")).real
+    return rho / np.trace(rho).real, float(tau)
+
+
 def dense_noisy_sweep_success_transfer(engine):
     """Noisy all-zeros sweep transfer with every term's Kraus set embedded
     in the full space and composed by dense matmuls."""

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dqe import agsp, analytics as an, instrument as im, pauli
+from dqe import agsp, analytics as an, instrument as im, pauli, stopping, trajectory
 from dqe.errors import IllConditionedError, ParameterError
 
-from oracles import global_run_success_probs, markov_expected_absorption
+from oracles import dense_stopped_general, global_run_success_probs, markov_expected_absorption
 
 
 def _weak_global(ham, eps, spectral=None):
@@ -119,8 +119,8 @@ class TestGeneralFormulas:
             t0, t1, _ = _local_sweep(ham, 0.2)
             rho0 = np.eye(ham.dimension) / ham.dimension
             for n in (1, 4):
-                rho = an.expected_state_general(t0, t1, rho0, n)
-                assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
+                (res,) = an.expected_stopped_general(t0, t1, rho0, [n])
+                assert res.trace_defect <= 1e-8
 
     def test_trace_preservation_identities(self, heis3, spec3):
         # <<1| E0^n W^{-1} = <<1| and <<1| E1 (1-E0)^{-1} = <<1|
@@ -208,9 +208,70 @@ class TestGeometricSums:
         t0, t1, _ = _local_sweep(heis3, 0.2, spec3)
         rho0 = np.eye(8) / 8
         for n in (1, 3, 4):
-            state, tau = an.expected_stopped_general(t0, t1, rho0, n)
-            assert np.array_equal(state, an.expected_state_general(t0, t1, rho0, n))
-            assert tau == an.expected_tau_general(t0, t1, rho0, n)
+            (res,) = an.expected_stopped_general(t0, t1, rho0, [n])
+            assert np.array_equal(res.state, an.expected_state_general(t0, t1, rho0, n))
+            assert res.tau == an.expected_tau_general(t0, t1, rho0, n)
+
+
+def _engine_transfers(ham, resampler, eps):
+    rc = trajectory.RunConfig(
+        ham,
+        agsp_mode="product-sweep",
+        schedule=stopping.EpsilonSchedule.constant(eps),
+        resampler=resampler,
+        rule=stopping.FirstRunOfZeros(1),
+    )
+    engine = trajectory.TrajectoryEngine(rc)
+    t0, t1 = engine.sweep_transfers(eps)
+    return t0, t1, engine
+
+
+class TestStoppedWalk:
+    TABLES = ([*range(1, 10)], [7], [2, 7, 8], [4, 1, 4])
+
+    @pytest.mark.parametrize("resampler", ["global", "local", "identity"])
+    def test_matches_dense_reference(self, heis3, resampler):
+        t0, t1, _ = _engine_transfers(heis3, resampler, 0.3)
+        rho0 = np.eye(8) / 8
+        refs = {n: dense_stopped_general(t0.matrix, t1.matrix, rho0, n) for n in range(1, 10)}
+        for ns in self.TABLES:
+            table = an.expected_stopped_general(t0, t1, rho0, ns)
+            assert [r.n for r in table] == ns
+            for res in table:
+                state, tau = refs[res.n]
+                assert np.abs(res.state - state).max() <= 1e-10 * np.abs(state).max()
+                assert res.tau == pytest.approx(tau, rel=1e-10)
+
+    def test_entry_matches_single_call(self, heis3):
+        # a table entry and the one-n call take the same steps to S_n
+        t0, t1, _ = _engine_transfers(heis3, "local", 0.3)
+        rho0 = np.eye(8) / 8
+        for ns in self.TABLES:
+            for res in an.expected_stopped_general(t0, t1, rho0, ns):
+                (one,) = an.expected_stopped_general(t0, t1, rho0, [res.n])
+                assert np.array_equal(res.state, one.state)
+                assert res.tau == one.tau
+                assert res.trace_defect == one.trace_defect
+
+    def test_short_run_rejected_before_any_work(self):
+        # the transfers are not even matrices: the check must come first
+        with pytest.raises(ParameterError):
+            an.expected_stopped_general(None, None, None, [3, 0])
+
+    def test_trace_normalised_witness(self):
+        # rcond of W falls about as 1/E(tau): at n = 8, 9 the raw state's
+        # trace is off by ~1e-5..1e-4 and its raw overlap falls with n
+        terms = (("ZIX", -1.406), ("IYI", 0.932), ("YZI", 0.435))
+        ham = pauli.PauliHamiltonian(
+            3, tuple(pauli.PauliTerm(c, pauli.PauliString(s)) for s, c in terms)
+        )
+        t0, t1, engine = _engine_transfers(ham, "local", 0.5)
+        table = an.expected_stopped_general(t0, t1, np.eye(8) / 8, range(1, 10))
+        overlaps = [float(np.trace(engine.pi0 @ r.state).real) for r in table]
+        assert all(b > a for a, b in zip(overlaps, overlaps[1:]))
+        expected = [0.9999024, 0.9999559, 0.9999644, 0.9999658, 0.9999660]
+        assert overlaps[4:] == pytest.approx(expected, abs=1e-6)
+        assert table[-1].trace_defect > 1e-6
 
 
 class TestScheduleOracle:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -60,6 +61,15 @@ class TestDilation:
         assert d.matrix[1, 1] == pytest.approx(1 - eps)
         assert d.matrix[2, 0] == pytest.approx(np.sqrt(1 - (1 - eps * (1 - kv)) ** 2))
         assert d.matrix[3, 1] == pytest.approx(np.sqrt(eps * (2 - eps)))
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-16, 1e-20])
+    def test_small_eps_relative_accuracy(self, eps):
+        # acos(1 - eps) loses eps below the spacing of doubles near 1
+        kv = 0.5
+        d = cc.dilation_unitary(kv, eps)
+        e_in = eps * (1 - kv)
+        assert math.sin(d.theta) == pytest.approx(np.sqrt(eps * (2 - eps)), rel=1e-12, abs=0)
+        assert math.sin(d.phi) == pytest.approx(np.sqrt(e_in * (2 - e_in)), rel=1e-12, abs=0)
 
 
 class TestMeasurementCircuit:

@@ -185,6 +185,12 @@ class TestAnalyticsCommand:
         assert data.shape == (3, 5)
         assert np.all(data[:, 1] >= data[:, 3] - 1e-9)  # exact >= lower bound
         assert np.all(data[:, 2] <= data[:, 4] + 1e-9)  # exact <= upper bound
+        (defect,) = [
+            float(l.split()[2])
+            for l in out.read_text().splitlines()
+            if l.startswith("# exact_trace_defect_max ")
+        ]
+        assert 0.0 <= defect <= 1e-8
 
 
 class TestCompareResampling:
