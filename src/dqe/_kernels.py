@@ -45,7 +45,7 @@ def local_probs(psi, idx):
 def local_quadform(psi, idx, op):
     """<psi| (op on the support) |psi> for a Hermitian local operator."""
     block = psi[idx]
-    return float(np.einsum("rd,de,re->", block.conj(), op, block).real)
+    return float(np.vdot(block, block @ op.T).real)
 
 
 def project_replace(psi, out, idx, a_old, a_new, scale):

@@ -255,7 +255,8 @@ def expected_state_schedule(success_transfers, failure_transfers, rho0: np.ndarr
     consecutive successes.  Summing over failed attempts gives
     E|rho_n>> = A_n (1 - sum_j T1_{j+1} A_j)^{-1} |rho0>> with
     A_j = T0_j ... T0_1, which reduces to the W form when the schedule is
-    constant.
+    constant.  The state is divided by its trace, as in
+    ``expected_stopped_general``.
     """
     n = len(success_transfers)
     if n < 1 or len(failure_transfers) != n:
@@ -270,7 +271,8 @@ def expected_state_schedule(success_transfers, failure_transfers, rho0: np.ndarr
         a = t0s[j] @ a
     x = _LuSolver(np.eye(d2) - f, "schedule W").solve(vec(rho0))
     rho = unvec(a @ x)
-    return (rho + rho.conj().T) / 2.0
+    rho = (rho + rho.conj().T) / 2.0
+    return rho / np.trace(rho).real
 
 
 class BoundResult(NamedTuple):

@@ -212,8 +212,11 @@ def cmd_run(args) -> int:
 def cmd_ensemble(args) -> int:
     cfg = _experiment_from_args(args, "ensemble")
     rc = make_run_config(cfg, _noise_from_args(args))
+    # worker processes build their own engines; in-process, one engine serves
+    # the trajectories and the oracle footer
+    engine = trajectory.TrajectoryEngine(rc) if cfg.workers <= 1 else None
     stats, rows = trajectory.run_ensemble(
-        rc, cfg.trajectories, parallelism=cfg.workers, return_records=True
+        rc, cfg.trajectories, parallelism=cfg.workers, engine=engine, return_records=True
     )
     out_rows = [(r[0], r[1], r[2], r[3], r[4]) for r in rows]
     footer = [
@@ -229,7 +232,8 @@ def cmd_ensemble(args) -> int:
         and rc.hamiltonian.num_qubits <= instrument.TRANSFER_LIMIT_QUBITS
         and rc.schedule.kind == "constant"
     ):
-        engine = trajectory.TrajectoryEngine(rc)
+        if engine is None:
+            engine = trajectory.TrajectoryEngine(rc)
         t0, t1 = engine.sweep_transfers(rc.schedule.base)
         rho0 = np.eye(engine.dim) / engine.dim
         (exact,) = analytics.expected_stopped_general(t0, t1, rho0, [rule.n])

@@ -8,7 +8,7 @@ perturbation of a clean instrument with a transfer-norm budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -265,21 +265,65 @@ def fixed_point_resilience_bound(params, delta: float, dim: int, degeneracy: int
     return 1.0 - (ratio + delta) * (dim / degeneracy - 1.0) - params.epsilon - delta
 
 
-def noisy_sweep_success_transfer(engine) -> np.ndarray:
-    """Transfer matrix of the noisy all-zeros sweep branch of an engine.
-
-    Each term's sum_a conj(a) (x) a acts on the term's support only.
-    """
-    n = engine.num_qubits
-    micro = [
+def noisy_sweep_blocks(engine):
+    """(local transfer, support) of each term's noisy success branch:
+    sum_a conj(a) (x) a over the term's tomography-extracted Kraus set."""
+    return [
         (sum(np.kron(a.conj(), a) for a in kraus0), td.support)
         for (kraus0, _, _, _), td in zip(engine.noisy_terms, engine.terms)
     ]
-    m = len(micro)
-    out = np.eye(engine.dim**2, dtype=np.complex128)
+
+
+def apply_noisy_sweep(blocks, num_qubits: int, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """The noisy all-zeros sweep applied to every column of a D^2 x N stack.
+
+    Each block acts on its support only.  The sweep order is a palindrome,
+    so the adjoint runs the same loop over the conjugate-transposed blocks.
+    """
+    if adjoint:
+        blocks = [(t.conj().T, support) for t, support in blocks]
+    m = len(blocks)
     for v in list(range(m)) + list(range(m - 1, -1, -1)):
-        out = apply_local_transfer(*micro[v], n, out)
-    return out
+        x = apply_local_transfer(*blocks[v], num_qubits, x)
+    return x
+
+
+def noisy_sweep_success_transfer(engine) -> np.ndarray:
+    """Transfer matrix of the noisy all-zeros sweep branch of an engine."""
+    eye = np.eye(engine.dim**2, dtype=np.complex128)
+    return apply_noisy_sweep(noisy_sweep_blocks(engine), engine.num_qubits, eye)
+
+
+def noisy_sweep_delta(engine, kraus: np.ndarray) -> float:
+    """||T_noisy - conj(K) (x) K||_2 for the noisy sweep of an engine and a
+    clean success Kraus operator K, without forming either D^2 x D^2 matrix.
+
+    The largest singular value of x -> noisy(x) - vec(K unvec(x) K^dag),
+    by implicitly restarted Lanczos (ARPACK) on the normal operator; tol=0
+    asks for machine precision and the start vector is pinned, so the value
+    is reproducible.
+    """
+    from scipy.sparse.linalg import LinearOperator, svds
+
+    n, d = engine.num_qubits, engine.dim
+    blocks = noisy_sweep_blocks(engine)
+
+    def apply(x, adjoint):
+        cols = x.reshape(d * d, -1)
+        k = kraus.conj().T if adjoint else kraus
+        # column c of the stack is vec(rho_c): rho[c] = unvec(cols[:, c])
+        rho = cols.T.reshape(-1, d, d).transpose(0, 2, 1)
+        clean = (k @ rho @ k.conj().T).transpose(0, 2, 1).reshape(-1, d * d).T
+        return (apply_noisy_sweep(blocks, n, cols, adjoint) - clean).reshape(x.shape)
+
+    op = LinearOperator(
+        (d * d, d * d),
+        matvec=lambda x: apply(x, False),
+        rmatvec=lambda x: apply(x, True),
+        dtype=np.complex128,
+    )
+    v0 = np.random.default_rng(0).standard_normal(d * d)
+    return float(svds(op, k=1, tol=0, v0=v0, return_singular_vectors=False)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +335,27 @@ def free_decay_overlaps(spectral, p1: float, steps: int):
     """Ground state decaying under per-qubit depolarizing, overlap per step.
 
     The comparison series of the noise experiment: no measurements, just the
-    same single-qubit noise applied across all qubits each time step.
+    same single-qubit noise applied across all qubits each time step.  The
+    channel on qubit q is lam rho + (1 - lam) tr_q(rho) (x) I/2 with
+    lam = 1 - 4 p1 / 3, so t steps from Pi0 / N give the overlap
+    sum_w c_w lam^(t (n - w)) (1 - lam^t)^w, where
+    c_w = sum_{|S| = w} ||tr_S Pi0||_F^2 / (N 2^w) over the 2^n qubit
+    subsets S.  Powers are integer powers, so lam <= 0 (p1 >= 3/4) is exact.
     """
     n = int(round(np.log2(spectral.dimension)))
-    rho = spectral.ground_projector.astype(np.complex128) / spectral.degeneracy
-    words = [_pauli_conj_data(n, (q,)) for q in range(n)]
-    series = np.empty(steps + 1)
-    series[0] = float(np.trace(spectral.ground_projector @ rho).real)
-    for t in range(1, steps + 1):
-        for q in range(n):
-            rho = _apply_depolarizing(rho, words[q], p1)
-        series[t] = float(np.trace(spectral.ground_projector @ rho).real)
-    return series
+    weights = np.zeros(n + 1)
+
+    def walk(x, m, lo, w):
+        # x is tr_S Pi0 as a 2m-axis tensor (m row axes, then m column axes);
+        # each subset is reached once, by tracing qubits in increasing order
+        weights[w] += float(np.vdot(x, x).real)
+        for i in range(lo, m):
+            walk(np.trace(x, axis1=i, axis2=m + i), m - 1, i, w + 1)
+
+    walk(spectral.ground_projector.reshape((2,) * (2 * n)), n, 0, 0)
+    weights /= spectral.degeneracy * 2.0 ** np.arange(n + 1)
+    lam_t = (1.0 - 4.0 * p1 / 3.0) ** np.arange(steps + 1)
+    return sum(c * lam_t ** (n - w) * (1.0 - lam_t) ** w for w, c in enumerate(weights))
 
 
 def run_resilience_experiment(
@@ -334,21 +387,17 @@ def run_resilience_experiment(
         )
         for cap in runtimes
     ]
-    # the first cap's engine also yields the deltas and the bound
+    # one engine serves every cap and also yields the deltas and the bound
     engine = TrajectoryEngine(configs[0])
     overlaps, stderrs, energies = [], [], []
     for cfg in configs:
-        stats = run_ensemble(
-            cfg, num_trajectories, parallelism=parallelism,
-            engine=engine if cfg is configs[0] else None,
-        )
+        stats = run_ensemble(cfg, num_trajectories, parallelism=parallelism, engine=engine)
         overlaps.append(stats.mean_overlap)
         stderrs.append(stats.stderr_overlap)
         energies.append(stats.mean_energy)
     delta = max(nt.delta_measured for nt in engine.noisy_instruments)
     kraus_clean = engine.sweep_success_kraus(eps)
-    t_clean = np.kron(kraus_clean.conj(), kraus_clean)
-    sweep_delta = float(np.linalg.norm(noisy_sweep_success_transfer(engine) - t_clean, 2))
+    sweep_delta = noisy_sweep_delta(engine, kraus_clean)
     params = verify_agsp(kraus_clean, engine.pi0)
     bound = resilience_bound_asymptotic(params, sweep_delta).value
     series = free_decay_overlaps(engine.spectral, model.p1, max(runtimes))

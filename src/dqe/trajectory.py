@@ -9,6 +9,7 @@ stream, so runs are embarrassingly parallel and bit-reproducible.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 from dataclasses import dataclass, field, replace
 
@@ -31,6 +32,8 @@ from .stopping import EpsilonSchedule, RuleTracker, StoppingRule, epsilon_at
 AGSP_MODES = ("linear-global", "chebyshev-global", "product-sweep", "mixture-random")
 RESAMPLER_KINDS = ("global", "local", "identity")
 WEIGHTINGS = ("max", "sum")
+# RunConfig fields that no engine operator depends on
+_RUN_FIELDS = ("rule", "seed", "max_steps", "record_series", "record_micro")
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,15 @@ class TrajectoryEngine:
                 from .noise import noisy_term_instrument
 
                 eps = cfg.schedule.base
-                self.noisy_instruments = [
-                    noisy_term_instrument(t.term, eps, t.weight, cfg.noise) for t in self.terms
-                ]
+                # the tomography reads only the term's factors on its support,
+                # its sign and its weight; terms sharing them share the result
+                tomographed = {}
+                self.noisy_instruments = []
+                for t in self.terms:
+                    key = (tuple(t.term.string.factors[q] for q in t.support), t.sign, t.weight)
+                    if key not in tomographed:
+                        tomographed[key] = noisy_term_instrument(t.term, eps, t.weight, cfg.noise)
+                    self.noisy_instruments.append(replace(tomographed[key], support=t.support))
                 self.noisy_terms = []
                 for ni, term in zip(self.noisy_instruments, self.terms):
                     # heaviest Kraus first so the lazy branch walk usually
@@ -138,6 +147,21 @@ class TrajectoryEngine:
                     m0 = sum(a.conj().T @ a for a in k0)
                     m0 = (m0 + m0.conj().T) / 2.0
                     self.noisy_terms.append((tuple(k0), tuple(k1), term.table, m0))
+
+    def rebind(self, cfg: RunConfig) -> "TrajectoryEngine":
+        """This engine's operators under ``cfg``: a shallow copy with cfg replaced.
+
+        Only the fields that shape trajectories but no operator (the rule,
+        the seed, max_steps and the record flags) may differ from the config
+        the engine was built for; any other difference raises ConfigError.
+        """
+        if cfg is self.cfg:
+            return self
+        if replace(cfg, **{f: getattr(self.cfg, f) for f in _RUN_FIELDS}) != self.cfg:
+            raise ConfigError("the engine was built for a config with other operators")
+        bound = copy.copy(self)
+        bound.cfg = cfg
+        return bound
 
     # -- instruments for the analytics oracle ------------------------------
 
@@ -467,9 +491,13 @@ def run_ensemble(
     The aggregate is a deterministic function of (cfg.seed, num_trajectories)
     regardless of the degree of parallelism: trajectory i always uses the
     seed sequence spawned at key (i,), and reduction happens in index order.
+    A given ``engine`` is rebound to ``cfg`` (``TrajectoryEngine.rebind``),
+    so it must have been built for the same operators.
     """
     if num_trajectories < 1:
         raise ParameterError("num_trajectories must be >= 1")
+    if engine is not None:
+        engine = engine.rebind(cfg)
     if parallelism is None:
         parallelism = 1
     rows = []

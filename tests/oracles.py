@@ -163,3 +163,20 @@ def dense_noisy_sweep_success_transfer(engine):
     for v in list(range(len(micro))) + list(range(len(micro) - 1, -1, -1)):
         out = micro[v] @ out
     return out
+
+
+def iterative_free_decay_overlaps(spectral, p1, steps):
+    """Free-decay overlap series by stepping the dense density matrix: each
+    step applies (1 - p) rho + (p/3) sum_sigma sigma rho sigma on every qubit."""
+    from dqe import noise as nz
+
+    n = int(round(np.log2(spectral.dimension)))
+    rho = spectral.ground_projector.astype(np.complex128) / spectral.degeneracy
+    words = [nz._pauli_conj_data(n, (q,)) for q in range(n)]
+    series = np.empty(steps + 1)
+    series[0] = float(np.trace(spectral.ground_projector @ rho).real)
+    for t in range(1, steps + 1):
+        for q in range(n):
+            rho = nz._apply_depolarizing(rho, words[q], p1)
+        series[t] = float(np.trace(spectral.ground_projector @ rho).real)
+    return series

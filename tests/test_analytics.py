@@ -272,6 +272,9 @@ class TestStoppedWalk:
         expected = [0.9999024, 0.9999559, 0.9999644, 0.9999658, 0.9999660]
         assert overlaps[4:] == pytest.approx(expected, abs=1e-6)
         assert table[-1].trace_defect > 1e-6
+        # the schedule oracle divides by its trace too
+        sched = an.expected_state_schedule([t0] * 9, [t1] * 9, np.eye(8) / 8)
+        assert float(np.trace(engine.pi0 @ sched).real) == pytest.approx(expected[-1], abs=1e-6)
 
 
 class TestScheduleOracle:
@@ -300,6 +303,24 @@ class TestScheduleOracle:
             t1s.append(t1)
         rho = an.expected_state_schedule(t0s, t1s, rho0)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
+
+    def test_criterion_08_exact_values_kept(self, heis2):
+        # acceptance criterion 8's exact overlaps under eps/(t - t1), as
+        # returned before the state was divided by its trace
+        eps = stopping.suggest_epsilon(heis2)
+        cfg = trajectory.RunConfig(
+            heis2, schedule=stopping.EpsilonSchedule.decaying(eps), rule=stopping.FirstRunOfZeros(8)
+        )
+        engine = trajectory.TrajectoryEngine(cfg)
+        transfers = [engine.sweep_transfers(eps / j) for j in range(1, 9)]
+        expected = {2: 0.43670124563598933, 4: 0.5112643631745406,
+                    6: 0.5575030853710854, 8: 0.5905489039685324}
+        for n, value in expected.items():
+            rho = an.expected_state_schedule(
+                [t0 for t0, _ in transfers[:n]], [t1 for _, t1 in transfers[:n]], np.eye(4) / 4
+            )
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
+            assert float(np.trace(engine.pi0 @ rho).real) == pytest.approx(value, abs=1e-9)
 
 
 class TestBounds:

@@ -163,6 +163,25 @@ class TestEnsembleOracle:
         assert all(z <= 4.0 for z in zs)
 
 
+    def test_one_engine_for_trajectories_and_footer(self, monkeypatch, capsys):
+        from dqe import trajectory
+
+        builds = []
+        init = trajectory.TrajectoryEngine.__init__
+
+        def counting(self, cfg, *args):
+            builds.append(cfg)
+            init(self, cfg, *args)
+
+        monkeypatch.setattr(trajectory.TrajectoryEngine, "__init__", counting)
+        argv = ["ensemble", "--heisenberg", "2", "--agsp", "product", "--eps", "0.2",
+                "--stopping", "run-of-zeros:2", "--trajectories", "5", "--workers", "1",
+                "-o", "-"]
+        assert run_cli(argv) == 0
+        assert "oracle_tau" in capsys.readouterr().out
+        assert len(builds) == 1
+
+
 class TestAnalyticsCommand:
     def test_rows_and_bounds(self, tmp_path, capsys):
         out = tmp_path / "an.csv"

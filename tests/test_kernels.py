@@ -49,6 +49,19 @@ class TestNumpyBackend:
             ref[a] = np.sum(np.abs(psi[table[:, a]]) ** 2)
         assert np.abs(probs - ref).max() <= 1e-14
 
+    def test_local_quadform_matches_einsum(self, rng):
+        n = 4
+        for support in ((0,), (1, 3), (0, 2, 3)):
+            table = support_index_table(n, support)
+            d = 1 << len(support)
+            for _ in range(5):
+                g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                op = (g + g.conj().T) / 2.0
+                psi = _rand_state(rng, 1 << n)
+                block = psi[table]
+                ref = np.einsum("rd,de,re->", block.conj(), op, block).real
+                assert _kernels.local_quadform(psi, table, op) == pytest.approx(ref, abs=1e-14)
+
     def test_project_replace(self, rng):
         n = 3
         table = support_index_table(n, (1,))

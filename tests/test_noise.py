@@ -5,7 +5,7 @@ from dqe import agsp, analytics as an, instrument as im, noise as nz, pauli
 from dqe import stopping as st, trajectory as tj
 from dqe.errors import InvalidNoiseError
 
-from oracles import dense_noisy_sweep_success_transfer
+from oracles import dense_noisy_sweep_success_transfer, iterative_free_decay_overlaps
 
 
 class TestDepolarizingTomography:
@@ -161,6 +161,14 @@ class TestFreeDecay:
         assert series[-1] >= floor - 1e-9
         assert series[-1] < series[0]
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_closed_form_matches_iteration(self, n):
+        spec = pauli.diagonalize(pauli.build_heisenberg_chain(n))
+        for p in (0.0, 1e-4, 1e-3, 0.75, 1.0):
+            closed = nz.free_decay_overlaps(spec, p, 2400)
+            assert closed.shape == (2401,)
+            assert np.abs(closed - iterative_free_decay_overlaps(spec, p, 2400)).max() <= 1e-12
+
 
 class TestNoisyOracle:
     def test_success_transfer_matches_dense_reference(self, heis3):
@@ -173,6 +181,73 @@ class TestNoisyOracle:
         eng = tj.TrajectoryEngine(cfg)
         local = nz.noisy_sweep_success_transfer(eng)
         assert np.abs(local - dense_noisy_sweep_success_transfer(eng)).max() <= 1e-13
+
+    def test_sweep_apply_and_adjoint_match_dense(self, heis3, rng):
+        cfg = tj.RunConfig(
+            heis3,
+            schedule=st.EpsilonSchedule.constant(0.3),
+            rule=st.FirstRunOfZeros(3),
+            noise=nz.DepolarizingPerGate(1e-3, 1e-3),
+        )
+        eng = tj.TrajectoryEngine(cfg)
+        dense = dense_noisy_sweep_success_transfer(eng)
+        blocks = nz.noisy_sweep_blocks(eng)
+        x = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
+        fwd = nz.apply_noisy_sweep(blocks, 3, x)
+        adj = nz.apply_noisy_sweep(blocks, 3, x, adjoint=True)
+        assert np.abs(fwd - dense @ x).max() <= 1e-13
+        assert np.abs(adj - dense.conj().T @ x).max() <= 1e-13
+        # depolarizing leaves the sweep self-adjoint; random Kraus operators
+        # on the same supports do not, so the flag is checked there too
+        ops = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in eng.terms]
+        ops = [a / np.linalg.norm(a, 2) for a in ops]
+        blocks = [(np.kron(a.conj(), a), t.support) for a, t in zip(ops, eng.terms)]
+        dense = np.eye(64, dtype=complex)
+        for v in list(range(6)) + list(range(5, -1, -1)):
+            full = eng.terms[v].embed(ops[v])
+            dense = np.kron(full.conj(), full) @ dense
+        fwd = nz.apply_noisy_sweep(blocks, 3, x)
+        adj = nz.apply_noisy_sweep(blocks, 3, x, adjoint=True)
+        assert np.abs(fwd - dense @ x).max() <= 1e-13
+        assert np.abs(adj - dense.conj().T @ x).max() <= 1e-13
+        assert np.abs(fwd - adj).max() > 1e-3 * np.abs(fwd).max()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("p", [0.0, 1e-4, 1e-3])
+    def test_matrix_free_delta_matches_dense_norm(self, n, p):
+        cfg = tj.RunConfig(
+            pauli.build_heisenberg_chain(n),
+            schedule=st.EpsilonSchedule.constant(0.4),
+            rule=st.Secretary(60),
+            noise=nz.DepolarizingPerGate(p, p),
+        )
+        eng = tj.TrajectoryEngine(cfg)
+        k = eng.sweep_success_kraus(0.4)
+        dense = float(np.linalg.norm(dense_noisy_sweep_success_transfer(eng) - np.kron(k.conj(), k), 2))
+        assert nz.noisy_sweep_delta(eng, k) == pytest.approx(dense, rel=1e-10, abs=1e-14)
+
+    def test_matrix_free_delta_non_normal(self, heis3, rng):
+        # random Kraus sets and a non-Hermitian K make the operator non-normal,
+        # so the adjoint passes to ARPACK are checked too
+        cfg = tj.RunConfig(
+            heis3,
+            schedule=st.EpsilonSchedule.constant(0.4),
+            rule=st.Secretary(60),
+            noise=nz.DepolarizingPerGate(1e-3, 1e-3),
+        )
+        eng = tj.TrajectoryEngine(cfg)
+
+        def contraction(d):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            return a / np.linalg.norm(a, 2)
+
+        eng.noisy_terms = [
+            ((contraction(4), contraction(4) / 2), k1, table, m0)
+            for _, k1, table, m0 in eng.noisy_terms
+        ]
+        k = contraction(8)
+        dense = float(np.linalg.norm(dense_noisy_sweep_success_transfer(eng) - np.kron(k.conj(), k), 2))
+        assert nz.noisy_sweep_delta(eng, k) == pytest.approx(dense, rel=1e-10)
 
     def test_monte_carlo_matches_noisy_transfer(self, heis3, spec3):
         # end-to-end: noisy trajectories vs the exact channel built from the
@@ -216,6 +291,41 @@ class TestNoisyOracle:
         assert abs(stats.mean_tau - ex_tau) <= 3 * stats.stderr_tau
 
 
+class TestSharedTomography:
+    def test_one_tomography_per_distinct_term(self, monkeypatch):
+        ham = pauli.build_heisenberg_chain(5)
+        model = nz.DepolarizingPerGate(1e-3, 1e-3)
+        cfg = tj.RunConfig(
+            ham, schedule=st.EpsilonSchedule.constant(0.4), rule=st.Secretary(60), noise=model
+        )
+        calls = []
+        tomography = nz.noisy_term_instrument
+
+        def counting(*args):
+            calls.append(args[0])
+            return tomography(*args)
+
+        monkeypatch.setattr(nz, "noisy_term_instrument", counting)
+        eng = tj.TrajectoryEngine(cfg)
+        monkeypatch.undo()
+        # XX, YY and ZZ bonds with equal coefficients: three distinct circuits
+        assert len(calls) == 3
+        for t, ni, (k0, k1, table, m0) in zip(eng.terms, eng.noisy_instruments, eng.noisy_terms):
+            ref = nz.noisy_term_instrument(t.term, 0.4, t.weight, model)
+            assert ni.support == ref.support == t.support
+            assert ni.delta_measured == ref.delta_measured
+            for got, want in ((ni.kraus0, ref.kraus0), (ni.kraus1, ref.kraus1)):
+                assert len(got) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            ref0 = sorted(ref.kraus0, key=lambda a: -np.linalg.norm(a))
+            ref1 = sorted(ref.kraus1, key=lambda a: -np.linalg.norm(a))
+            assert all(np.array_equal(a, b) for a, b in zip(k0, ref0))
+            assert all(np.array_equal(a, b) for a, b in zip(k1, ref1))
+            m_ref = sum(a.conj().T @ a for a in ref0)
+            assert np.array_equal(m0, (m_ref + m_ref.conj().T) / 2.0)
+            assert np.array_equal(table, t.table)
+
+
 class TestNoisyTrajectories:
     def test_zero_noise_matches_clean_bitwise(self, heis2):
         rule = st.FirstRunOfZeros(3)
@@ -257,6 +367,22 @@ class TestNoisyTrajectories:
             )
             clean = tj.run_ensemble(cfg, 25)
             assert noisy_ov == pytest.approx(clean.mean_overlap, abs=1e-10)
+
+    def test_experiment_builds_one_engine(self, heis2, monkeypatch):
+        builds = []
+        init = tj.TrajectoryEngine.__init__
+
+        def counting(self, cfg, *args):
+            builds.append(cfg)
+            init(self, cfg, *args)
+
+        monkeypatch.setattr(tj.TrajectoryEngine, "__init__", counting)
+        report = nz.run_resilience_experiment(
+            heis2, nz.DepolarizingPerGate(1e-3, 1e-3), runtimes=(20, 40, 80),
+            eps=0.3, num_trajectories=3, seed=2,
+        )
+        assert len(builds) == 1
+        assert len(report.overlaps) == 3
 
     def test_noise_degrades_smoothly(self, heis2):
         # the overlap deficit roughly doubles when the rate doubles

@@ -42,6 +42,30 @@ class TestDeterminism:
         parallel = tj.run_ensemble(cfg, 40, parallelism=2)
         assert serial == parallel
 
+    def test_engine_rebound_to_run_fields(self, heis2):
+        # an engine built for another seed and rule runs the given config's
+        cfg = _cfg(heis2, agsp_mode="product-sweep", resampler="local", seed=3)
+        other = _cfg(heis2, agsp_mode="product-sweep", resampler="local", seed=9,
+                     rule=st.Secretary(40), max_steps=500)
+        engine = tj.TrajectoryEngine(other)
+        stats, rows = tj.run_ensemble(cfg, 30, engine=engine, return_records=True)
+        fresh, fresh_rows = tj.run_ensemble(cfg, 30, return_records=True)
+        assert stats == fresh and rows == fresh_rows
+        assert engine.cfg is other
+        assert engine.rebind(other) is engine
+
+    @pytest.mark.parametrize("field,value", [
+        ("schedule", st.EpsilonSchedule.constant(0.3)),
+        ("resampler", "global"),
+        ("weighting", "sum"),
+        ("agsp_mode", "mixture-random"),
+    ])
+    def test_engine_for_other_operators_refused(self, heis2, field, value):
+        base = dict(agsp_mode="product-sweep", resampler="local")
+        engine = tj.TrajectoryEngine(_cfg(heis2, **base))
+        with pytest.raises(ConfigError):
+            tj.run_ensemble(_cfg(heis2, **{**base, field: value}), 5, engine=engine)
+
     def test_single_trajectory_ensemble(self, heis2):
         cfg = _cfg(heis2)
         stats, rows = tj.run_ensemble(cfg, 1, return_records=True)
