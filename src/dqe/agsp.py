@@ -75,15 +75,18 @@ class Agsp:
             raise ParameterError("AGSP operator is not Hermitian within 1e-12")
 
 
-def agsp_linear(ham: PauliHamiltonian, spec: SpectralData) -> Agsp:
+def agsp_linear(
+    ham: PauliHamiltonian, spec: SpectralData, *, h_dense: np.ndarray | None = None
+) -> Agsp:
     """K = (1 - H/kappa)/2 with its closed-form parameters.
 
     sqrt(Gamma) = (1 - lambda0/kappa)/2 and sqrt(Delta) = (1 - lambda1/kappa)/2,
     with epsilon = 0 since K commutes with the ground projector exactly.
+    ``h_dense`` is ``to_dense(ham)`` when the caller already holds it.
     """
     if ham.kappa <= 0.0:
         raise DegenerateInstanceError("kappa = 0: Hamiltonian has no weight to rescale")
-    mat = to_dense(ham)
+    mat = to_dense(ham) if h_dense is None else h_dense
     k = (np.eye(ham.dimension) - mat / ham.kappa) / 2.0
     k = (k + k.conj().T) / 2.0
     params = AgspParams.from_sqrt(

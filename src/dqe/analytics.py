@@ -98,6 +98,15 @@ def _as_matrix(t) -> np.ndarray:
     return t.matrix if isinstance(t, TransferMatrix) else np.asarray(t)
 
 
+def _basis(t, dim: int):
+    """(vec, unvec, trace row) of the basis a transfer is written in: its
+    sector's Pauli-transfer basis, or column stacking for a plain matrix."""
+    sector = t.sector if isinstance(t, TransferMatrix) else None
+    if sector is None:
+        return vec, unvec, trace_row(dim)
+    return sector.vec, sector.unvec, sector.trace_row
+
+
 class _LuSolver:
     """LU factorization with a reciprocal-condition guard and one refinement."""
 
@@ -154,10 +163,8 @@ def geometric_sums(t0: np.ndarray, n: int):
     return p_acc, g_acc, h_acc
 
 
-def _check_failure_recovery(t0: np.ndarray, t1: np.ndarray, rho0: np.ndarray):
+def _check_failure_recovery(t0: np.ndarray, t1: np.ndarray, v0: np.ndarray, row: np.ndarray):
     """The theorem's condition tr(E0 o R(rho)) > 0, probed on rho0."""
-    row = trace_row(rho0.shape[0])
-    v0 = vec(rho0)
     p_fail = float((row @ (t1 @ v0)).real)
     if p_fail <= 1e-15:
         return
@@ -207,15 +214,19 @@ def expected_stopped_general(t0, t1, rho0: np.ndarray, ns) -> list[Stopped]:
     none after the largest n, so a table entry equals the one-n call
     exactly.  Each n then takes one LU factorization of W = 1 - S_n; E0^n
     and H_n are applied to vectors only.
+
+    The walk runs in the transfers' own basis and dtype: real on a
+    ``PauliSector``, where a rho0 outside the sector raises ParameterError,
+    and complex in column stacking.
     """
     ns = list(ns)
     if any(n < 1 for n in ns):
         raise ParameterError("run lengths must be >= 1")
     t0m, t1m = _as_matrix(t0), _as_matrix(t1)
-    _check_failure_recovery(t0m, t1m, rho0)
-    row = trace_row(rho0.shape[0])
-    v0 = vec(rho0)
-    f = t1m.astype(np.complex128, copy=False)
+    to_vec, to_mat, row = _basis(t0, rho0.shape[0])
+    v0 = to_vec(rho0)
+    _check_failure_recovery(t0m, t1m, v0, row)
+    f = t1m
     # S_0 = 0: the first += makes S a fresh array and leaves T1 untouched
     s = 0.0
     steps = sorted(set(ns))
@@ -230,7 +241,7 @@ def expected_stopped_general(t0, t1, rho0: np.ndarray, ns) -> list[Stopped]:
         x = solver.solve(v0)
         t0n_x, h_x = _powers_apply(t0m, x, n)
         t0n_y, _ = _powers_apply(t0m, solver.solve(t1m @ h_x), n)
-        rho = unvec(t0n_x)
+        rho = to_mat(t0n_x)
         rho = (rho + rho.conj().T) / 2.0
         trace = float(np.trace(rho).real)
         done[n] = Stopped(n, rho / trace, float(n + (row @ t0n_y).real), abs(trace - 1.0))
@@ -255,22 +266,24 @@ def expected_state_schedule(success_transfers, failure_transfers, rho0: np.ndarr
     consecutive successes.  Summing over failed attempts gives
     E|rho_n>> = A_n (1 - sum_j T1_{j+1} A_j)^{-1} |rho0>> with
     A_j = T0_j ... T0_1, which reduces to the W form when the schedule is
-    constant.  The state is divided by its trace, as in
-    ``expected_stopped_general``.
+    constant.  The state is divided by its trace, and the basis is read off
+    the transfers, as in ``expected_stopped_general``.
     """
     n = len(success_transfers)
     if n < 1 or len(failure_transfers) != n:
         raise ParameterError("schedule needs matching non-empty transfer lists")
     t0s = [_as_matrix(t) for t in success_transfers]
     t1s = [_as_matrix(t) for t in failure_transfers]
+    to_vec, to_mat, _ = _basis(success_transfers[0], rho0.shape[0])
     d2 = t0s[0].shape[0]
-    a = np.eye(d2, dtype=np.complex128)
-    f = np.zeros((d2, d2), dtype=np.complex128)
+    dtype = np.result_type(*{t.dtype for t in t0s + t1s})
+    a = np.eye(d2, dtype=dtype)
+    f = np.zeros((d2, d2), dtype=dtype)
     for j in range(n):
         f += t1s[j] @ a
         a = t0s[j] @ a
-    x = _LuSolver(np.eye(d2) - f, "schedule W").solve(vec(rho0))
-    rho = unvec(a @ x)
+    x = _LuSolver(np.eye(d2) - f, "schedule W").solve(to_vec(rho0))
+    rho = to_mat(a @ x)
     rho = (rho + rho.conj().T) / 2.0
     return rho / np.trace(rho).real
 

@@ -1,8 +1,10 @@
 """Two-outcome weak-measurement instruments, transfer matrices, fixed points.
 
-Vectorization fixes the column-stacking convention: |rho>> stacks columns,
-so the map rho -> A rho B^dag has transfer matrix conj(B) (x) A.  The trace
-functional is the row vector <<1| = vec(identity)^dag.
+Two bases are used.  Single instruments and resamplers are written in the
+column-stacking convention: |rho>> stacks columns, so the map
+rho -> A rho B^dag has transfer matrix conj(B) (x) A, and the trace
+functional is the row vector <<1| = vec(identity)^dag.  Sweep transfers are
+real Pauli-transfer matrices on a symmetry sector (``PauliSector``).
 """
 
 from __future__ import annotations
@@ -335,16 +337,16 @@ def sweep_success_operator(terms, eps: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Dense D^2 x D^2 matrix form of a CP map."""
+    """Matrix form of a CP map: D^2 x D^2 complex in the column-stacking
+    convention, or real S x S in the Pauli-transfer basis of ``sector``."""
 
     matrix: np.ndarray
     trace_preserving: bool = field(default=False)
-
-    @property
-    def dim(self) -> int:
-        return int(round(np.sqrt(self.matrix.shape[0])))
+    sector: PauliSector | None = None
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
+        if self.sector is not None:
+            return self.sector.unvec(self.matrix @ self.sector.vec(rho))
         return unvec(self.matrix @ vec(rho))
 
 
@@ -467,6 +469,160 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The Pauli-transfer basis.  A map written on the normalised Pauli strings
+# P/sqrt(D) is real when it preserves Hermiticity (Greenbaum,
+# arXiv:1509.02921).  A string is indexed base 4, digits I, X, Y, Z = 0..3
+# with qubit 0 most significant, so a stack of coefficient vectors is a
+# (4,)*n + (N,) tensor with axis q for qubit q.
+# ---------------------------------------------------------------------------
+
+_SIGMA = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=np.complex128,
+)
+# _PAIR[2a + b, i] = sigma_i[a, b] / sqrt(2): one qubit's matrix entries from
+# its Pauli coefficients; unitary, so its adjoint gives the coefficients
+_PAIR = _SIGMA.reshape(4, 4).T / np.sqrt(2.0)
+_LEAK_TOL = 1e-12
+
+
+def _pair_axes(k: int) -> list[int]:
+    """Axis order taking a (2,)*2k matrix tensor to per-qubit (row, col) pairs."""
+    return [ax for q in range(k) for ax in (q, k + q)]
+
+
+def _on_axes(x: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
+    """Contract each listed axis of ``x`` with the first index of ``m``."""
+    for ax in axes:
+        x = np.moveaxis(np.tensordot(x, m, axes=([ax], [0])), -1, ax)
+    return x
+
+
+def _pauli_coefficients(rho: np.ndarray) -> np.ndarray:
+    """tr(P rho)/sqrt(D) for every Pauli string P, as a (4,)*n tensor."""
+    rho = np.asarray(rho)
+    n = rho.shape[0].bit_length() - 1
+    x = rho.reshape((2,) * (2 * n)).transpose(_pair_axes(n)).reshape((4,) * n)
+    return _on_axes(x, _PAIR.conj(), range(n))
+
+
+def _pauli_matrix(coeffs: np.ndarray, num_qubits: int) -> np.ndarray:
+    """The matrix sum_P c_P P/sqrt(D) of a 4^n coefficient vector."""
+    n = num_qubits
+    x = _on_axes(np.reshape(coeffs, (4,) * n), _PAIR.T, range(n))
+    return x.reshape((2,) * (2 * n)).transpose(np.argsort(_pair_axes(n))).reshape(1 << n, 1 << n)
+
+
+def _pauli_transfer(kraus) -> np.ndarray:
+    """Real 4^k x 4^k Pauli-transfer matrix of rho -> sum_A A rho A^dag."""
+    k = kraus[0].shape[0].bit_length() - 1
+    sup = sum(np.kron(a, a.conj()) for a in kraus)  # on row-major vec(rho)
+    pairs = _pair_axes(k)
+    x = sup.reshape((2,) * (4 * k)).transpose(pairs + [2 * k + ax for ax in pairs])
+    x = _on_axes(x.reshape((4,) * (2 * k)), _PAIR.conj(), range(k))
+    return _on_axes(x, _PAIR, range(k, 2 * k)).reshape(4**k, 4**k).real
+
+
+def _gf2_null_space(a: np.ndarray) -> np.ndarray:
+    """Rows spanning {v : a v = 0 mod 2}, by Gauss-Jordan elimination."""
+    a = np.array(a, dtype=np.uint8) % 2
+    rows, cols = a.shape
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        hit = np.flatnonzero(a[r:, c]) if r < rows else ()
+        if len(hit) == 0:
+            continue
+        a[[r, r + hit[0]]] = a[[r + hit[0], r]]
+        others = np.flatnonzero(a[:, c])
+        a[others[others != r]] ^= a[r]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = np.zeros(cols, dtype=np.uint8)
+        v[f] = 1
+        v[pivots] = a[: len(pivots), f]
+        basis.append(v)
+    return np.array(basis, dtype=np.uint8).reshape(-1, cols)
+
+
+class PauliSector:
+    """The fixed space of the twirl rho -> |G|^-1 sum_g g rho g^dag over a
+    group G of Pauli symmetries, in the Pauli-transfer basis.
+
+    The space is spanned by the S = 4^n/|G| strings that commute with every
+    g in G; ``strings`` lists their indices in ascending order, so the
+    identity comes first.  When every instrument and resampler of a sweep
+    commutes with G, so do its transfers, and overlaps and E(tau) from a
+    state in the sector are exact on its S x S blocks (the weak symmetry of
+    Buca & Prosen, New J. Phys. 14, 073007, 2012).  ``generators`` is a
+    GF(2) basis of G as (x | z) bit rows, qubit q at column q and n + q; no
+    generators is the trivial group, whose sector is every string.
+    """
+
+    def __init__(self, num_qubits: int, generators=()):
+        n = num_qubits
+        self.num_qubits = n
+        self.generators = np.array(generators, dtype=np.uint8).reshape(-1, 2 * n)
+        digits = (np.arange(4**n)[:, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
+        xz = np.concatenate([(digits == 1) | (digits == 2), (digits >= 2)], axis=1)
+        # string s commutes with g when x_s . z_g + z_s . x_g is even
+        swapped = np.roll(self.generators, n, axis=1)
+        self.member = ~((xz.astype(np.int64) @ swapped.T.astype(np.int64)) & 1).any(axis=1)
+        self.strings = np.flatnonzero(self.member)
+        self.trace_row = np.zeros(self.strings.size)
+        self.trace_row[0] = np.sqrt(float(1 << n))
+
+    @classmethod
+    def of(cls, ham: PauliHamiltonian) -> "PauliSector":
+        """The sector of every Pauli string commuting with each term of ``ham``."""
+        n = ham.num_qubits
+        rows = [
+            [c in "ZY" for c in t.string.factors] + [c in "XY" for c in t.string.factors]
+            for t in ham.terms
+        ]
+        # g commutes with term t when (z_t | x_t) . (x_g | z_g) is even
+        return cls(n, _gf2_null_space(np.array(rows, dtype=np.uint8).reshape(-1, 2 * n)))
+
+    @property
+    def dimension(self) -> int:
+        return int(self.strings.size)
+
+    def _check_leak(self, leak: float, what: str):
+        if leak > _LEAK_TOL:
+            raise ParameterError(
+                f"{what} leaves the Pauli symmetry sector (weight {leak:.2e} outside it)"
+            )
+
+    def vec(self, rho: np.ndarray) -> np.ndarray:
+        """Real coefficients of a Hermitian rho on the sector's strings;
+        a rho with weight outside the sector raises ParameterError."""
+        c = _pauli_coefficients(rho).reshape(-1)
+        outside = c[~self.member]
+        self._check_leak(max(np.abs(c.imag).max(), np.abs(outside).max(initial=0.0)), "state")
+        return c.real[self.strings]
+
+    def unvec(self, v: np.ndarray) -> np.ndarray:
+        full = np.zeros(4**self.num_qubits)
+        full[self.strings] = v
+        return _pauli_matrix(full, self.num_qubits)
+
+    def identity_stack(self) -> np.ndarray:
+        """The sector's basis columns as a (4,)*n + (S,) tensor."""
+        x = np.zeros((4**self.num_qubits, self.dimension))
+        x[self.strings, np.arange(self.dimension)] = 1.0
+        return x.reshape((4,) * self.num_qubits + (self.dimension,))
+
+    def restrict(self, xt: np.ndarray) -> np.ndarray:
+        """The S x S block of a (4,)*n + (S,) stack of sector columns,
+        refusing a stack with weight outside the sector."""
+        x = xt.reshape(4**self.num_qubits, -1)
+        if self.dimension < x.shape[0]:
+            self._check_leak(float(np.abs(x[~self.member]).max()), "sweep channel")
+        return x[self.strings]
+
+
+# ---------------------------------------------------------------------------
 # Per-sweep channel transfers: the exact density-matrix view of one sweep of
 # the trajectory engine, used as the oracle for Monte Carlo runs.  Each
 # micro-step acts on the qubits it touches, as a local superoperator on a
@@ -476,29 +632,21 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 _PADDING_TOL = 1e-10
 
 
-def apply_local_transfer(t_loc: np.ndarray, support, num_qubits: int, x: np.ndarray) -> np.ndarray:
-    """Apply a k-local transfer matrix to every column of a D^2 x N stack.
-
-    ``t_loc`` is the 4^k x 4^k transfer of a map on the ascending qubits
-    ``support``, in the column-stacking convention of this module.  The
-    result equals (t_loc padded with the identity elsewhere) @ x at
-    O(D^2 N 4^k) cost instead of O(D^4 N).
-    """
-    xt = x.reshape((2,) * (2 * num_qubits) + (x.shape[1],))
-    return apply_local_tensor(t_loc, support, num_qubits, xt).reshape(x.shape)
+def _apply_on_axes(op: np.ndarray, axes, xt: np.ndarray) -> np.ndarray:
+    """A local operator on the listed axes of a stack tensor, as a view in
+    the input's axis order: a chain of calls copies the stack once per call
+    (inside tensordot)."""
+    k = len(axes)
+    local = tuple(xt.shape[a] for a in axes)
+    out = np.tensordot(op.reshape(local * 2), xt, axes=(range(k, 2 * k), axes))
+    return np.moveaxis(out, range(k), axes)
 
 
 def apply_local_tensor(t_loc: np.ndarray, support, num_qubits: int, xt: np.ndarray) -> np.ndarray:
-    """``apply_local_transfer`` on a stack held as its (2,)*2n + (N,) tensor.
-
-    The result is a view in the input's axis order, not a contiguous copy,
-    so a chain of calls copies the stack once per call (inside tensordot)
-    and the caller reshapes to D^2 x N once at the end.
-    """
-    n, k = num_qubits, len(support)
-    axes = list(support) + [n + q for q in support]
-    out = np.tensordot(t_loc.reshape((2,) * (4 * k)), xt, axes=(range(2 * k, 4 * k), axes))
-    return np.moveaxis(out, range(2 * k), axes)
+    """A k-local column-stacked transfer applied to a D^2 x N stack held as
+    its (2,)*2n + (N,) tensor; equals (t_loc padded with the identity) @ x at
+    O(D^2 N 4^k) cost.  The result is a view, as in ``_apply_on_axes``."""
+    return _apply_on_axes(t_loc, list(support) + [num_qubits + q for q in support], xt)
 
 
 def _support_block(op: np.ndarray, table: np.ndarray, name: str) -> np.ndarray:
@@ -515,7 +663,7 @@ def _support_block(op: np.ndarray, table: np.ndarray, name: str) -> np.ndarray:
 
 
 class _MicroStep:
-    """One instrument of a sweep as local superoperators on its qubits.
+    """One instrument of a sweep as real Pauli-transfer blocks on its qubits.
 
     The qubits are the instrument's support joined with a local resampler's
     qubits.  An instrument without a support, or with a custom resampler,
@@ -532,72 +680,72 @@ class _MicroStep:
         table = support_index_table(num_qubits, qubits)
         e0 = _support_block(inst.e0, table, "E0")
         e1 = _support_block(inst.e1, table, "E1")
-        self.qubits, self.num_qubits, self.dim = qubits, num_qubits, inst.dimension
-        self.t0 = np.kron(e0.conj(), e0)
-        self.t_full = None
+        self.qubits = qubits
+        self.r0 = _pauli_transfer([e0])
+        self.r_full = None
         if res.kind is not ResamplerKind.GLOBAL:
-            t1 = np.kron(e1.conj(), e1)
+            r1 = _pauli_transfer([e1])
             if res.kind is ResamplerKind.LOCAL:
-                local = Resampler.local_mixed(qubits.index(q) for q in res.qubits)
-                t1 = resampler_transfer(local, len(qubits)).matrix @ t1
+                # I_S/d_S (x) tr_S keeps the strings that are I on S
+                keep = np.ones((4,) * len(qubits))
+                for q in res.qubits:
+                    keep[(slice(None),) * qubits.index(q) + (slice(1, None),)] = 0.0
+                r1 = keep.reshape(-1, 1) * r1
             elif res.kind is ResamplerKind.CUSTOM:
-                t1 = resampler_transfer(res, num_qubits).matrix @ t1
-            self.t_full = self.t0 + t1
+                r1 = _pauli_transfer(res.kraus) @ r1
+            self.r_full = self.r0 + r1
 
-    # both branches take and return a stack as its (2,)*2n + (N,) tensor
+    # both branches take and return a stack as its (4,)*n + (N,) tensor
     def success(self, xt: np.ndarray) -> np.ndarray:
-        return apply_local_tensor(self.t0, self.qubits, self.num_qubits, xt)
+        return _apply_on_axes(self.r0, self.qubits, xt)
 
     def channel(self, xt: np.ndarray) -> np.ndarray:
-        """Success plus failure branch; global resampling is
-        Y + |1/D>>(<<1|X - <<1|Y) with Y the success branch."""
-        if self.t_full is not None:
-            return apply_local_tensor(self.t_full, self.qubits, self.num_qubits, xt)
-        x = xt.reshape(self.dim**2, -1)
-        y = self.success(xt).reshape(x.shape)
-        diag = np.arange(self.dim) * (self.dim + 1)
-        y[diag] += (x[diag].sum(axis=0) - y[diag].sum(axis=0)) / self.dim
-        return y.reshape(xt.shape)
+        """Success plus failure branch.  Global resampling adds
+        |1/D>>(<<1|X - <<1|Y) to the success branch Y, which in this basis
+        gives the identity string the input's coefficient back."""
+        if self.r_full is not None:
+            return _apply_on_axes(self.r_full, self.qubits, xt)
+        y = self.success(xt)
+        ident = (0,) * len(xt.shape[:-1])
+        y[ident] = xt[ident]
+        return y
 
 
-def _eye_tensor(d: int, num_qubits: int) -> np.ndarray:
-    """The D^2 x D^2 identity stack as its (2,)*2n + (D^2,) tensor."""
-    return np.eye(d * d, dtype=np.complex128).reshape((2,) * (2 * num_qubits) + (d * d,))
+def sweep_transfer_product(instruments, num_qubits: int, sector: PauliSector | None = None):
+    """(T0_sweep, T1_sweep) for one forward-then-reversed sweep, as real
+    S x S transfers on ``sector`` (None: the trivial group, S = 4^n).
 
-
-def sweep_transfer_product(instruments, num_qubits: int):
-    """(T0_sweep, T1_sweep) for one forward-then-reversed sweep.
-
-    The success branch is conj(K) (x) K with K the product of the 2m E0
-    in sweep order; the failure branch is everything else: resampling
-    fires right after the failing term and the sweep continues, so
-    T1 = (full sweep channel) - T0.
+    The success branch composes the 2m success blocks in sweep order; the
+    failure branch is everything else: resampling fires right after the
+    failing term and the sweep continues, so T1 = (full sweep channel) - T0.
+    A sweep that leaves the sector raises ParameterError.
     """
     d = instruments[0].dimension
     _check_transfer_dim(d)
+    sector = sector if sector is not None else PauliSector(num_qubits)
     steps = [_MicroStep(inst, num_qubits) for inst in instruments]
-    full = _eye_tensor(d, num_qubits)
-    kraus = np.eye(d, dtype=np.complex128)
+    full = succ = sector.identity_stack()
     for v in list(range(len(steps))) + list(reversed(range(len(steps)))):
         full = steps[v].channel(full)
-        kraus = instruments[v].e0 @ kraus
-    full = full.reshape(d * d, d * d)
-    succ = np.kron(kraus.conj(), kraus)
-    return TransferMatrix(succ), TransferMatrix(full - succ)
+        succ = steps[v].success(succ)
+    t0 = sector.restrict(succ)
+    return TransferMatrix(t0, sector=sector), TransferMatrix(sector.restrict(full) - t0, sector=sector)
 
 
-def sweep_transfer_mixture(instruments, num_qubits: int):
-    """(T0_sweep, T1_sweep) for 2m uniformly sampled single-term micro-steps."""
+def sweep_transfer_mixture(instruments, num_qubits: int, sector: PauliSector | None = None):
+    """(T0_sweep, T1_sweep) for 2m uniformly sampled single-term micro-steps,
+    on ``sector`` as in ``sweep_transfer_product``."""
     m = len(instruments)
     d = instruments[0].dimension
     _check_transfer_dim(d)
-    eye = _eye_tensor(d, num_qubits)
+    sector = sector if sector is not None else PauliSector(num_qubits)
+    eye = sector.identity_stack()
     steps = [_MicroStep(inst, num_qubits) for inst in instruments]
-    a = sum(s.success(eye) for s in steps).reshape(d * d, d * d) / m
-    b = sum(s.channel(eye) for s in steps).reshape(d * d, d * d) / m
+    a = sum(sector.restrict(s.success(eye)) for s in steps) / m
+    b = sum(sector.restrict(s.channel(eye)) for s in steps) / m
     succ = np.linalg.matrix_power(a, 2 * m)
     full = np.linalg.matrix_power(b, 2 * m)
-    return TransferMatrix(succ), TransferMatrix(full - succ)
+    return TransferMatrix(succ, sector=sector), TransferMatrix(full - succ, sector=sector)
 
 
 def sweep_transfer_global(inst: Instrument):

@@ -281,16 +281,19 @@ def eigh_blocks(mat: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nda
     return evals[rank], evecs
 
 
-def diagonalize(ham: PauliHamiltonian, degeneracy_rtol: float = 1e-9) -> SpectralData:
+def diagonalize(
+    ham: PauliHamiltonian, degeneracy_rtol: float = 1e-9, *, h_dense: np.ndarray | None = None
+) -> SpectralData:
     """Full Hermitian eigendecomposition with a degeneracy threshold.
 
     H is solved one exact block at a time (``eigh_blocks``); below
     ``_BLOCK_MIN_DIM`` it is one block.  lambda1 is the smallest eigenvalue
     strictly above lambda0 plus the tolerance; for a fully degenerate
     spectrum (H proportional to 1) there is no second distinct eigenvalue
-    and lambda1 = lambda0 with gap 0.
+    and lambda1 = lambda0 with gap 0.  ``h_dense`` is ``to_dense(ham)`` when
+    the caller already holds it.
     """
-    mat = to_dense(ham)
+    mat = to_dense(ham) if h_dense is None else h_dense
     d = mat.shape[0]
     labels = block_labels(mat) if d >= _BLOCK_MIN_DIM else np.zeros(d, dtype=np.int64)
     evals, evecs = eigh_blocks(mat, labels)

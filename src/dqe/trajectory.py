@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import multiprocessing
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .agsp import agsp_chebyshev, agsp_linear
 from .errors import ConfigError, ParameterError
 from .instrument import (
     Instrument,
+    PauliSector,
     Resampler,
     TermInstrument,
     make_instrument,
@@ -107,14 +109,16 @@ class TrajectoryEngine:
         ham = cfg.hamiltonian
         self.num_qubits = ham.num_qubits
         self.dim = ham.dimension
-        self.spectral = spectral if spectral is not None else diagonalize(ham)
         self.h_dense = to_dense(ham)
+        if spectral is None:
+            spectral = diagonalize(ham, h_dense=self.h_dense)
+        self.spectral = spectral
         self.pi0 = self.spectral.ground_projector
         self.noisy_terms = None  # per-term (kraus0, kraus1, table) for the hot loop
         self.noisy_instruments = None
         if cfg.agsp_mode in ("linear-global", "chebyshev-global"):
             if cfg.agsp_mode == "linear-global":
-                agsp = agsp_linear(ham, self.spectral)
+                agsp = agsp_linear(ham, self.spectral, h_dense=self.h_dense)
             else:
                 agsp = agsp_chebyshev(self.spectral, cfg.cheb_degree, num_terms=ham.num_terms)
             # K is a function of H, so it shares H's eigenvectors
@@ -179,8 +183,17 @@ class TrajectoryEngine:
             return Resampler.local_mixed(support)
         return Resampler.global_mixed(self.dim)
 
+    @cached_property
+    def sector(self) -> PauliSector:
+        """The Hamiltonian's Pauli symmetry sector, built on first use: every
+        term, its instrument and each resampler commute with the twirl."""
+        return PauliSector.of(self.cfg.hamiltonian)
+
     def sweep_transfers(self, eps: float):
-        """(T0, T1) transfer pair of one engine sweep at constant eps."""
+        """(T0, T1) transfer pair of one engine sweep at constant eps: real
+        on ``sector`` for the local sweep modes, column-stacked for the
+        global ones."""
+        # looked up on the module at call time, where perfbench's probe sits
         from .instrument import (
             sweep_transfer_global,
             sweep_transfer_mixture,
@@ -188,11 +201,11 @@ class TrajectoryEngine:
         )
 
         insts = self.instruments_at(eps)
-        if self.cfg.agsp_mode == "linear-global" or self.cfg.agsp_mode == "chebyshev-global":
+        if self.k_global is not None:
             return sweep_transfer_global(insts[0])
         if self.cfg.agsp_mode == "product-sweep":
-            return sweep_transfer_product(insts, self.num_qubits)
-        return sweep_transfer_mixture(insts, self.num_qubits)
+            return sweep_transfer_product(insts, self.num_qubits, self.sector)
+        return sweep_transfer_mixture(insts, self.num_qubits, self.sector)
 
     def sweep_success_kraus(self, eps: float) -> np.ndarray:
         """Kraus operator of the all-zeros sweep branch at constant eps.

@@ -127,6 +127,47 @@ def dense_sweep_transfer_product(instruments, num_qubits):
     return succ, full - succ
 
 
+def dense_sweep_transfer_mixture(instruments, num_qubits):
+    """(T0, T1) of 2m uniformly sampled micro-steps by dense D^2 x D^2 algebra:
+    the averaged micro-transfers raised to the 2m-th power."""
+    from dqe import instrument as im
+
+    m = len(instruments)
+    micro = [
+        (
+            im.transfer_of_instrument_success(inst).matrix,
+            im.transfer_of_instrument_failure(inst, num_qubits).matrix,
+        )
+        for inst in instruments
+    ]
+    a = sum(t0 for t0, _ in micro) / m
+    b = sum(t0 + t1 for t0, t1 in micro) / m
+    succ = np.linalg.matrix_power(a, 2 * m)
+    return succ, np.linalg.matrix_power(b, 2 * m) - succ
+
+
+def column_stacked(t):
+    """A transfer written back in the column-stacking convention.
+
+    A Pauli-transfer matrix R on a sector becomes B R B^dag, where column s
+    of B is vec(P_s)/sqrt(D) for the sector's string s, each P_s built by
+    ``PauliString.to_matrix``; on the trivial sector B is unitary and this
+    is the whole map.  A column-stacked transfer is returned as it is.
+    """
+    from dqe import pauli
+
+    sector = t.sector
+    if sector is None:
+        return t.matrix
+    n = sector.num_qubits
+    cols = []
+    for idx in sector.strings:
+        factors = "".join("IXYZ"[(idx >> 2 * (n - 1 - q)) & 3] for q in range(n))
+        cols.append(pauli.PauliString(factors).to_matrix().reshape(-1, order="F"))
+    b = np.array(cols).T / np.sqrt(1 << n)
+    return b @ t.matrix @ b.conj().T
+
+
 def dense_stopped_general(t0, t1, rho0, n):
     """(state / tr, E(tau)) at run length n from explicit powers of T0 and
     dense solves of W = 1 - T1 sum_{j<n} T0^j, with no geometric-sum

@@ -12,6 +12,7 @@ from dqe import pauli, stopping as st, trajectory as tj
 
 from oracles import (
     chow_expected_rank_enumerated,
+    column_stacked,
     global_run_success_probs,
     markov_expected_absorption,
 )
@@ -150,14 +151,15 @@ def test_criterion_04_general_resampling_identities():
         # E1 (1-E0)^{-1} (needs spectral radius of E0 below 1, which the
         # Gamma = 1 two-qubit chain does not satisfy)
         for t0, t1 in ((t0g, t1g), (t0l, t1l)):
-            d2 = t0.matrix.shape[0]
+            t0, t1 = column_stacked(t0), column_stacked(t1)
+            d2 = t0.shape[0]
             row = im.trace_row(d)
-            t0n, g_n, _ = an.geometric_sums(t0.matrix, 4)
-            w = np.eye(d2) - t1.matrix @ g_n
+            t0n, g_n, _ = an.geometric_sums(t0, 4)
+            w = np.eye(d2) - t1 @ g_n
             lhs = np.linalg.solve(w.T, row @ t0n)
             worst_tp = max(worst_tp, float(np.abs(lhs - row).max()))
-            if np.abs(np.linalg.eigvals(t0.matrix)).max() < 1.0 - 1e-9:
-                lhs2 = np.linalg.solve((np.eye(d2) - t0.matrix).T, row @ t1.matrix)
+            if np.abs(np.linalg.eigvals(t0)).max() < 1.0 - 1e-9:
+                lhs2 = np.linalg.solve((np.eye(d2) - t0).T, row @ t1)
                 worst_tp = max(worst_tp, float(np.abs(lhs2 - row).max()))
     ok = worst_reduce <= 1e-8 and worst_trace <= 1e-8 and worst_tp <= 1e-8
     assert _report(

@@ -4,7 +4,12 @@ import pytest
 from dqe import agsp, analytics as an, instrument as im, pauli, stopping, trajectory
 from dqe.errors import IllConditionedError, ParameterError
 
-from oracles import dense_stopped_general, global_run_success_probs, markov_expected_absorption
+from oracles import (
+    column_stacked,
+    dense_stopped_general,
+    global_run_success_probs,
+    markov_expected_absorption,
+)
 
 
 def _weak_global(ham, eps, spectral=None):
@@ -144,12 +149,13 @@ class TestGeneralFormulas:
             else:
                 t0, t1, _ = _local_sweep(heis3, eps, spec3)
             n = 3
-            d2 = t0.matrix.shape[0]
+            t0m, t1m = column_stacked(t0), column_stacked(t1)
+            d2 = t0m.shape[0]
             rho0 = np.eye(8) / 8
-            t0n, g_n, _ = an.geometric_sums(t0.matrix, n)
-            w = np.eye(d2) - t1.matrix @ g_n
+            t0n, g_n, _ = an.geometric_sums(t0m, n)
+            w = np.eye(d2) - t1m @ g_n
             x = t0n @ np.linalg.solve(w, im.vec(rho0))
-            y = t0n @ np.linalg.solve(w, t1.matrix @ np.linalg.solve(np.eye(d2) - t0.matrix, x))
+            y = t0n @ np.linalg.solve(w, t1m @ np.linalg.solve(np.eye(d2) - t0m, x))
             row = im.trace_row(8)
             assert float((row @ y).real) == pytest.approx(1.0, abs=1e-7)
 
@@ -232,8 +238,10 @@ class TestStoppedWalk:
     @pytest.mark.parametrize("resampler", ["global", "local", "identity"])
     def test_matches_dense_reference(self, heis3, resampler):
         t0, t1, _ = _engine_transfers(heis3, resampler, 0.3)
+        # the engine's sector transfers written back in column stacking
+        t0, t1 = column_stacked(t0), column_stacked(t1)
         rho0 = np.eye(8) / 8
-        refs = {n: dense_stopped_general(t0.matrix, t1.matrix, rho0, n) for n in range(1, 10)}
+        refs = {n: dense_stopped_general(t0, t1, rho0, n) for n in range(1, 10)}
         for ns in self.TABLES:
             table = an.expected_stopped_general(t0, t1, rho0, ns)
             assert [r.n for r in table] == ns

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dqe import _kernels, agsp, circuits as cc, instrument as im, pauli
+from dqe import _kernels, agsp, analytics as an, circuits as cc, instrument as im, pauli
 from dqe import stopping as stp, trajectory as tj
 from dqe.errors import InvalidAgspError, ParameterError, SingularFixedPointError
 
 from oracles import (
+    column_stacked,
+    dense_stopped_general,
+    dense_sweep_transfer_mixture,
     dense_sweep_transfer_product,
     global_run_success_probs,
     markov_expected_absorption,
@@ -353,7 +356,7 @@ class TestSweepTransfers:
         ]
         t0, t1 = im.sweep_transfer_product(insts, 3)
         row = im.trace_row(8)
-        assert np.abs(row @ (t0.matrix + t1.matrix) - row).max() <= 1e-9
+        assert np.abs(row @ (column_stacked(t0) + column_stacked(t1)) - row).max() <= 1e-9
 
     def test_mixture_sweep_trace_preserving(self, heis2, spec2):
         a = agsp.agsp_linear(heis2, spec2)
@@ -365,7 +368,7 @@ class TestSweepTransfers:
         ]
         t0, t1 = im.sweep_transfer_mixture(insts, 2)
         row = im.trace_row(4)
-        assert np.abs(row @ (t0.matrix + t1.matrix) - row).max() <= 1e-9
+        assert np.abs(row @ (column_stacked(t0) + column_stacked(t1)) - row).max() <= 1e-9
 
 
 @st.composite
@@ -384,14 +387,19 @@ def pauli_hamiltonians(draw):
     return pauli.PauliHamiltonian(n, tuple(terms))
 
 
-def _sweep_instruments(ham, eps, resampler):
+def _sweep_engine(ham, eps, resampler, agsp_mode="product-sweep"):
     cfg = tj.RunConfig(
         ham,
+        agsp_mode=agsp_mode,
         schedule=stp.EpsilonSchedule.constant(eps),
         resampler=resampler,
         rule=stp.FirstRunOfZeros(2),
     )
-    return tj.TrajectoryEngine(cfg).instruments_at(eps)
+    return tj.TrajectoryEngine(cfg)
+
+
+def _sweep_instruments(ham, eps, resampler):
+    return _sweep_engine(ham, eps, resampler).instruments_at(eps)
 
 
 _NON_ADJACENT = pauli.PauliHamiltonian(
@@ -404,23 +412,53 @@ _NON_ADJACENT = pauli.PauliHamiltonian(
 )
 
 
+# Above this E(tau), W's conditioning puts two float64 solves more than 1e-10
+# apart: at n = 3 the non-adjacent example below has E(tau) = 3.6e4, and
+# against a 30-digit solve the dense reference is off by 1.5e-10 and the
+# sector walk by 4e-12.
+_TAU_COMPARED = 1e4
+
+_SWEEPS = {
+    "product-sweep": (im.sweep_transfer_product, dense_sweep_transfer_product),
+    "mixture-random": (im.sweep_transfer_mixture, dense_sweep_transfer_mixture),
+}
+
+
 class TestLocalSweepTransfer:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
         ham=pauli_hamiltonians(),
         eps=st.floats(0.0, 1.0, exclude_min=True),
         resampler=st.sampled_from(("global", "local", "identity")),
+        mode=st.sampled_from(sorted(_SWEEPS)),
     )
-    @example(ham=_NON_ADJACENT, eps=0.5, resampler="local")
-    @example(ham=_NON_ADJACENT, eps=1.0, resampler="global")
-    def test_matches_dense_reference(self, ham, eps, resampler):
-        insts = _sweep_instruments(ham, eps, resampler)
-        t0, t1 = im.sweep_transfer_product(insts, ham.num_qubits)
-        r0, r1 = dense_sweep_transfer_product(insts, ham.num_qubits)
-        assert np.abs(t0.matrix - r0).max() <= 1e-13
-        assert np.abs(t1.matrix - r1).max() <= 1e-13
+    @example(ham=_NON_ADJACENT, eps=0.5, resampler="local", mode="product-sweep")
+    @example(ham=_NON_ADJACENT, eps=1.0, resampler="global", mode="product-sweep")
+    @example(ham=_NON_ADJACENT, eps=0.5, resampler="identity", mode="mixture-random")
+    def test_matches_dense_reference(self, ham, eps, resampler, mode):
+        engine = _sweep_engine(ham, eps, resampler, mode)
+        insts = engine.instruments_at(eps)
+        sweep, dense_sweep = _SWEEPS[mode]
+        # the trivial sector holds the whole map
+        t0, t1 = sweep(insts, ham.num_qubits)
+        r0, r1 = dense_sweep(insts, ham.num_qubits)
+        assert np.abs(column_stacked(t0) - r0).max() <= 1e-13
+        assert np.abs(column_stacked(t1) - r1).max() <= 1e-13
         row = im.trace_row(ham.dimension)
-        assert np.abs(row @ (t0.matrix + t1.matrix) - row).max() <= 1e-12
+        assert np.abs(row @ (column_stacked(t0) + column_stacked(t1)) - row).max() <= 1e-12
+        # the engine's sector gives the stopped process of the dense reference
+        s0, s1 = engine.sweep_transfers(eps)
+        assert s0.matrix.dtype == s1.matrix.dtype == np.float64
+        assert s0.matrix.shape[0] == engine.sector.dimension
+        rho0 = np.eye(ham.dimension) / ham.dimension
+        for n in (1, 2, 3):
+            state, tau = dense_stopped_general(r0, r1, rho0, n)
+            if tau > _TAU_COMPARED:
+                continue
+            (res,) = an.expected_stopped_general(s0, s1, rho0, [n])
+            overlap = np.trace(engine.pi0 @ res.state).real
+            assert overlap == pytest.approx(np.trace(engine.pi0 @ state).real, rel=1e-10)
+            assert res.tau == pytest.approx(tau, rel=1e-10)
 
     def test_local_action_matches_padded_transfer(self, rng):
         # a 2-qubit map on qubits (0, 2) of 3, applied to a stack of columns
@@ -429,22 +467,16 @@ class TestLocalSweepTransfer:
         full = np.zeros((8, 8), dtype=complex)
         full[table[:, :, None], table[:, None, :]] = a
         x = rng.normal(size=(64, 5)) + 1j * rng.normal(size=(64, 5))
-        out = im.apply_local_transfer(np.kron(a.conj(), a), (0, 2), 3, x)
+        xt = x.reshape((2,) * 6 + (5,))
+        out = im.apply_local_tensor(np.kron(a.conj(), a), (0, 2), 3, xt).reshape(x.shape)
         assert np.abs(out - np.kron(full.conj(), full) @ x).max() <= 1e-12
 
     def test_mixture_matches_dense_composition(self, heis2):
         insts = _sweep_instruments(heis2, 0.3, "local")
-        m = len(insts)
-        micro = [
-            (im.transfer_of_instrument_success(i).matrix, im.transfer_of_instrument_failure(i, 2).matrix)
-            for i in insts
-        ]
-        a = sum(t0 for t0, _ in micro) / m
-        b = sum(t0 + t1 for t0, t1 in micro) / m
-        succ = np.linalg.matrix_power(a, 2 * m)
+        succ, fail = dense_sweep_transfer_mixture(insts, 2)
         t0, t1 = im.sweep_transfer_mixture(insts, 2)
-        assert np.abs(t0.matrix - succ).max() <= 1e-13
-        assert np.abs(t1.matrix - (np.linalg.matrix_power(b, 2 * m) - succ)).max() <= 1e-13
+        assert np.abs(column_stacked(t0) - succ).max() <= 1e-13
+        assert np.abs(column_stacked(t1) - fail).max() <= 1e-13
 
     @pytest.mark.parametrize("branch", ["e0", "e1"])
     def test_unpadded_instrument_refused(self, heis3, branch):
@@ -455,6 +487,107 @@ class TestLocalSweepTransfer:
         bad = im.Instrument(ops["e0"], ops["e1"], inst.resampler, support=inst.support)
         with pytest.raises(ParameterError, match="outside its declared support"):
             im.sweep_transfer_product([bad], 3)
+
+
+def _pauli_of(sector, idx):
+    n = sector.num_qubits
+    return "".join("IXYZ"[(idx >> 2 * (n - 1 - q)) & 3] for q in range(n))
+
+
+def _symmetries(sector):
+    """Every element of the sector's group G as a Pauli string, phases dropped."""
+    n, gens = sector.num_qubits, sector.generators
+    out = []
+    for mask in range(1 << len(gens)):
+        g = np.zeros(2 * n, dtype=np.uint8)
+        for j in range(len(gens)):
+            if mask >> j & 1:
+                g ^= gens[j]
+        out.append("".join("IXZY"[x + 2 * z] for x, z in zip(g[:n], g[n:])))
+    return out
+
+
+class TestPauliSector:
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_heisenberg_symmetries(self, n, periodic):
+        sector = im.PauliSector.of(pauli.build_heisenberg_chain(n, periodic))
+        assert sorted(_symmetries(sector)) == sorted(c * n for c in "IXYZ")
+        assert sector.dimension == 4**n // 4
+
+    def test_maxsat_sector_is_diagonal(self):
+        ham = pauli.build_maxsat(4, [((0, 1), "01"), ((1, 2), "11"), ((2, 3), "10"), ((3,), "0")])
+        sector = im.PauliSector.of(ham)
+        assert len(_symmetries(sector)) == 2**4
+        assert sector.dimension == ham.dimension
+        assert all(set(_pauli_of(sector, s)) <= set("IZ") for s in sector.strings)
+
+    def test_x_and_z_everywhere_is_trivial(self):
+        n = 3
+        terms = []
+        for q in range(n):
+            for c in "XZ":
+                factors = ["I"] * n
+                factors[q] = c
+                terms.append(pauli.PauliTerm(0.5, pauli.PauliString("".join(factors))))
+        sector = im.PauliSector.of(pauli.PauliHamiltonian(n, tuple(terms)))
+        assert _symmetries(sector) == ["III"]
+        assert sector.dimension == 4**n
+
+    @pytest.mark.parametrize(
+        "ham", [pauli.build_heisenberg_chain(3), _NON_ADJACENT], ids=["heis3", "non-adjacent"]
+    )
+    def test_strings_commute_with_every_symmetry(self, ham):
+        sector = im.PauliSector.of(ham)
+        group = [pauli.PauliString(g).to_matrix() for g in _symmetries(sector)]
+        assert len(set(_symmetries(sector))) == len(group) == 4**ham.num_qubits // sector.dimension
+        for t in ham.terms:
+            h = t.string.to_matrix()
+            assert all(np.array_equal(g @ h, h @ g) for g in group)
+        member = set(sector.strings.tolist())
+        for idx in range(4**ham.num_qubits):
+            p = pauli.PauliString(_pauli_of(sector, idx)).to_matrix()
+            commutes = all(np.array_equal(g @ p, p @ g) for g in group)
+            assert commutes == (idx in member)
+
+    def test_non_covariant_resampler_leaks(self, heis2):
+        # a Hadamard on qubit 0 maps XX, inside the sector, to ZX, outside it
+        had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        reset = im.Resampler.custom([np.kron(had, np.eye(2))])
+        term = im.TermInstrument(heis2.terms[2], 1.0)
+        inst = term.instrument(0.3, reset)
+        t0, _ = im.sweep_transfer_product([inst], 2)
+        assert t0.matrix.shape == (16, 16)
+        with pytest.raises(ParameterError, match="leaves the Pauli symmetry sector"):
+            im.sweep_transfer_product([inst], 2, im.PauliSector.of(heis2))
+
+    def test_engine_sector_is_lazy_and_real(self, heis3):
+        engine = _sweep_engine(heis3, 0.3, "local")
+        assert "sector" not in engine.__dict__
+        t0, t1 = engine.sweep_transfers(0.3)
+        assert engine.sector.dimension == 16
+        assert t0.sector is t1.sector is engine.sector
+        assert t0.matrix.shape == t1.matrix.shape == (16, 16)
+        assert t0.matrix.dtype == t1.matrix.dtype == np.float64
+        rho = np.eye(8) / 8
+        assert np.abs(t0.apply(rho) - im.unvec(column_stacked(t0) @ im.vec(rho))).max() <= 1e-15
+
+    def test_state_outside_sector_refused(self, heis3):
+        t0, t1 = _sweep_engine(heis3, 0.3, "local").sweep_transfers(0.3)
+        ket0 = np.zeros((8, 8))
+        ket0[0, 0] = 1.0  # holds Z on qubit 0, which anticommutes with XXX
+        with pytest.raises(ParameterError, match="leaves the Pauli symmetry sector"):
+            an.expected_stopped_general(t0, t1, ket0, [1])
+
+    def test_round_trip(self, rng, heis3):
+        sector = im.PauliSector.of(heis3)
+        rho = sum(
+            c * pauli.PauliString(_pauli_of(sector, s)).to_matrix()
+            for c, s in zip(rng.normal(size=sector.dimension), sector.strings)
+        )
+        v = sector.vec(rho)
+        assert np.abs(sector.unvec(v) - rho).max() <= 1e-13
+        assert sector.trace_row @ v == pytest.approx(np.trace(rho).real, abs=1e-13)
 
 
 class TestCustomResampler:

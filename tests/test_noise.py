@@ -5,7 +5,7 @@ from dqe import agsp, analytics as an, instrument as im, noise as nz, pauli
 from dqe import stopping as st, trajectory as tj
 from dqe.errors import InvalidNoiseError
 
-from oracles import dense_noisy_sweep_success_transfer, iterative_free_decay_overlaps
+from oracles import column_stacked, dense_noisy_sweep_success_transfer, iterative_free_decay_overlaps
 
 
 class TestDepolarizingTomography:
@@ -105,7 +105,7 @@ class TestChannelPerturbation:
         pert = nz.perturb_instrument(inst, nz.ChannelPerturbation(1e-2, seed=2))
         assert pert.support is None
         t0, _ = im.sweep_transfer_product([pert], 2)
-        assert np.abs(t0.matrix - np.kron((pert.e0 @ pert.e0).conj(), pert.e0 @ pert.e0)).max() <= 1e-13
+        assert np.abs(column_stacked(t0) - np.kron((pert.e0 @ pert.e0).conj(), pert.e0 @ pert.e0)).max() <= 1e-13
 
     def test_norm_guard(self):
         p = np.diag([1.0, 0.0]).astype(complex)

@@ -367,3 +367,71 @@ class TestLocalResampleDraw:
             p = probs / probs.sum()
             assert tj._choice(a, p) == int(b.choice(k, p=p))
         assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestOneDenseH:
+    @pytest.mark.parametrize("mode", ["product-sweep", "linear-global"])
+    def test_engine_build_makes_one_dense_h(self, heis4, monkeypatch, mode):
+        from dqe import agsp
+
+        calls = []
+        real = pauli.to_dense
+
+        def counting(ham):
+            calls.append(ham)
+            return real(ham)
+
+        for module in (pauli, tj, agsp):
+            monkeypatch.setattr(module, "to_dense", counting)
+        engine = tj.TrajectoryEngine(_cfg(heis4, agsp_mode=mode))
+        assert len(calls) == 1
+        assert np.array_equal(engine.h_dense, real(heis4))
+
+
+class _StubRng:
+    """Pinned draws: every uniform is ``u`` and every integer ``index``."""
+
+    def __init__(self, u: float, index: int):
+        self.u, self.index = u, index
+
+    def random(self):
+        return self.u
+
+    def integers(self, high):
+        return self.index
+
+
+class TestSilentFallbacks:
+    """Both fallbacks reset to the pinned basis state and report a failure."""
+
+    def _state(self, engine, psi, index):
+        ts = tj._TrajectoryState(engine, np.random.SeedSequence(0))
+        ts.psi[:] = psi
+        ts.rng = _StubRng(u=2.0, index=index)  # u >= p0: the failure branch
+        return ts
+
+    def test_clean_local_p1_underflow_resets(self, heis2):
+        engine = tj.TrajectoryEngine(_cfg(heis2, agsp_mode="product-sweep", resampler="local"))
+        term = engine.terms[0]
+        assert term.term.string.factors == "XX" and term.weight == 1.0
+        # the XX = -1 state is where the weight-1 E0 is the identity: p1 = 0
+        psi = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+        ts = self._state(engine, psi, index=3)
+        assert tj._measure_term_clean(ts, term, term.coefficients(0.3), "local") == 1
+        assert np.array_equal(ts.psi, np.eye(4)[3])
+
+    @pytest.mark.parametrize(
+        "m0,kraus1",
+        [
+            (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),  # p1 = 1 - p0 = 0
+            (np.diag([0.5, 0.5]), np.diag([0.0, 1.0])),  # p1 = 1/2, E1 psi = 0
+        ],
+        ids=["p1-underflow", "kraus-underflow"],
+    )
+    def test_noisy_underflow_resets(self, ham_z, m0, kraus1):
+        engine = tj.TrajectoryEngine(_cfg(ham_z, agsp_mode="product-sweep"))
+        ts = self._state(engine, np.array([1.0, 0.0]), index=1)
+        table = pauli.support_index_table(1, (0,))
+        nt = ((np.diag([1.0, 0.0]),), (kraus1.astype(complex),), table, m0)
+        assert tj._measure_term_noisy(ts, nt, "local") == 1
+        assert np.array_equal(ts.psi, np.eye(2)[1])
