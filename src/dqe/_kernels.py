@@ -1,9 +1,15 @@
 """Hot numeric kernels of the Monte Carlo trajectory loop.
 
-The loop spends nearly all its time in three operations: applying a
-phase-permutation (Pauli string) to a state vector, applying a small dense
-operator to a subset of qubits, and scanning outcome streams for stopping
-decisions.  Each is a plain numpy function.
+The clean loop acts on the state with Pauli strings: ``pauli_expect``
+writes h|psi> into a buffer by one multiply on an axis-flipped view of the
+state and returns the two inner products that fix both branch weights, and
+``axpb_pauli`` then overwrites the state with a psi + b h psi.  The noisy
+loop applies small dense operators to a subset of qubits
+(``apply_local``, ``local_quadform``); the local resampler reads the
+support marginals (``local_probs``) and moves one slice
+(``project_replace``); the secretary rule scans outcome streams.  Every
+kernel that changes the state writes it in place, so a trajectory's state
+is one buffer from start to end.  Each is a plain numpy function.
 """
 
 from __future__ import annotations
@@ -14,17 +20,26 @@ import numpy as np
 USING_NUMBA = False
 
 
-def axpb_pauli(psi, out, perm, phase, a, b):
-    """out = a*psi + b*h(psi) where h permutes amplitudes with phases.
+def pauli_expect(pair, flipped, hphase, out):
+    """Write h psi into ``out`` and return (<psi|h psi>, <psi|psi>).
 
-    ``h(psi)[i] = phase[perm[i]] * psi[perm[i]]`` (perm is an involution).
-    Returns the squared 2-norm of ``out``.
+    h psi is one multiply: ``flipped`` is psi's tensor with the string's X
+    and Y axes reversed (a view, no gather), ``hphase`` its phases, and
+    ``out`` a view of the h psi buffer of the same shape.  ``pair`` is the
+    float64 view of the stacked rows (psi, h psi), so one matrix-vector
+    product gives <psi|psi> and Re <psi|h psi>, which is all of it for a
+    Hermitian h.
     """
-    np.multiply(phase, psi, out=out)
-    out[:] = out[perm]
-    out *= b
-    out += a * psi
-    return float(np.vdot(out, out).real)
+    np.multiply(flipped, hphase, out=out)
+    nn, hh = np.dot(pair, pair[0]).tolist()
+    return hh, nn
+
+
+def axpb_pauli(psi, hpsi, a, b):
+    """psi <- a psi + b hpsi in place; ``hpsi`` is overwritten too."""
+    hpsi *= b
+    psi *= a
+    psi += hpsi
 
 
 def apply_local(psi, out, idx, op):
@@ -37,6 +52,8 @@ def apply_local(psi, out, idx, op):
 def local_probs(psi, idx):
     """Born weights of the d local basis assignments indexed by idx columns."""
     block = psi[idx]
+    if block.dtype.kind != "c":
+        return np.einsum("rd,rd->d", block, block)
     return np.einsum("rd,rd->d", block.real, block.real) + np.einsum(
         "rd,rd->d", block.imag, block.imag
     )
@@ -48,10 +65,13 @@ def local_quadform(psi, idx, op):
     return float(np.vdot(block, block @ op.T).real)
 
 
-def project_replace(psi, out, idx, a_old, a_new, scale):
-    """Keep the a_old slice of psi, move it to the a_new slice, rescale."""
-    out[:] = 0.0
-    out[idx[:, a_new]] = psi[idx[:, a_old]] * scale
+def project_replace(psi, idx, a_old, a_new, scale):
+    """In place: keep the a_old slice of psi, move it to the a_new slice,
+    rescale, and zero the rest."""
+    kept = psi[idx[:, a_old]]
+    kept *= scale
+    psi[:] = 0.0
+    psi[idx[:, a_new]] = kept
 
 
 def secretary_scan(lengths, obs, horizon, coins):

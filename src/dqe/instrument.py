@@ -211,9 +211,11 @@ class TermInstrument:
     pair and the embedded instrument are built from it, and the dilation
     angles (``dilation_angles``) have cos(phi) and cos(theta) equal to its
     eigenvalues of E0.
-    ``table``, ``perm`` and ``phase`` act on the full register: the term's
-    support index table and the phase-permutation h|psi> = (phase psi)[perm].
-    They hold 2^n entries each, so like the local matrices they are built on
+    ``table``, ``perm``, ``phase`` and ``hphase`` act on the full register:
+    the term's support index table, the phase-permutation
+    h|psi> = (phase psi)[perm], and its phases on the state's tensor,
+    h|psi> = hphase * psi[flips], where ``flips`` reverses the X and Y axes.  They
+    hold 2^n entries each, so like the local matrices they are built on
     first use: the closed form, the local Kraus pair and the angles stay
     O(4^k) on any register size.
     """
@@ -253,6 +255,37 @@ class TermInstrument:
         return self._perm_and_phase[1]
 
     @cached_property
+    def _tensor_axes(self) -> tuple[tuple[int, ...], tuple[slice, ...]]:
+        """The state as a tensor with one axis per run of adjacent qubits
+        that the string flips (X, Y) or keeps (I, Z), and the index that
+        reverses the flipped axes: reversing an axis of 2^k entries flips
+        all k of its qubits, so psi[flips] is a view whose entry i is
+        psi[perm[i]]."""
+        rev, keep = slice(None, None, -1), slice(None)
+        shape, flips = [], []
+        for c in self.term.string.factors:
+            f = rev if c in "XY" else keep
+            if flips and flips[-1] is f:
+                shape[-1] *= 2
+            else:
+                shape.append(2)
+                flips.append(f)
+        return tuple(shape), tuple(flips)
+
+    @property
+    def flips(self) -> tuple[slice, ...]:
+        return self._tensor_axes[1]
+
+    @cached_property
+    def hphase(self) -> np.ndarray:
+        """phase[perm] on the tensor of ``flips``, so h psi = hphase * psi[flips];
+        float64 when the string is real (an even number of Y factors)."""
+        ph = self.phase[self.perm]
+        if self.term.string.is_real:
+            ph = ph.real.copy()
+        return ph.reshape(self._tensor_axes[0])
+
+    @cached_property
     def h_local(self) -> np.ndarray:
         """h_v on the support qubits; an identity term has h_v = 1 on a
         trivial support."""
@@ -281,6 +314,16 @@ class TermInstrument:
             complex((s_phi + s_theta) / 2.0),
             complex(-s * (s_phi - s_theta) / 2.0),
         )
+
+    def branch_row(self, eps: float) -> tuple[float, ...]:
+        """(a0, b0, a1, b1, A0, B0, A1, B1) as real floats.
+
+        h_v^2 = 1 and a_b, b_b are real, so E_b^dag E_b = A_b + B_b h_v with
+        A_b = a_b^2 + b_b^2 and B_b = 2 a_b b_b: the Born weight of branch
+        b on a state psi is A_b + B_b <psi|h_v psi> / <psi|psi>.
+        """
+        a0, b0, a1, b1 = (c.real for c in self.coefficients(eps))
+        return (a0, b0, a1, b1, a0 * a0 + b0 * b0, 2.0 * a0 * b0, a1 * a1 + b1 * b1, 2.0 * a1 * b1)
 
     def kraus(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
         """The local 2^k x 2^k pair (E0, E1) on the term's support."""

@@ -52,6 +52,11 @@ class PauliString:
     def support(self) -> tuple[int, ...]:
         return tuple(q for q, c in enumerate(self.factors) if c != "I")
 
+    @property
+    def is_real(self) -> bool:
+        """True when the matrix is real: an even number of Y factors."""
+        return self.factors.count("Y") % 2 == 0
+
     def masks(self) -> tuple[int, int, int]:
         """(flip mask, phase mask, Y count) for the phase-permutation action.
 

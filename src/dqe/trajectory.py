@@ -10,6 +10,8 @@ stream, so runs are embarrassingly parallel and bit-reproducible.
 from __future__ import annotations
 
 import copy
+import itertools
+import math
 import multiprocessing
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -116,6 +118,8 @@ class TrajectoryEngine:
         self.pi0 = self.spectral.ground_projector
         self.noisy_terms = None  # per-term (kraus0, kraus1, table) for the hot loop
         self.noisy_instruments = None
+        self.state_dtype = np.complex128
+        self._branch_rows = {}  # eps -> per-term TermInstrument.branch_row
         if cfg.agsp_mode in ("linear-global", "chebyshev-global"):
             if cfg.agsp_mode == "linear-global":
                 agsp = agsp_linear(ham, self.spectral, h_dense=self.h_dense)
@@ -128,6 +132,12 @@ class TrajectoryEngine:
         else:
             self.k_global = None
             self.terms = term_instruments(ham, cfg.weighting)
+            m = len(self.terms)
+            self.sweep_order = tuple(range(m)) + tuple(range(m - 1, -1, -1))
+            # the state stays real when every operator the sampler applies
+            # is: no Kraus branches, and each term has an even number of Ys
+            if cfg.noise is None and all(t.string.is_real for t in ham.terms):
+                self.state_dtype = np.float64
             if cfg.noise is not None:
                 from .noise import noisy_term_instrument
 
@@ -165,6 +175,13 @@ class TrajectoryEngine:
         bound = copy.copy(self)
         bound.cfg = cfg
         return bound
+
+    def branch_rows(self, eps: float) -> list[tuple[float, ...]]:
+        """Per-term ``TermInstrument.branch_row`` at eps, built once per eps."""
+        rows = self._branch_rows.get(eps)
+        if rows is None:
+            rows = self._branch_rows[eps] = [t.branch_row(eps) for t in self.terms]
+        return rows
 
     # -- instruments for the analytics oracle ------------------------------
 
@@ -236,64 +253,88 @@ def measure_observables(state, h_dense, pi0):
 
 
 class _TrajectoryState:
-    """Mutable per-trajectory workspace: state vector, buffers, rng."""
+    """Mutable per-trajectory workspace: state vector, buffer, rng.
+
+    ``psi`` and ``buf`` are the two rows of one array, and they are the
+    same buffers for the whole trajectory: every update writes psi in
+    place, and buf only holds intermediates such as h psi.  Views of them
+    taken once therefore stay valid.
+    """
 
     def __init__(self, engine: TrajectoryEngine, seed_seq):
         self.rng = np.random.default_rng(seed_seq)
         d = engine.dim
-        self.psi = np.zeros(d, dtype=np.complex128)
+        pair = np.zeros((2, d), dtype=engine.state_dtype)
+        self.psi, self.buf = pair
         self.psi[self.rng.integers(d)] = 1.0
-        self.buf = np.empty(d, dtype=np.complex128)
-        self.eps = None  # eps of the cached per-term coefficients
-        self.coeffs = None
+        self.pair = pair.view(np.float64)
+        self.views = {}  # term -> its pauli_expect arguments
+
+    def pauli_views(self, term: TermInstrument):
+        """``pauli_expect``'s arguments for the term, built on first use."""
+        views = self.views.get(term)
+        if views is None:
+            shape = term.hphase.shape
+            flipped = self.psi.reshape(shape)[term.flips]
+            views = self.views[term] = (self.pair, flipped, term.hphase, self.buf.reshape(shape))
+        return views
 
     def reset_random_basis(self):
         self.psi[:] = 0.0
         self.psi[self.rng.integers(self.psi.shape[0])] = 1.0
 
 
-def _measure_term_clean(ts: _TrajectoryState, term: TermInstrument, coeffs, resampler: str) -> int:
+def _measure_term_clean(ts: _TrajectoryState, term: TermInstrument, row, resampler: str) -> int:
     """One weak measurement of a Pauli term; returns the outcome bit.
 
-    ``coeffs`` is ``term.coefficients(eps)``: each branch is a0 psi + b0 h psi.
+    ``row`` is ``term.branch_row(eps)``.  One Pauli action gives h psi and
+    <psi|h psi>, which fix both branch weights in closed form; the chosen
+    branch a psi + b h psi is written into psi, divided by its norm
+    sqrt(p <psi|psi>), so rounding in the norm does not accumulate.
     """
-    a0, b0, a1, b1 = coeffs
-    p0 = _kernels.axpb_pauli(ts.psi, ts.buf, term.perm, term.phase, a0, b0)
+    a0, b0, a1, b1, c0, d0, c1, d1 = row
+    hh, nn = _kernels.pauli_expect(*ts.pauli_views(term))
+    x = hh / nn
+    p0 = c0 + d0 * x
     u = ts.rng.random()
     if u < p0 and p0 > 1e-15:
-        ts.buf *= 1.0 / np.sqrt(p0)
-        ts.psi, ts.buf = ts.buf, ts.psi
+        s = 1.0 / math.sqrt(p0 * nn)
+        _kernels.axpb_pauli(ts.psi, ts.buf, a0 * s, b0 * s)
         return 0
     if resampler == "global":
         ts.reset_random_basis()
         return 1
-    p1 = _kernels.axpb_pauli(ts.psi, ts.buf, term.perm, term.phase, a1, b1)
+    p1 = c1 + d1 * x
     if p1 < 1e-15:
         ts.reset_random_basis()
         return 1
-    ts.buf *= 1.0 / np.sqrt(p1)
-    ts.psi, ts.buf = ts.buf, ts.psi
+    s = 1.0 / math.sqrt(p1 * nn)
+    _kernels.axpb_pauli(ts.psi, ts.buf, a1 * s, b1 * s)
     if resampler == "local" and term.support:
         _local_measure_replace(ts, term.table)
     return 1
 
 
-def _choice(rng, p: np.ndarray) -> int:
-    """``rng.choice(p.size, p=p)`` without its argument checks: the same cdf
-    and the same single uniform, so the same index and the same stream."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _choice(rng, weights) -> int:
+    """``rng.choice(len(p), p=p)`` for p the normalised weights, without its
+    argument checks or arrays: the running sums over their last (one
+    division, which also normalises), the same single uniform and the same
+    right-sided search, so the same stream and, for normalised weights, the
+    same index."""
+    cdf = list(itertools.accumulate(weights))
+    u = rng.random()
+    last = cdf[-1]
+    for i, c in enumerate(cdf):
+        if c / last > u:
+            return i
+    return len(cdf)
 
 
 def _local_measure_replace(ts: _TrajectoryState, table: np.ndarray):
-    probs = _kernels.local_probs(ts.psi, table)
-    total = probs.sum()
-    a_old = _choice(ts.rng, probs / total)
-    a_new = int(ts.rng.integers(probs.size))
-    scale = 1.0 / np.sqrt(probs[a_old])
-    _kernels.project_replace(ts.psi, ts.buf, table, a_old, a_new, scale)
-    ts.psi, ts.buf = ts.buf, ts.psi
+    probs = _kernels.local_probs(ts.psi, table).tolist()
+    a_old = _choice(ts.rng, probs)
+    a_new = int(ts.rng.integers(len(probs)))
+    _kernels.project_replace(ts.psi, table, a_old, a_new, 1.0 / math.sqrt(probs[a_old]))
 
 
 def _lazy_kraus_apply(ts: _TrajectoryState, kraus, table, total: float) -> bool:
@@ -301,27 +342,22 @@ def _lazy_kraus_apply(ts: _TrajectoryState, kraus, table, total: float) -> bool:
 
     Walks the (weight-sorted) Kraus list accumulating norms until the
     sampled target is passed; the accepted operator's output is already in
-    the buffer, so the dominant operator usually costs one application.
+    the buffer, so the dominant operator usually costs one application.  It
+    is written back into psi, normalised.
     """
     if len(kraus) == 1:
         norm = _kernels.apply_local(ts.psi, ts.buf, table, kraus[0])
-        if norm < 1e-15:
-            return False
-        ts.buf *= 1.0 / np.sqrt(norm)
-        ts.psi, ts.buf = ts.buf, ts.psi
-        return True
-    target = ts.rng.random() * total
-    acc = 0.0
-    norm = 0.0
-    for op in kraus:
-        norm = _kernels.apply_local(ts.psi, ts.buf, table, op)
-        acc += norm
-        if acc >= target:
-            break
+    else:
+        target = ts.rng.random() * total
+        acc = 0.0
+        for op in kraus:
+            norm = _kernels.apply_local(ts.psi, ts.buf, table, op)
+            acc += norm
+            if acc >= target:
+                break
     if norm < 1e-15:
         return False
-    ts.buf *= 1.0 / np.sqrt(norm)
-    ts.psi, ts.buf = ts.buf, ts.psi
+    np.multiply(ts.buf, 1.0 / np.sqrt(norm), out=ts.psi)
     return True
 
 
@@ -361,7 +397,7 @@ def _global_measure(ts: _TrajectoryState, engine: TrajectoryEngine, eps: float) 
     p0 = float(np.vdot(phi0, phi0).real)
     u = ts.rng.random()
     if u < p0 and p0 > 1e-15:
-        ts.psi = phi0 / np.sqrt(p0)
+        np.divide(phi0, np.sqrt(p0), out=ts.psi)
         return 0
     if engine.cfg.resampler == "global":
         ts.reset_random_basis()
@@ -372,32 +408,32 @@ def _global_measure(ts: _TrajectoryState, engine: TrajectoryEngine, eps: float) 
     if p1 < 1e-15:
         ts.reset_random_basis()
         return 1
-    ts.psi = phi1 / np.sqrt(p1)
+    np.divide(phi1, np.sqrt(p1), out=ts.psi)
     return 1
 
 
 def _run_sweep(ts: _TrajectoryState, engine: TrajectoryEngine, eps: float, micro_sink=None) -> int:
     """One sweep; the sweep bit is 1 if any micro-measurement failed."""
-    cfg = engine.cfg
     if engine.k_global is not None:
         bit = _global_measure(ts, engine, eps)
         if micro_sink is not None:
             micro_sink.append((bit,))
         return bit
-    m = len(engine.terms)
-    bit = 0
-    if cfg.agsp_mode == "product-sweep":
-        order = list(range(m)) + list(range(m - 1, -1, -1))
+    resampler = engine.cfg.resampler
+    if engine.cfg.agsp_mode == "product-sweep":
+        order = engine.sweep_order
     else:
+        m = len(engine.terms)
         order = [int(ts.rng.integers(m)) for _ in range(2 * m)]
     micro = [] if micro_sink is not None else None
-    if engine.noisy_terms is None and eps != ts.eps:
-        ts.eps, ts.coeffs = eps, [t.coefficients(eps) for t in engine.terms]
+    noisy = engine.noisy_terms
+    rows = engine.branch_rows(eps) if noisy is None else None
+    bit = 0
     for v in order:
-        if engine.noisy_terms is not None:
-            out = _measure_term_noisy(ts, engine.noisy_terms[v], cfg.resampler)
+        if noisy is not None:
+            out = _measure_term_noisy(ts, noisy[v], resampler)
         else:
-            out = _measure_term_clean(ts, engine.terms[v], ts.coeffs[v], cfg.resampler)
+            out = _measure_term_clean(ts, engine.terms[v], rows[v], resampler)
         bit |= out
         if micro is not None:
             micro.append(out)

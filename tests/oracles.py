@@ -11,6 +11,16 @@ import math
 import numpy as np
 
 
+def axpb_pauli(psi, out, perm, phase, a, b):
+    """out = a*psi + b*h(psi) out of place, with h(psi)[i] = phase[perm[i]] *
+    psi[perm[i]] read through the index gather; returns ||out||^2."""
+    np.multiply(phase, psi, out=out)
+    out[:] = out[perm]
+    out *= b
+    out += a * psi
+    return float(np.vdot(out, out).real)
+
+
 def markov_expected_absorption(success_probs):
     """Expected steps for the run-length chain to first reach run n.
 

@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqe import circuits as cc, instrument as im, pauli
 from dqe.errors import ConfigError, ParameterError
 
 from oracles import brute_force_chromatic
+from test_instrument import pauli_hamiltonians
 
 
 def _check_term_against_instrument(term, eps, weight, rng, samples=12):
@@ -235,6 +237,19 @@ class TestQasm:
             u1 = cc.circuit_unitary(circ)
             u2 = cc.parsed_unitary(parsed)
             assert np.abs(u1 - u2).max() <= 1e-10
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        ham=pauli_hamiltonians(),
+        eps=st.floats(0.0, 1.0, exclude_min=True),
+        weighting=st.sampled_from(("max", "sum")),
+    )
+    def test_sweep_round_trip(self, ham, eps, weighting):
+        # a whole sweep on at most 4 qubits survives export and re-import
+        circ = cc.full_sweep_circuit(ham, eps, im.term_weights(ham, weighting))
+        parsed = cc.parse_qasm(cc.export_qasm(circ))
+        assert parsed.num_qubits == circ.num_qubits == ham.num_qubits + 1
+        assert np.abs(cc.parsed_unitary(parsed) - cc.circuit_unitary(circ)).max() <= 1e-12
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ConfigError):

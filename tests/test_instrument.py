@@ -114,15 +114,24 @@ class TestTermInstrument:
         ref = im.make_instrument(weight * inst.k_local, eps, im.Resampler.identity())
         assert np.abs(e0 - ref.e0).max() <= 1e-12
         _assert_roots_close(e1, ref.e1, lam)
-        # the engine's affine update equals the embedded Kraus operators
+        # the engine's affine update and closed-form branch weights equal
+        # the embedded Kraus operators
         psi = _rand_state(np.random.default_rng(seed), 1 << term.string.num_qubits)
-        a0, b0, a1, b1 = inst.coefficients(eps)
-        for (a, b), e in (((a0, b0), e0), ((a1, b1), e1)):
-            out = np.empty_like(psi)
-            norm = _kernels.axpb_pauli(psi, out, inst.perm, inst.phase, a, b)
+        a0, b0, a1, b1, c0, d0, c1, d1 = inst.branch_row(eps)
+        shape = inst.hphase.shape
+        for (a, b, c, d), e in (((a0, b0, c0, d0), e0), ((a1, b1, c1, d1), e1)):
+            pair = np.stack([psi, psi])  # the rows (psi, h psi) of a trajectory
+            out, hpsi = pair
+            hh, nn = _kernels.pauli_expect(
+                pair.view(np.float64), out.reshape(shape)[inst.flips], inst.hphase,
+                hpsi.reshape(shape),
+            )
+            _kernels.axpb_pauli(out, hpsi, a, b)
             ref_out = inst.embed(e) @ psi
             assert np.abs(out - ref_out).max() <= 1e-12
-            assert norm == pytest.approx(float(np.vdot(ref_out, ref_out).real), abs=1e-12)
+            assert c + d * hh / nn == pytest.approx(
+                float(np.vdot(ref_out, ref_out).real), abs=1e-12
+            )
         # dilation rows: E0 and E1 eigenvalues on (range k_v, its complement)
         u = cc.dilation_unitary(weight, eps).matrix
         k, rest = inst.k_local, eye - inst.k_local
@@ -153,13 +162,15 @@ def _engine_measurement(term, weight, eps, resampler, rng):
         resampler=resampler,
         rule=stp.FirstRunOfZeros(1),
     )
-    ts = tj._TrajectoryState(tj.TrajectoryEngine(cfg), rng)
+    engine = tj.TrajectoryEngine(cfg)
+    engine.state_dtype = np.complex128  # the tests write complex states
+    ts = tj._TrajectoryState(engine, rng)
     inst = im.TermInstrument(term, weight)
-    coeffs = inst.coefficients(eps)
+    row = inst.branch_row(eps)
 
     def measure(psi):
         ts.psi[:] = psi
-        return tj._measure_term_clean(ts, inst, coeffs, resampler)
+        return tj._measure_term_clean(ts, inst, row, resampler)
 
     return ts, measure
 

@@ -215,6 +215,14 @@ def pauli_hamiltonians(draw):
 _XY6 = _ham(6, *[("I" * i + p + p + "I" * (4 - i), 1.0) for i in range(5) for p in "XY"])
 
 
+class TestJsonRoundTrip:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(ham=pauli_hamiltonians())
+    def test_round_trip(self, ham):
+        back = pauli.hamiltonian_from_json(pauli.hamiltonian_to_json(ham))
+        assert back == ham
+
+
 class TestBlockEigensolver:
     """``eigh_blocks`` on ``block_labels`` against one full complex eigh.
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -405,6 +408,7 @@ class TestSilentFallbacks:
     """Both fallbacks reset to the pinned basis state and report a failure."""
 
     def _state(self, engine, psi, index):
+        engine.state_dtype = np.complex128  # the pinned states are complex
         ts = tj._TrajectoryState(engine, np.random.SeedSequence(0))
         ts.psi[:] = psi
         ts.rng = _StubRng(u=2.0, index=index)  # u >= p0: the failure branch
@@ -417,7 +421,7 @@ class TestSilentFallbacks:
         # the XX = -1 state is where the weight-1 E0 is the identity: p1 = 0
         psi = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
         ts = self._state(engine, psi, index=3)
-        assert tj._measure_term_clean(ts, term, term.coefficients(0.3), "local") == 1
+        assert tj._measure_term_clean(ts, term, term.branch_row(0.3), "local") == 1
         assert np.array_equal(ts.psi, np.eye(4)[3])
 
     @pytest.mark.parametrize(
@@ -435,3 +439,47 @@ class TestSilentFallbacks:
         nt = ((np.diag([1.0, 0.0]),), (kraus1.astype(complex),), table, m0)
         assert tj._measure_term_noisy(ts, nt, "local") == 1
         assert np.array_equal(ts.psi, np.eye(2)[1])
+
+
+def _witness():
+    """ZIX -1.406, IYI 0.932, YZI 0.435: odd-Y terms, so the state is complex."""
+    terms = (("ZIX", -1.406), ("IYI", 0.932), ("YZI", 0.435))
+    return pauli.PauliHamiltonian(
+        3, tuple(pauli.PauliTerm(c, pauli.PauliString(f)) for f, c in terms)
+    )
+
+
+class TestPinnedRecords:
+    """Records of seeds 0..19 pinned from the engine that updated a complex
+    state out of place and took each branch weight from the norm of the
+    updated state: (stop_step, stopped_run_length, truncated) exactly and
+    the final energy and overlap to 1e-12."""
+
+    PINNED = json.loads((Path(__file__).parent / "pinned_records.json").read_text())
+    # (Hamiltonian, eps, run length of the rule)
+    CASES = {
+        "heisenberg-4": (lambda: pauli.build_heisenberg_chain(4), 0.1, 3),
+        "witness": (_witness, 0.3, 2),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_records_match(self, key):
+        name, mode, resampler = key.split("/")
+        make, eps, run = self.CASES[name]
+        cfg = tj.RunConfig(
+            make(),
+            agsp_mode=mode,
+            schedule=st.EpsilonSchedule.constant(eps),
+            resampler=resampler,
+            rule=st.FirstRunOfZeros(run),
+            max_steps=400,
+        )
+        engine = tj.TrajectoryEngine(cfg)
+        assert engine.state_dtype == (np.float64 if name == "heisenberg-4" else np.complex128)
+        for seed, (step, run_len, truncated, energy, overlap) in enumerate(self.PINNED[key]):
+            rec = tj.run_trajectory(engine.rebind(tj.with_seed(cfg, seed)))
+            assert (rec.stop_step, rec.stopped_run_length, rec.truncated) == (
+                step, run_len, truncated
+            )
+            assert rec.final_energy == pytest.approx(energy, abs=1e-12)
+            assert rec.final_overlap == pytest.approx(overlap, abs=1e-12)
