@@ -1,11 +1,11 @@
 """Exact closed-form expectations for the stopped process.
 
 Global resampling admits scalar spectral formulas; general resampling works
-through transfer matrices.  All W-matrix expressions are evaluated by LU
-solves on W = 1 - E1 (1 + E0 + ... + E0^{n-1}), with the partial geometric
-sums formed explicitly: this stays regular even when E0 has unit-modulus
-eigenvalues (Gamma = 1), where the equivalent (1 - E0 - E1 + E1 E0^n) form
-is singular.  A table over run lengths is one walk that adds a sweep per
+through real Pauli-transfer matrices on a symmetry sector.  All W-matrix
+expressions are evaluated by LU solves on W = 1 - E1 (1 + E0 + ... +
+E0^{n-1}), with the partial geometric sums formed explicitly: this stays
+regular even when E0 has unit-modulus eigenvalues (Gamma = 1), where the
+equivalent (1 - E0 - E1 + E1 E0^n) form is singular.  A table over run lengths is one walk that adds a sweep per
 product.  ``geometric_sums`` forms the same sums by index doubling, for
 checks that want a single large n.  Explicit inverses and the resolvent
 forms live only in tests as an independent second path.
@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import IllConditionedError, ParameterError
-from .instrument import TransferMatrix, trace_row, unvec, vec
+from .instrument import TransferMatrix
 
 _TINY = 1e-300
 _RCOND_FLOOR = 1e-13
@@ -92,19 +92,6 @@ def tau_upper_bound(params, dim: int, degeneracy: int, n: int) -> float:
         return float("inf")
     geom = float(n) if abs(1.0 - delta) < 1e-14 else (1.0 - delta**n) / (1.0 - delta)
     return (n + geom * (dim / degeneracy - 1.0)) / gamma**n
-
-
-def _as_matrix(t) -> np.ndarray:
-    return t.matrix if isinstance(t, TransferMatrix) else np.asarray(t)
-
-
-def _basis(t, dim: int):
-    """(vec, unvec, trace row) of the basis a transfer is written in: its
-    sector's Pauli-transfer basis, or column stacking for a plain matrix."""
-    sector = t.sector if isinstance(t, TransferMatrix) else None
-    if sector is None:
-        return vec, unvec, trace_row(dim)
-    return sector.vec, sector.unvec, sector.trace_row
 
 
 class _LuSolver:
@@ -198,7 +185,9 @@ def _powers_apply(t0: np.ndarray, x: np.ndarray, n: int):
     return x, h
 
 
-def expected_stopped_general(t0, t1, rho0: np.ndarray, ns) -> list[Stopped]:
+def expected_stopped_general(
+    t0: TransferMatrix, t1: TransferMatrix, rho0: np.ndarray, ns
+) -> list[Stopped]:
     """Expected stopped states and stopping times of the generally resampled
     process, one ``Stopped`` per run length in ``ns``, in the order given.
 
@@ -215,16 +204,15 @@ def expected_stopped_general(t0, t1, rho0: np.ndarray, ns) -> list[Stopped]:
     exactly.  Each n then takes one LU factorization of W = 1 - S_n; E0^n
     and H_n are applied to vectors only.
 
-    The walk runs in the transfers' own basis and dtype: real on a
-    ``PauliSector``, where a rho0 outside the sector raises ParameterError,
-    and complex in column stacking.
+    The walk runs in real arithmetic on the transfers' ``PauliSector``; a
+    rho0 outside the sector raises ParameterError.
     """
     ns = list(ns)
     if any(n < 1 for n in ns):
         raise ParameterError("run lengths must be >= 1")
-    t0m, t1m = _as_matrix(t0), _as_matrix(t1)
-    to_vec, to_mat, row = _basis(t0, rho0.shape[0])
-    v0 = to_vec(rho0)
+    sector, t0m, t1m = t0.sector, t0.matrix, t1.matrix
+    row = sector.trace_row
+    v0 = sector.vec(rho0)
     _check_failure_recovery(t0m, t1m, v0, row)
     f = t1m
     # S_0 = 0: the first += makes S a fresh array and leaves T1 untouched
@@ -241,19 +229,23 @@ def expected_stopped_general(t0, t1, rho0: np.ndarray, ns) -> list[Stopped]:
         x = solver.solve(v0)
         t0n_x, h_x = _powers_apply(t0m, x, n)
         t0n_y, _ = _powers_apply(t0m, solver.solve(t1m @ h_x), n)
-        rho = to_mat(t0n_x)
+        rho = sector.unvec(t0n_x)
         rho = (rho + rho.conj().T) / 2.0
         trace = float(np.trace(rho).real)
         done[n] = Stopped(n, rho / trace, float(n + (row @ t0n_y).real), abs(trace - 1.0))
     return [done[n] for n in ns]
 
 
-def expected_state_general(t0, t1, rho0: np.ndarray, n: int) -> np.ndarray:
+def expected_state_general(
+    t0: TransferMatrix, t1: TransferMatrix, rho0: np.ndarray, n: int
+) -> np.ndarray:
     """Expected stopped state; see ``expected_stopped_general``."""
     return expected_stopped_general(t0, t1, rho0, [n])[0].state
 
 
-def expected_tau_general(t0, t1, rho0: np.ndarray, n: int) -> float:
+def expected_tau_general(
+    t0: TransferMatrix, t1: TransferMatrix, rho0: np.ndarray, n: int
+) -> float:
     """Expected stopping time; see ``expected_stopped_general``."""
     return expected_stopped_general(t0, t1, rho0, [n])[0].tau
 
@@ -266,24 +258,23 @@ def expected_state_schedule(success_transfers, failure_transfers, rho0: np.ndarr
     consecutive successes.  Summing over failed attempts gives
     E|rho_n>> = A_n (1 - sum_j T1_{j+1} A_j)^{-1} |rho0>> with
     A_j = T0_j ... T0_1, which reduces to the W form when the schedule is
-    constant.  The state is divided by its trace, and the basis is read off
-    the transfers, as in ``expected_stopped_general``.
+    constant.  The state is divided by its trace, and the walk runs on the
+    transfers' sector, as in ``expected_stopped_general``.
     """
     n = len(success_transfers)
     if n < 1 or len(failure_transfers) != n:
         raise ParameterError("schedule needs matching non-empty transfer lists")
-    t0s = [_as_matrix(t) for t in success_transfers]
-    t1s = [_as_matrix(t) for t in failure_transfers]
-    to_vec, to_mat, _ = _basis(success_transfers[0], rho0.shape[0])
+    sector = success_transfers[0].sector
+    t0s = [t.matrix for t in success_transfers]
+    t1s = [t.matrix for t in failure_transfers]
     d2 = t0s[0].shape[0]
-    dtype = np.result_type(*{t.dtype for t in t0s + t1s})
-    a = np.eye(d2, dtype=dtype)
-    f = np.zeros((d2, d2), dtype=dtype)
+    a = np.eye(d2)
+    f = np.zeros((d2, d2))
     for j in range(n):
         f += t1s[j] @ a
         a = t0s[j] @ a
-    x = _LuSolver(np.eye(d2) - f, "schedule W").solve(to_vec(rho0))
-    rho = to_mat(a @ x)
+    x = _LuSolver(np.eye(d2) - f, "schedule W").solve(sector.vec(rho0))
+    rho = sector.unvec(a @ x)
     rho = (rho + rho.conj().T) / 2.0
     return rho / np.trace(rho).real
 

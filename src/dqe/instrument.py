@@ -1,16 +1,15 @@
 """Two-outcome weak-measurement instruments, transfer matrices, fixed points.
 
-Two bases are used.  Single instruments and resamplers are written in the
-column-stacking convention: |rho>> stacks columns, so the map
-rho -> A rho B^dag has transfer matrix conj(B) (x) A, and the trace
-functional is the row vector <<1| = vec(identity)^dag.  Sweep transfers are
-real Pauli-transfer matrices on a symmetry sector (``PauliSector``).
+Every transfer matrix is written in one basis: the normalised Pauli strings
+P/sqrt(D), restricted to a symmetry sector (``PauliSector``).  There a
+Hermiticity-preserving map is a real matrix, and the trace functional is
+sqrt(D) times the identity string's coefficient.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -28,21 +27,6 @@ from .pauli import PauliHamiltonian, PauliString, PauliTerm, support_index_table
 TRANSFER_LIMIT_QUBITS = 6
 
 
-def vec(rho: np.ndarray) -> np.ndarray:
-    """Column-stacked vectorization of a matrix."""
-    return np.asarray(rho).reshape(-1, order="F").astype(np.complex128, copy=False)
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    d = int(round(np.sqrt(v.size)))
-    return np.asarray(v).reshape((d, d), order="F")
-
-
-def trace_row(dim: int) -> np.ndarray:
-    """<<1| as a 1-D array: <<1|rho>> = tr(rho)."""
-    return vec(np.eye(dim)).conj()
-
-
 class ResamplerKind(Enum):
     GLOBAL = "global"
     LOCAL = "local"
@@ -52,17 +36,11 @@ class ResamplerKind(Enum):
 
 @dataclass(frozen=True)
 class Resampler:
-    """Recovery map applied after a failure outcome.
-
-    ``min_support`` is the guaranteed minimum eigenvalue mu of the output:
-    1/D for global maximally-mixed resampling, 0 for the others unless a
-    custom map declares better.
-    """
+    """Recovery map applied after a failure outcome."""
 
     kind: ResamplerKind
     qubits: tuple[int, ...] | None = None
     kraus: tuple[np.ndarray, ...] | None = None
-    min_support: float = 0.0
 
     def __post_init__(self):
         if self.kind is ResamplerKind.LOCAL and not self.qubits:
@@ -76,8 +54,8 @@ class Resampler:
                 raise ParameterError("custom resampler Kraus set is not trace-preserving")
 
     @staticmethod
-    def global_mixed(dim: int) -> "Resampler":
-        return Resampler(ResamplerKind.GLOBAL, min_support=1.0 / dim)
+    def global_mixed() -> "Resampler":
+        return Resampler(ResamplerKind.GLOBAL)
 
     @staticmethod
     def local_mixed(qubits) -> "Resampler":
@@ -88,35 +66,10 @@ class Resampler:
         return Resampler(ResamplerKind.IDENTITY)
 
     @staticmethod
-    def custom(kraus, min_support: float = 0.0) -> "Resampler":
+    def custom(kraus) -> "Resampler":
         return Resampler(
-            ResamplerKind.CUSTOM,
-            kraus=tuple(np.asarray(a, dtype=np.complex128) for a in kraus),
-            min_support=min_support,
+            ResamplerKind.CUSTOM, kraus=tuple(np.asarray(a, dtype=np.complex128) for a in kraus)
         )
-
-
-def validate_min_support(resampler: Resampler, num_qubits: int, rng, samples: int = 20):
-    """Check the declared mu by minimum-eigenvalue sampling.
-
-    Applies the resampling map to random pure states and verifies the output
-    never dips below the declared minimum support.  Raises ParameterError on
-    a violation (custom resamplers must declare an honest mu).
-    """
-    if resampler.min_support <= 0.0:
-        return
-    d = 1 << num_qubits
-    t = resampler_transfer(resampler, num_qubits).matrix
-    for _ in range(samples):
-        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-        psi /= np.linalg.norm(psi)
-        out = unvec(t @ vec(np.outer(psi, psi.conj())))
-        lam = float(np.linalg.eigvalsh((out + out.conj().T) / 2.0).min())
-        if lam < resampler.min_support - 1e-10:
-            raise ParameterError(
-                f"resampler output eigenvalue {lam:.3e} below declared mu "
-                f"{resampler.min_support:.3e}"
-            )
 
 
 @dataclass(frozen=True)
@@ -127,14 +80,6 @@ class Instrument:
     e1: np.ndarray
     resampler: Resampler
     support: tuple[int, ...] | None = None
-
-    @property
-    def kraus0(self) -> tuple[np.ndarray, ...]:
-        return (self.e0,)
-
-    @property
-    def kraus1(self) -> tuple[np.ndarray, ...]:
-        return (self.e1,)
 
     @property
     def dimension(self) -> int:
@@ -380,17 +325,13 @@ def sweep_success_operator(terms, eps: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Matrix form of a CP map: D^2 x D^2 complex in the column-stacking
-    convention, or real S x S in the Pauli-transfer basis of ``sector``."""
+    """A CP map as a real S x S matrix in the Pauli-transfer basis of ``sector``."""
 
     matrix: np.ndarray
-    trace_preserving: bool = field(default=False)
-    sector: PauliSector | None = None
+    sector: PauliSector
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        if self.sector is not None:
-            return self.sector.unvec(self.matrix @ self.sector.vec(rho))
-        return unvec(self.matrix @ vec(rho))
+        return self.sector.unvec(self.matrix @ self.sector.vec(rho))
 
 
 def _check_transfer_dim(dim: int):
@@ -400,69 +341,15 @@ def _check_transfer_dim(dim: int):
         )
 
 
-def transfer_of_kraus(ops) -> TransferMatrix:
-    """E = sum_i conj(A_i) (x) A_i in the column-stacking convention."""
-    ops = list(ops)
-    d = ops[0].shape[0]
-    _check_transfer_dim(d)
-    mat = np.zeros((d * d, d * d), dtype=np.complex128)
-    for a in ops:
-        mat += np.kron(a.conj(), a)
-    row = trace_row(d)
-    tp = bool(np.abs(row @ mat - row).max() < 1e-9)
-    return TransferMatrix(mat, trace_preserving=tp)
-
-
-def resampler_transfer(resampler: Resampler, num_qubits: int) -> TransferMatrix:
-    d = 1 << num_qubits
-    _check_transfer_dim(d)
-    if resampler.kind is ResamplerKind.GLOBAL:
-        mat = np.outer(vec(np.eye(d) / d), trace_row(d).conj()).astype(np.complex128)
-        return TransferMatrix(mat, trace_preserving=True)
-    if resampler.kind is ResamplerKind.IDENTITY:
-        return TransferMatrix(np.eye(d * d, dtype=np.complex128), trace_preserving=True)
-    if resampler.kind is ResamplerKind.LOCAL:
-        table = support_index_table(num_qubits, resampler.qubits)
-        ds = table.shape[1]
-        ops = []
-        for a in range(ds):
-            for b in range(ds):
-                k = np.zeros((d, d), dtype=np.complex128)
-                k[table[:, b], table[:, a]] = 1.0 / np.sqrt(ds)
-                ops.append(k)
-        return transfer_of_kraus(ops)
-    return transfer_of_kraus(resampler.kraus)
-
-
-def transfer_of_instrument_success(inst: Instrument) -> TransferMatrix:
-    return transfer_of_kraus(inst.kraus0)
-
-
-def transfer_of_instrument_failure(inst: Instrument, num_qubits: int | None = None) -> TransferMatrix:
-    """Failure branch rho -> R(E1 rho E1^dag) as a transfer matrix.
-
-    For the global maximally-mixed resampler this equals
-    |1/D>><<1| (1 - E0-transfer) identically, which is the form used.
-    """
-    d = inst.dimension
-    if num_qubits is None:
-        num_qubits = int(round(np.log2(d)))
-    if inst.resampler.kind is ResamplerKind.GLOBAL:
-        t0 = transfer_of_kraus(inst.kraus0).matrix
-        mat = np.outer(vec(np.eye(d) / d), trace_row(d).conj()) @ (np.eye(d * d) - t0)
-        return TransferMatrix(mat.astype(np.complex128))
-    r = resampler_transfer(inst.resampler, num_qubits).matrix
-    t1 = sum(np.kron(a.conj(), a) for a in inst.kraus1)
-    return TransferMatrix(r @ t1)
-
-
 def global_channel_transfer(e0: np.ndarray) -> TransferMatrix:
-    """Transfer matrix of rho -> E0 rho E0^dag + (tr rho - tr E0 rho E0^dag) 1/D."""
-    d = e0.shape[0]
-    _check_transfer_dim(d)
-    t0 = np.kron(e0.conj(), e0)
-    mat = t0 + np.outer(vec(np.eye(d) / d), trace_row(d).conj()) @ (np.eye(d * d) - t0)
-    return TransferMatrix(mat, trace_preserving=True)
+    """rho -> E0 rho E0^dag + (tr rho - tr E0 rho E0^dag) 1/D on the trivial
+    sector: the full channel of ``sweep_transfer_global``'s step."""
+    inst = make_instrument(e0, 1.0, Resampler.global_mixed())
+    n = inst.dimension.bit_length() - 1
+    _check_transfer_dim(inst.dimension)
+    sector = PauliSector(n)
+    channel = _MicroStep(inst, n).channel(sector.identity_stack())
+    return TransferMatrix(sector.restrict(channel), sector)
 
 
 def fixed_point_direct(k: np.ndarray, margin: float = 1e-8) -> np.ndarray:
@@ -484,21 +371,22 @@ def fixed_point_direct(k: np.ndarray, margin: float = 1e-8) -> np.ndarray:
 
 
 def fixed_point_iterate(
-    transfer, tol: float = 1e-10, max_iters: int = 200000, rho0: np.ndarray | None = None
+    transfer: TransferMatrix,
+    tol: float = 1e-10,
+    max_iters: int = 200000,
+    rho0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Power-iterate a trace-preserving transfer matrix to its fixed point."""
-    mat = transfer.matrix if isinstance(transfer, TransferMatrix) else np.asarray(transfer)
-    d = int(round(np.sqrt(mat.shape[0])))
-    rho = np.eye(d, dtype=np.complex128) / d if rho0 is None else rho0.astype(np.complex128)
-    v = vec(rho)
+    """Power-iterate a trace-preserving transfer to its fixed point, until
+    successive states are within trace distance ``tol``."""
+    sector = transfer.sector
+    d = 1 << sector.num_qubits
+    v = sector.vec(np.eye(d) / d if rho0 is None else rho0)
     for _ in range(max_iters):
-        nv = mat @ v
-        diff = unvec(nv - v)
-        diff = (diff + diff.conj().T) / 2.0
-        resid = 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+        nv = transfer.matrix @ v
+        resid = 0.5 * float(np.abs(np.linalg.eigvalsh(sector.unvec(nv - v))).sum())
         v = nv
         if resid < tol:
-            rho = unvec(v)
+            rho = sector.unvec(v)
             rho = (rho + rho.conj().T) / 2.0
             return rho / np.trace(rho).real
     raise ConvergenceError(
@@ -541,22 +429,29 @@ def _on_axes(x: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
     return x
 
 
-def _pauli_coefficients(rho: np.ndarray) -> np.ndarray:
-    """tr(P rho)/sqrt(D) for every Pauli string P, as a (4,)*n tensor."""
+def pauli_coefficients(rho: np.ndarray) -> np.ndarray:
+    """tr(P rho)/sqrt(D) for every Pauli string P, as a (4,)*n tensor; a
+    (D, D, N) stack of matrices gives a (4,)*n + (N,) stack."""
     rho = np.asarray(rho)
     n = rho.shape[0].bit_length() - 1
-    x = rho.reshape((2,) * (2 * n)).transpose(_pair_axes(n)).reshape((4,) * n)
-    return _on_axes(x, _PAIR.conj(), range(n))
+    batch = rho.shape[2:]
+    tail = list(range(2 * n, 2 * n + len(batch)))
+    x = rho.reshape((2,) * (2 * n) + batch).transpose(_pair_axes(n) + tail)
+    return _on_axes(x.reshape((4,) * n + batch), _PAIR.conj(), range(n))
 
 
-def _pauli_matrix(coeffs: np.ndarray, num_qubits: int) -> np.ndarray:
-    """The matrix sum_P c_P P/sqrt(D) of a 4^n coefficient vector."""
+def pauli_matrix(coeffs: np.ndarray, num_qubits: int) -> np.ndarray:
+    """The matrix sum_P c_P P/sqrt(D) of a 4^n coefficient vector; the
+    columns of a 4^n x N stack give a (D, D, N) stack."""
     n = num_qubits
-    x = _on_axes(np.reshape(coeffs, (4,) * n), _PAIR.T, range(n))
-    return x.reshape((2,) * (2 * n)).transpose(np.argsort(_pair_axes(n))).reshape(1 << n, 1 << n)
+    batch = np.shape(coeffs)[1:]
+    tail = list(range(2 * n, 2 * n + len(batch)))
+    x = _on_axes(np.reshape(coeffs, (4,) * n + batch), _PAIR.T, range(n))
+    x = x.reshape((2,) * (2 * n) + batch).transpose(list(np.argsort(_pair_axes(n))) + tail)
+    return x.reshape((1 << n, 1 << n) + batch)
 
 
-def _pauli_transfer(kraus) -> np.ndarray:
+def pauli_transfer(kraus) -> np.ndarray:
     """Real 4^k x 4^k Pauli-transfer matrix of rho -> sum_A A rho A^dag."""
     k = kraus[0].shape[0].bit_length() - 1
     sup = sum(np.kron(a, a.conj()) for a in kraus)  # on row-major vec(rho)
@@ -640,7 +535,7 @@ class PauliSector:
     def vec(self, rho: np.ndarray) -> np.ndarray:
         """Real coefficients of a Hermitian rho on the sector's strings;
         a rho with weight outside the sector raises ParameterError."""
-        c = _pauli_coefficients(rho).reshape(-1)
+        c = pauli_coefficients(rho).reshape(-1)
         outside = c[~self.member]
         self._check_leak(max(np.abs(c.imag).max(), np.abs(outside).max(initial=0.0)), "state")
         return c.real[self.strings]
@@ -648,7 +543,7 @@ class PauliSector:
     def unvec(self, v: np.ndarray) -> np.ndarray:
         full = np.zeros(4**self.num_qubits)
         full[self.strings] = v
-        return _pauli_matrix(full, self.num_qubits)
+        return pauli_matrix(full, self.num_qubits)
 
     def identity_stack(self) -> np.ndarray:
         """The sector's basis columns as a (4,)*n + (S,) tensor."""
@@ -668,14 +563,14 @@ class PauliSector:
 # ---------------------------------------------------------------------------
 # Per-sweep channel transfers: the exact density-matrix view of one sweep of
 # the trajectory engine, used as the oracle for Monte Carlo runs.  Each
-# micro-step acts on the qubits it touches, as a local superoperator on a
-# stack of vectorized matrices (Wood, Biamonte & Cory, QIC 15 (2015)).
+# micro-step acts on the qubits it touches, as a local Pauli-transfer block
+# on a stack of coefficient vectors (Wood, Biamonte & Cory, QIC 15 (2015)).
 # ---------------------------------------------------------------------------
 
 _PADDING_TOL = 1e-10
 
 
-def _apply_on_axes(op: np.ndarray, axes, xt: np.ndarray) -> np.ndarray:
+def apply_on_axes(op: np.ndarray, axes, xt: np.ndarray) -> np.ndarray:
     """A local operator on the listed axes of a stack tensor, as a view in
     the input's axis order: a chain of calls copies the stack once per call
     (inside tensordot)."""
@@ -683,13 +578,6 @@ def _apply_on_axes(op: np.ndarray, axes, xt: np.ndarray) -> np.ndarray:
     local = tuple(xt.shape[a] for a in axes)
     out = np.tensordot(op.reshape(local * 2), xt, axes=(range(k, 2 * k), axes))
     return np.moveaxis(out, range(k), axes)
-
-
-def apply_local_tensor(t_loc: np.ndarray, support, num_qubits: int, xt: np.ndarray) -> np.ndarray:
-    """A k-local column-stacked transfer applied to a D^2 x N stack held as
-    its (2,)*2n + (N,) tensor; equals (t_loc padded with the identity) @ x at
-    O(D^2 N 4^k) cost.  The result is a view, as in ``_apply_on_axes``."""
-    return _apply_on_axes(t_loc, list(support) + [num_qubits + q for q in support], xt)
 
 
 def _support_block(op: np.ndarray, table: np.ndarray, name: str) -> np.ndarray:
@@ -721,13 +609,11 @@ class _MicroStep:
             extra = res.qubits if res.kind is ResamplerKind.LOCAL else ()
             qubits = tuple(sorted(set(inst.support) | set(extra)))
         table = support_index_table(num_qubits, qubits)
-        e0 = _support_block(inst.e0, table, "E0")
-        e1 = _support_block(inst.e1, table, "E1")
         self.qubits = qubits
-        self.r0 = _pauli_transfer([e0])
+        self.r0 = pauli_transfer([_support_block(inst.e0, table, "E0")])
         self.r_full = None
         if res.kind is not ResamplerKind.GLOBAL:
-            r1 = _pauli_transfer([e1])
+            r1 = pauli_transfer([_support_block(inst.e1, table, "E1")])
             if res.kind is ResamplerKind.LOCAL:
                 # I_S/d_S (x) tr_S keeps the strings that are I on S
                 keep = np.ones((4,) * len(qubits))
@@ -735,19 +621,19 @@ class _MicroStep:
                     keep[(slice(None),) * qubits.index(q) + (slice(1, None),)] = 0.0
                 r1 = keep.reshape(-1, 1) * r1
             elif res.kind is ResamplerKind.CUSTOM:
-                r1 = _pauli_transfer(res.kraus) @ r1
+                r1 = pauli_transfer(res.kraus) @ r1
             self.r_full = self.r0 + r1
 
     # both branches take and return a stack as its (4,)*n + (N,) tensor
     def success(self, xt: np.ndarray) -> np.ndarray:
-        return _apply_on_axes(self.r0, self.qubits, xt)
+        return apply_on_axes(self.r0, self.qubits, xt)
 
     def channel(self, xt: np.ndarray) -> np.ndarray:
         """Success plus failure branch.  Global resampling adds
         |1/D>>(<<1|X - <<1|Y) to the success branch Y, which in this basis
         gives the identity string the input's coefficient back."""
         if self.r_full is not None:
-            return _apply_on_axes(self.r_full, self.qubits, xt)
+            return apply_on_axes(self.r_full, self.qubits, xt)
         y = self.success(xt)
         ident = (0,) * len(xt.shape[:-1])
         y[ident] = xt[ident]
@@ -791,8 +677,15 @@ def sweep_transfer_mixture(instruments, num_qubits: int, sector: PauliSector | N
     return TransferMatrix(succ, sector=sector), TransferMatrix(full - succ, sector=sector)
 
 
-def sweep_transfer_global(inst: Instrument):
-    """(T0, T1) of a single global instrument applied once per sweep."""
-    t0 = transfer_of_instrument_success(inst)
-    t1 = transfer_of_instrument_failure(inst)
-    return t0, t1
+def sweep_transfer_global(inst: Instrument, sector: PauliSector | None = None):
+    """(T0, T1) of a single global instrument applied once per sweep, on
+    ``sector`` as in ``sweep_transfer_product``."""
+    d = inst.dimension
+    _check_transfer_dim(d)
+    n = d.bit_length() - 1
+    sector = sector if sector is not None else PauliSector(n)
+    step = _MicroStep(inst, n)
+    eye = sector.identity_stack()
+    t0 = sector.restrict(step.success(eye))
+    t1 = sector.restrict(step.channel(eye)) - t0
+    return TransferMatrix(t0, sector=sector), TransferMatrix(t1, sector=sector)

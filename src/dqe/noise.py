@@ -3,7 +3,10 @@
 Two noise models: per-gate depolarizing applied inside the measurement
 circuit (the effective noisy instrument is then extracted by process
 tomography on the dense simulator), and a direct Kraus-operator
-perturbation of a clean instrument with a transfer-norm budget.
+perturbation of a clean instrument with a transfer-norm budget.  Transfers
+are real Pauli-transfer matrices (``instrument.PauliSector``'s basis); the
+basis is orthonormal in Hilbert-Schmidt space, so their operator-norm
+distances are those of any other orthonormal basis.
 """
 
 from __future__ import annotations
@@ -24,8 +27,13 @@ from .circuits import (
 from .errors import InvalidNoiseError, ParameterError
 from .instrument import (
     Instrument,
+    PauliSector,
     TermInstrument,
-    apply_local_tensor,
+    TransferMatrix,
+    apply_on_axes,
+    pauli_coefficients,
+    pauli_matrix,
+    pauli_transfer,
     principal_sqrt_complement,
 )
 from .pauli import PauliString, PauliTerm
@@ -192,9 +200,7 @@ def noisy_term_instrument(
     if defect > 1e-8:
         raise InvalidNoiseError(f"noisy instrument completeness defect {defect:.2e}")
     e0_clean = TermInstrument(term, weight).kraus(eps)[0]
-    t_clean = np.kron(e0_clean.conj(), e0_clean)
-    t_noisy = sum(np.kron(a.conj(), a) for a in kraus0)
-    delta = float(np.linalg.norm(t_noisy - t_clean, 2))
+    delta = float(np.linalg.norm(pauli_transfer(kraus0) - pauli_transfer([e0_clean]), 2))
     return NoisyTermInstrument(tuple(kraus0), tuple(kraus1), term.string.support, delta)
 
 
@@ -220,7 +226,8 @@ def perturb_instrument(inst: Instrument, model: ChannelPerturbation) -> Instrume
     e0 = inst.e0
     d = e0.shape[0]
     g = _random_hermitian_direction(d, model.seed)
-    d1 = np.kron(g.conj(), e0) + np.kron(e0.conj(), g)
+    # rho -> g rho E0^dag + E0 rho g^dag, the derivative along g, by polarization
+    d1 = pauli_transfer([e0 + g]) - pauli_transfer([e0]) - pauli_transfer([g])
     scale = np.linalg.norm(d1, 2)
     if scale < 1e-30:
         raise InvalidNoiseError("degenerate perturbation direction")
@@ -234,9 +241,7 @@ def perturb_instrument(inst: Instrument, model: ChannelPerturbation) -> Instrume
 
 def transfer_delta(inst_a: Instrument, inst_b: Instrument) -> float:
     """Operator-norm distance between the success-branch transfer matrices."""
-    ta = np.kron(inst_a.e0.conj(), inst_a.e0)
-    tb = np.kron(inst_b.e0.conj(), inst_b.e0)
-    return float(np.linalg.norm(ta - tb, 2))
+    return float(np.linalg.norm(pauli_transfer([inst_a.e0]) - pauli_transfer([inst_b.e0]), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -266,64 +271,70 @@ def fixed_point_resilience_bound(params, delta: float, dim: int, degeneracy: int
 
 
 def noisy_sweep_blocks(engine):
-    """(local transfer, support) of each term's noisy success branch:
-    sum_a conj(a) (x) a over the term's tomography-extracted Kraus set."""
+    """(Pauli-transfer block, support) of each term's noisy success branch,
+    rho -> sum_a a rho a^dag over its tomography-extracted Kraus set."""
     return [
-        (sum(np.kron(a.conj(), a) for a in kraus0), td.support)
+        (pauli_transfer(kraus0), td.support)
         for (kraus0, _, _, _), td in zip(engine.noisy_terms, engine.terms)
     ]
 
 
 def apply_noisy_sweep(blocks, num_qubits: int, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """The noisy all-zeros sweep applied to every column of a D^2 x N stack.
+    """The noisy all-zeros sweep applied to every column of a 4^n x N stack
+    of Pauli coefficient vectors.
 
-    Each block acts on its support only.  The sweep order is a palindrome,
-    so the adjoint runs the same loop over the conjugate-transposed blocks.
+    Each block acts on its support only.  The sweep order is a palindrome
+    and the blocks are real, so the adjoint runs the same loop over the
+    transposed blocks.
     """
     if adjoint:
-        blocks = [(t.conj().T, support) for t, support in blocks]
+        blocks = [(t.T, support) for t, support in blocks]
     m = len(blocks)
-    xt = x.reshape((2,) * (2 * num_qubits) + (x.shape[1],))
+    xt = x.reshape((4,) * num_qubits + (x.shape[1],))
     for v in list(range(m)) + list(range(m - 1, -1, -1)):
-        xt = apply_local_tensor(*blocks[v], num_qubits, xt)
+        xt = apply_on_axes(blocks[v][0], blocks[v][1], xt)
     return xt.reshape(x.shape)
 
 
-def noisy_sweep_success_transfer(engine) -> np.ndarray:
-    """Transfer matrix of the noisy all-zeros sweep branch of an engine."""
-    eye = np.eye(engine.dim**2, dtype=np.complex128)
-    return apply_noisy_sweep(noisy_sweep_blocks(engine), engine.num_qubits, eye)
+def noisy_sweep_success_transfer(engine) -> TransferMatrix:
+    """Transfer matrix of the noisy all-zeros sweep branch of an engine, on
+    the trivial sector."""
+    n = engine.num_qubits
+    sweep = apply_noisy_sweep(noisy_sweep_blocks(engine), n, np.eye(4**n))
+    return TransferMatrix(sweep, sector=PauliSector(n))
 
 
 def noisy_sweep_delta(engine, kraus: np.ndarray) -> float:
-    """||T_noisy - conj(K) (x) K||_2 for the noisy sweep of an engine and a
-    clean success Kraus operator K, without forming either D^2 x D^2 matrix.
+    """||T_noisy - T_K||_2 for the noisy sweep of an engine and the map
+    rho -> K rho K^dag of a clean success Kraus operator K, without forming
+    either 4^n x 4^n matrix.
 
-    The largest singular value of x -> noisy(x) - vec(K unvec(x) K^dag),
-    by implicitly restarted Lanczos (ARPACK) on the normal operator; tol=0
-    asks for machine precision and the start vector is pinned, so the value
-    is reproducible.
+    The largest singular value of x -> noisy(x) - coefficients(K rho_x K^dag)
+    on real Pauli coefficient vectors, by implicitly restarted Lanczos
+    (ARPACK) on the normal operator; tol=0 asks for machine precision and
+    the start vector is pinned, so the value is reproducible.
     """
     from scipy.sparse.linalg import LinearOperator, svds
 
-    n, d = engine.num_qubits, engine.dim
+    n = engine.num_qubits
+    dim = 4**n
     blocks = noisy_sweep_blocks(engine)
 
     def apply(x, adjoint):
-        cols = x.reshape(d * d, -1)
+        cols = x.reshape(dim, -1)
+        # the map's transpose is rho -> K^dag rho K
         k = kraus.conj().T if adjoint else kraus
-        # column c of the stack is vec(rho_c): rho[c] = unvec(cols[:, c])
-        rho = cols.T.reshape(-1, d, d).transpose(0, 2, 1)
-        clean = (k @ rho @ k.conj().T).transpose(0, 2, 1).reshape(-1, d * d).T
-        return (apply_noisy_sweep(blocks, n, cols, adjoint) - clean).reshape(x.shape)
+        rho = np.moveaxis(pauli_matrix(cols, n), -1, 0)
+        clean = pauli_coefficients(np.moveaxis(k @ rho @ k.conj().T, 0, -1))
+        return (apply_noisy_sweep(blocks, n, cols, adjoint) - clean.real.reshape(dim, -1)).reshape(x.shape)
 
     op = LinearOperator(
-        (d * d, d * d),
+        (dim, dim),
         matvec=lambda x: apply(x, False),
         rmatvec=lambda x: apply(x, True),
-        dtype=np.complex128,
+        dtype=np.float64,
     )
-    v0 = np.random.default_rng(0).standard_normal(d * d)
+    v0 = np.random.default_rng(0).standard_normal(dim)
     return float(svds(op, k=1, tol=0, v0=v0, return_singular_vectors=False)[0])
 
 

@@ -252,15 +252,14 @@ def eigh_blocks(mat: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nda
     exactly between blocks.  The solve is real when ``mat.imag`` is zero;
     blocks of equal size share one stacked eigh and size-1 blocks need none.
     Returns the eigenvalues in ascending order (ties kept in block order by
-    a stable sort, so a level spanning blocks stays whole) and complex128
-    eigenvectors as columns.
+    a stable sort, so a level spanning blocks stays whole) and the
+    eigenvectors as columns, float64 when ``mat`` is real.
     """
     if not mat.imag.any():
         mat = mat.real
     sizes = np.bincount(labels)
     if sizes.size == 1:
-        evals, evecs = np.linalg.eigh(mat)
-        return evals, evecs.astype(np.complex128, copy=False)
+        return np.linalg.eigh(mat)
     d = mat.shape[0]
     order = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes
@@ -280,7 +279,7 @@ def eigh_blocks(mat: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nda
     rank = np.argsort(evals, kind="stable")
     slot = np.empty(d, dtype=np.int64)
     slot[rank] = np.arange(d)
-    evecs = np.zeros((d, d), dtype=np.complex128)
+    evecs = np.zeros((d, d), dtype=mat.dtype)
     for rows, cols, v in solved:
         evecs[rows[:, :, None], slot[cols][:, None, :]] = v
     return evals[rank], evecs

@@ -118,7 +118,11 @@ class TrajectoryEngine:
         self.pi0 = self.spectral.ground_projector
         self.noisy_terms = None  # per-term (kraus0, kraus1, table) for the hot loop
         self.noisy_instruments = None
-        self.state_dtype = np.complex128
+        # the state stays real when every operator the sampler applies is:
+        # no Kraus branches, and each term has an even number of Ys, so H,
+        # its eigenvectors and each term's action are real
+        real = cfg.noise is None and all(t.string.is_real for t in ham.terms)
+        self.state_dtype = np.float64 if real else np.complex128
         self._branch_rows = {}  # eps -> per-term TermInstrument.branch_row
         if cfg.agsp_mode in ("linear-global", "chebyshev-global"):
             if cfg.agsp_mode == "linear-global":
@@ -134,10 +138,6 @@ class TrajectoryEngine:
             self.terms = term_instruments(ham, cfg.weighting)
             m = len(self.terms)
             self.sweep_order = tuple(range(m)) + tuple(range(m - 1, -1, -1))
-            # the state stays real when every operator the sampler applies
-            # is: no Kraus branches, and each term has an even number of Ys
-            if cfg.noise is None and all(t.string.is_real for t in ham.terms):
-                self.state_dtype = np.float64
             if cfg.noise is not None:
                 from .noise import noisy_term_instrument
 
@@ -193,12 +193,12 @@ class TrajectoryEngine:
 
     def _resampler_for(self, support) -> Resampler:
         if self.cfg.resampler == "global":
-            return Resampler.global_mixed(self.dim)
+            return Resampler.global_mixed()
         if self.cfg.resampler == "identity":
             return Resampler.identity()
         if support:
             return Resampler.local_mixed(support)
-        return Resampler.global_mixed(self.dim)
+        return Resampler.global_mixed()
 
     @cached_property
     def sector(self) -> PauliSector:
@@ -207,9 +207,8 @@ class TrajectoryEngine:
         return PauliSector.of(self.cfg.hamiltonian)
 
     def sweep_transfers(self, eps: float):
-        """(T0, T1) transfer pair of one engine sweep at constant eps: real
-        on ``sector`` for the local sweep modes, column-stacked for the
-        global ones."""
+        """(T0, T1) transfer pair of one engine sweep at constant eps, real
+        on ``sector``."""
         # looked up on the module at call time, where perfbench's probe sits
         from .instrument import (
             sweep_transfer_global,
@@ -219,7 +218,7 @@ class TrajectoryEngine:
 
         insts = self.instruments_at(eps)
         if self.k_global is not None:
-            return sweep_transfer_global(insts[0])
+            return sweep_transfer_global(insts[0], self.sector)
         if self.cfg.agsp_mode == "product-sweep":
             return sweep_transfer_product(insts, self.num_qubits, self.sector)
         return sweep_transfer_mixture(insts, self.num_qubits, self.sector)

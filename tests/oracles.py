@@ -7,6 +7,7 @@ enumerates permutations, and the violation counter walks raw bitstrings.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,19 +112,158 @@ def longest_zero_run(bits):
     return longest
 
 
+# ---------------------------------------------------------------------------
+# The column-stacking convention, the dense reference for the Pauli-transfer
+# sector transfers of ``dqe.instrument``: |rho>> stacks columns, so the map
+# rho -> A rho B^dag has transfer matrix conj(B) (x) A, and the trace
+# functional is the row vector <<1| = vec(identity)^dag.
+# ---------------------------------------------------------------------------
+
+
+def vec(rho):
+    """Column-stacked vectorization of a matrix."""
+    return np.asarray(rho).reshape(-1, order="F").astype(np.complex128, copy=False)
+
+
+def unvec(v):
+    d = int(round(np.sqrt(v.size)))
+    return np.asarray(v).reshape((d, d), order="F")
+
+
+def trace_row(dim):
+    """<<1| as a 1-D array: <<1|rho>> = tr(rho)."""
+    return vec(np.eye(dim)).conj()
+
+
+class ColumnStacking:
+    """The column-stacking basis with the members ``dqe.analytics`` reads off
+    a transfer's sector: ``vec``, ``unvec`` and the trace row."""
+
+    vec = staticmethod(vec)
+    unvec = staticmethod(unvec)
+
+    def __init__(self, dim):
+        self.trace_row = trace_row(dim)
+
+
+@dataclass(frozen=True)
+class DenseTransfer:
+    """A D^2 x D^2 column-stacked transfer matrix, which the analytics walk
+    takes like a sector ``TransferMatrix``."""
+
+    matrix: np.ndarray
+    trace_preserving: bool = False
+
+    @property
+    def sector(self):
+        return ColumnStacking(int(round(np.sqrt(self.matrix.shape[0]))))
+
+    def apply(self, rho):
+        return unvec(self.matrix @ vec(rho))
+
+
+def transfer_of_kraus(ops):
+    """E = sum_i conj(A_i) (x) A_i."""
+    ops = list(ops)
+    d = ops[0].shape[0]
+    mat = sum(np.kron(a.conj(), a) for a in ops).astype(np.complex128)
+    row = trace_row(d)
+    return DenseTransfer(mat, trace_preserving=bool(np.abs(row @ mat - row).max() < 1e-9))
+
+
+def resampler_transfer(resampler, num_qubits):
+    from dqe import instrument as im, pauli
+
+    d = 1 << num_qubits
+    if resampler.kind is im.ResamplerKind.GLOBAL:
+        return DenseTransfer(np.outer(vec(np.eye(d) / d), trace_row(d).conj()), trace_preserving=True)
+    if resampler.kind is im.ResamplerKind.IDENTITY:
+        return DenseTransfer(np.eye(d * d, dtype=np.complex128), trace_preserving=True)
+    if resampler.kind is im.ResamplerKind.LOCAL:
+        table = pauli.support_index_table(num_qubits, resampler.qubits)
+        ds = table.shape[1]
+        ops = []
+        for a in range(ds):
+            for b in range(ds):
+                k = np.zeros((d, d), dtype=np.complex128)
+                k[table[:, b], table[:, a]] = 1.0 / np.sqrt(ds)
+                ops.append(k)
+        return transfer_of_kraus(ops)
+    return transfer_of_kraus(resampler.kraus)
+
+
+def transfer_of_instrument_success(inst):
+    return transfer_of_kraus([inst.e0])
+
+
+def transfer_of_instrument_failure(inst, num_qubits=None):
+    """Failure branch rho -> R(E1 rho E1^dag).
+
+    For the global maximally-mixed resampler this equals
+    |1/D>><<1| (1 - E0-transfer) identically, which is the form used.
+    """
+    from dqe import instrument as im
+
+    d = inst.dimension
+    if num_qubits is None:
+        num_qubits = d.bit_length() - 1
+    if inst.resampler.kind is im.ResamplerKind.GLOBAL:
+        t0 = transfer_of_kraus([inst.e0]).matrix
+        return DenseTransfer(np.outer(vec(np.eye(d) / d), trace_row(d).conj()) @ (np.eye(d * d) - t0))
+    r = resampler_transfer(inst.resampler, num_qubits).matrix
+    return DenseTransfer(r @ np.kron(inst.e1.conj(), inst.e1))
+
+
+def apply_local_tensor(t_loc, support, num_qubits, xt):
+    """A k-local column-stacked transfer applied to a D^2 x N stack held as
+    its (2,)*2n + (N,) tensor; equals (t_loc padded with the identity) @ x."""
+    from dqe import instrument as im
+
+    return im.apply_on_axes(t_loc, list(support) + [num_qubits + q for q in support], xt)
+
+
+def pauli_basis(num_qubits):
+    """The unitary whose column s is vec(P_s)/sqrt(D), for every Pauli
+    string P_s in ``dqe.instrument``'s base-4 order, each built by
+    ``PauliString.to_matrix``."""
+    from dqe import pauli
+
+    n = num_qubits
+    cols = []
+    for idx in range(4**n):
+        factors = "".join("IXYZ"[(idx >> 2 * (n - 1 - q)) & 3] for q in range(n))
+        cols.append(pauli.PauliString(factors).to_matrix().reshape(-1, order="F"))
+    return np.array(cols).T / np.sqrt(1 << n)
+
+
+def in_pauli_basis(mat):
+    """A column-stacked transfer on k qubits as its real 4^k x 4^k
+    Pauli-transfer matrix B^dag T B."""
+    b = pauli_basis(int(round(np.log2(mat.shape[0]))) // 2)
+    r = b.conj().T @ mat @ b
+    assert np.abs(r.imag).max() <= 1e-12, "the map does not preserve Hermiticity"
+    return r.real
+
+
+def column_stacked(t):
+    """A sector transfer R written back in column stacking: B R B^dag, with
+    B the sector's columns of ``pauli_basis``; on the trivial sector B is
+    unitary and this is the whole map."""
+    b = pauli_basis(t.sector.num_qubits)[:, t.sector.strings]
+    return b @ t.matrix @ b.conj().T
+
+
 def dense_sweep_transfer_product(instruments, num_qubits):
     """(T0, T1) of a forward-then-reversed sweep by dense D^2 x D^2 algebra.
 
     Every micro-instrument becomes a full kron transfer pair and the sweep
     is composed by matmuls, the O(D^6)-per-step form that the local
-    superoperator path in ``dqe.instrument`` replaces.
+    Pauli-transfer path in ``dqe.instrument`` replaces.
     """
-    from dqe import instrument as im
-
     micro = [
         (
-            im.transfer_of_instrument_success(inst).matrix,
-            im.transfer_of_instrument_failure(inst, num_qubits).matrix,
+            transfer_of_instrument_success(inst).matrix,
+            transfer_of_instrument_failure(inst, num_qubits).matrix,
         )
         for inst in instruments
     ]
@@ -140,13 +280,11 @@ def dense_sweep_transfer_product(instruments, num_qubits):
 def dense_sweep_transfer_mixture(instruments, num_qubits):
     """(T0, T1) of 2m uniformly sampled micro-steps by dense D^2 x D^2 algebra:
     the averaged micro-transfers raised to the 2m-th power."""
-    from dqe import instrument as im
-
     m = len(instruments)
     micro = [
         (
-            im.transfer_of_instrument_success(inst).matrix,
-            im.transfer_of_instrument_failure(inst, num_qubits).matrix,
+            transfer_of_instrument_success(inst).matrix,
+            transfer_of_instrument_failure(inst, num_qubits).matrix,
         )
         for inst in instruments
     ]
@@ -154,28 +292,6 @@ def dense_sweep_transfer_mixture(instruments, num_qubits):
     b = sum(t0 + t1 for t0, t1 in micro) / m
     succ = np.linalg.matrix_power(a, 2 * m)
     return succ, np.linalg.matrix_power(b, 2 * m) - succ
-
-
-def column_stacked(t):
-    """A transfer written back in the column-stacking convention.
-
-    A Pauli-transfer matrix R on a sector becomes B R B^dag, where column s
-    of B is vec(P_s)/sqrt(D) for the sector's string s, each P_s built by
-    ``PauliString.to_matrix``; on the trivial sector B is unitary and this
-    is the whole map.  A column-stacked transfer is returned as it is.
-    """
-    from dqe import pauli
-
-    sector = t.sector
-    if sector is None:
-        return t.matrix
-    n = sector.num_qubits
-    cols = []
-    for idx in sector.strings:
-        factors = "".join("IXYZ"[(idx >> 2 * (n - 1 - q)) & 3] for q in range(n))
-        cols.append(pauli.PauliString(factors).to_matrix().reshape(-1, order="F"))
-    b = np.array(cols).T / np.sqrt(1 << n)
-    return b @ t.matrix @ b.conj().T
 
 
 def dense_stopped_general(t0, t1, rho0, n):

@@ -15,6 +15,7 @@ from oracles import (
     column_stacked,
     global_run_success_probs,
     markov_expected_absorption,
+    trace_row,
 )
 
 
@@ -123,7 +124,7 @@ def test_criterion_04_general_resampling_identities():
         d = ham.dimension
         rho0 = np.eye(d) / d
         a = agsp.agsp_linear(ham, spec)
-        inst = im.make_instrument(a.operator, 0.5, im.Resampler.global_mixed(d))
+        inst = im.make_instrument(a.operator, 0.5, im.Resampler.global_mixed())
         t0g, t1g = im.sweep_transfer_global(inst)
         for n in (1, 3, 6):
             state = an.expected_state_general(t0g, t1g, rho0, n)
@@ -153,7 +154,7 @@ def test_criterion_04_general_resampling_identities():
         for t0, t1 in ((t0g, t1g), (t0l, t1l)):
             t0, t1 = column_stacked(t0), column_stacked(t1)
             d2 = t0.shape[0]
-            row = im.trace_row(d)
+            row = trace_row(d)
             t0n, g_n, _ = an.geometric_sums(t0, 4)
             w = np.eye(d2) - t1 @ g_n
             lhs = np.linalg.solve(w.T, row @ t0n)
@@ -439,7 +440,7 @@ def test_criterion_10_fault_resilience():
     k = (k + k.conj().T) / 2.0
     pi = q[:, :1] @ q[:, :1].conj().T
     params = agsp.verify_agsp(k, pi)
-    inst = im.make_instrument(k, 1.0, im.Resampler.global_mixed(8))
+    inst = im.make_instrument(k, 1.0, im.Resampler.global_mixed())
     fp_ok = True
     for delta in (1e-3, 1e-2):
         for seed in (0, 1):

@@ -5,17 +5,22 @@ from dqe import agsp, analytics as an, instrument as im, pauli, stopping, trajec
 from dqe.errors import IllConditionedError, ParameterError
 
 from oracles import (
+    DenseTransfer,
     column_stacked,
     dense_stopped_general,
     global_run_success_probs,
     markov_expected_absorption,
+    trace_row,
+    transfer_of_instrument_failure,
+    transfer_of_instrument_success,
+    vec,
 )
 
 
 def _weak_global(ham, eps, spectral=None):
     spectral = spectral if spectral is not None else pauli.diagonalize(ham)
     a = agsp.agsp_linear(ham, spectral)
-    inst = im.make_instrument(a.operator, eps, im.Resampler.global_mixed(ham.dimension))
+    inst = im.make_instrument(a.operator, eps, im.Resampler.global_mixed())
     t0, t1 = im.sweep_transfer_global(inst)
     return inst, t0, t1, spectral
 
@@ -105,12 +110,12 @@ class TestGeneralFormulas:
         spec = pauli.diagonalize(ham_z)
         a = agsp.agsp_linear(ham_z, spec)
         k = 0.8 * a.operator  # keep ||E0|| < 1 so tau is regular
-        g = im.make_instrument(k, 0.6, im.Resampler.global_mixed(2))
+        g = im.make_instrument(k, 0.6, im.Resampler.global_mixed())
         l = im.make_instrument(k, 0.6, im.Resampler.local_mixed((0,)), support=(0,))
         rho0 = np.eye(2) / 2
         tg0, tg1 = im.sweep_transfer_global(g)
-        tl0 = im.transfer_of_instrument_success(l)
-        tl1 = im.transfer_of_instrument_failure(l, 1)
+        tl0 = transfer_of_instrument_success(l)
+        tl1 = transfer_of_instrument_failure(l, 1)
         for n in (1, 4):
             sa = an.expected_state_general(tg0, tg1, rho0, n)
             sb = an.expected_state_general(tl0, tl1, rho0, n)
@@ -131,7 +136,7 @@ class TestGeneralFormulas:
         # <<1| E0^n W^{-1} = <<1| and <<1| E1 (1-E0)^{-1} = <<1|
         _, t0, t1, _ = _weak_global(heis3, 0.5, spec3)
         d2 = t0.matrix.shape[0]
-        row = im.trace_row(8)
+        row = t0.sector.trace_row
         n = 4
         t0n, g_n, _ = an.geometric_sums(t0.matrix, n)
         w = np.eye(d2) - t1.matrix @ g_n
@@ -154,9 +159,9 @@ class TestGeneralFormulas:
             rho0 = np.eye(8) / 8
             t0n, g_n, _ = an.geometric_sums(t0m, n)
             w = np.eye(d2) - t1m @ g_n
-            x = t0n @ np.linalg.solve(w, im.vec(rho0))
+            x = t0n @ np.linalg.solve(w, vec(rho0))
             y = t0n @ np.linalg.solve(w, t1m @ np.linalg.solve(np.eye(d2) - t0m, x))
-            row = im.trace_row(8)
+            row = trace_row(8)
             assert float((row @ y).real) == pytest.approx(1.0, abs=1e-7)
 
     def test_second_path_resolvent_form(self, heis3, spec3):
@@ -168,8 +173,8 @@ class TestGeneralFormulas:
         d2 = t0.matrix.shape[0]
         t0n = np.linalg.matrix_power(t0.matrix, n)
         m = np.eye(d2) - t0.matrix - t1.matrix + t1.matrix @ t0n
-        x = np.linalg.solve(m, im.vec(rho0))
-        direct = im.unvec(t0n @ (x - t0.matrix @ x))
+        x = np.linalg.solve(m, t0.sector.vec(rho0))
+        direct = t0.sector.unvec(t0n @ (x - t0.matrix @ x))
         packaged = an.expected_state_general(t0, t1, rho0, n)
         assert np.abs(direct - packaged).max() <= 1e-9
 
@@ -178,8 +183,8 @@ class TestGeneralFormulas:
         # condition tr(E0 o R(rho)) > 0 fails and must raise
         p = np.diag([1.0, 0.0]).astype(complex)
         inst = im.make_instrument(p, 1.0, im.Resampler.identity())
-        t0 = im.transfer_of_instrument_success(inst)
-        t1 = im.transfer_of_instrument_failure(inst, 1)
+        t0 = transfer_of_instrument_success(inst)
+        t1 = transfer_of_instrument_failure(inst, 1)
         rho0 = np.eye(2) / 2
         with pytest.raises(ParameterError):
             an.expected_state_general(t0, t1, rho0, 2)
@@ -219,10 +224,10 @@ class TestGeometricSums:
             assert res.tau == an.expected_tau_general(t0, t1, rho0, n)
 
 
-def _engine_transfers(ham, resampler, eps):
+def _engine_transfers(ham, resampler, eps, mode="product-sweep"):
     rc = trajectory.RunConfig(
         ham,
-        agsp_mode="product-sweep",
+        agsp_mode=mode,
         schedule=stopping.EpsilonSchedule.constant(eps),
         resampler=resampler,
         rule=stopping.FirstRunOfZeros(1),
@@ -239,9 +244,26 @@ class TestStoppedWalk:
     def test_matches_dense_reference(self, heis3, resampler):
         t0, t1, _ = _engine_transfers(heis3, resampler, 0.3)
         # the engine's sector transfers written back in column stacking
-        t0, t1 = column_stacked(t0), column_stacked(t1)
+        r0, r1 = column_stacked(t0), column_stacked(t1)
+        t0, t1 = DenseTransfer(r0), DenseTransfer(r1)
         rho0 = np.eye(8) / 8
-        refs = {n: dense_stopped_general(t0, t1, rho0, n) for n in range(1, 10)}
+        refs = {n: dense_stopped_general(r0, r1, rho0, n) for n in range(1, 10)}
+        self._check_tables(t0, t1, rho0, refs)
+
+    @pytest.mark.parametrize("resampler", ["global", "local", "identity"])
+    @pytest.mark.parametrize("mode", ["linear-global", "chebyshev-global"])
+    def test_global_modes_match_dense_reference(self, heis3, mode, resampler):
+        # the engine's sector transfers against the dense column-stacked
+        # pair of its instrument
+        t0, t1, engine = _engine_transfers(heis3, resampler, 0.3, mode)
+        (inst,) = engine.instruments_at(0.3)
+        r0 = transfer_of_instrument_success(inst).matrix
+        r1 = transfer_of_instrument_failure(inst).matrix
+        rho0 = np.eye(8) / 8
+        refs = {n: dense_stopped_general(r0, r1, rho0, n) for n in range(1, 10)}
+        self._check_tables(t0, t1, rho0, refs)
+
+    def _check_tables(self, t0, t1, rho0, refs):
         for ns in self.TABLES:
             table = an.expected_stopped_general(t0, t1, rho0, ns)
             assert [r.n for r in table] == ns
@@ -302,7 +324,7 @@ class TestScheduleOracle:
             eps_j = 0.0625 / j
             insts = [
                 im.make_instrument(
-                    f.embed(f.weight * f.k_local), eps_j, im.Resampler.global_mixed(4), support=f.support
+                    f.embed(f.weight * f.k_local), eps_j, im.Resampler.global_mixed(), support=f.support
                 )
                 for f in a.local_factors
             ]

@@ -7,12 +7,20 @@ from dqe import stopping as stp, trajectory as tj
 from dqe.errors import InvalidAgspError, ParameterError, SingularFixedPointError
 
 from oracles import (
+    apply_local_tensor,
     column_stacked,
     dense_stopped_general,
     dense_sweep_transfer_mixture,
     dense_sweep_transfer_product,
     global_run_success_probs,
     markov_expected_absorption,
+    resampler_transfer,
+    trace_row,
+    transfer_of_instrument_failure,
+    transfer_of_instrument_success,
+    transfer_of_kraus,
+    unvec,
+    vec,
 )
 
 
@@ -30,19 +38,19 @@ def _rand_density(rng, d):
 class TestMakeInstrument:
     def test_projective_limit(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(p, 1.0, im.Resampler.global_mixed(2))
+        inst = im.make_instrument(p, 1.0, im.Resampler.global_mixed())
         assert np.allclose(inst.e0, p)
         assert np.allclose(inst.e1, np.eye(2) - p)
 
     def test_trivial_limit(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(p, 0.0, im.Resampler.global_mixed(2))
+        inst = im.make_instrument(p, 0.0, im.Resampler.global_mixed())
         assert np.allclose(inst.e0, np.eye(2))
         assert np.allclose(inst.e1, 0.0)
 
     def test_weighted_weak_eigenvalues(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(0.5 * p, 0.2, im.Resampler.global_mixed(2))
+        inst = im.make_instrument(0.5 * p, 0.2, im.Resampler.global_mixed())
         assert sorted(np.linalg.eigvalsh(inst.e0)) == pytest.approx([0.8, 0.9])
         expected = sorted([np.sqrt(1 - 0.81), np.sqrt(1 - 0.64)])
         assert sorted(np.linalg.eigvalsh(inst.e1)) == pytest.approx(expected)
@@ -50,18 +58,18 @@ class TestMakeInstrument:
     def test_completeness(self, heis3, spec3):
         a = agsp.agsp_linear(heis3, spec3)
         for eps in (0.1, 0.5, 1.0):
-            inst = im.make_instrument(a.operator, eps, im.Resampler.global_mixed(8))
+            inst = im.make_instrument(a.operator, eps, im.Resampler.global_mixed())
             comp = inst.e0.conj().T @ inst.e0 + inst.e1.conj().T @ inst.e1
             assert np.abs(comp - np.eye(8)).max() <= 1e-10
             assert np.linalg.norm(inst.e0, 2) <= 1.0 + 1e-12
 
     def test_overscaled_rejected(self):
         with pytest.raises(InvalidAgspError):
-            im.make_instrument(2.0 * np.eye(2), 1.0, im.Resampler.global_mixed(2))
+            im.make_instrument(2.0 * np.eye(2), 1.0, im.Resampler.global_mixed())
 
     def test_eps_out_of_range(self):
         with pytest.raises(ParameterError):
-            im.make_instrument(np.eye(2), 1.5, im.Resampler.global_mixed(2))
+            im.make_instrument(np.eye(2), 1.5, im.Resampler.global_mixed())
 
 
 @st.composite
@@ -199,7 +207,7 @@ class TestApplySampled:
         # P(0) on |+> from 2x2 arithmetic, checked against 1e5 samples
         eps = 0.2
         pi = np.diag([0.0, 1.0]).astype(complex)  # ground of +Z
-        inst = im.make_instrument(pi, eps, im.Resampler.global_mixed(2))
+        inst = im.make_instrument(pi, eps, im.Resampler.global_mixed())
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
         p0 = float(np.vdot(inst.e0 @ plus, inst.e0 @ plus).real)
         term = pauli.PauliTerm(1.0, pauli.PauliString("Z"))
@@ -220,9 +228,9 @@ class TestApplySampled:
         )
         psi = _rand_state(rng, 4)
         rho0 = np.outer(psi, psi.conj())
-        t0 = im.transfer_of_instrument_success(inst).matrix
-        t1 = im.transfer_of_instrument_failure(inst, 2).matrix
-        expected = im.unvec((t0 + t1) @ im.vec(rho0))
+        t0 = transfer_of_instrument_success(inst).matrix
+        t1 = transfer_of_instrument_failure(inst, 2).matrix
+        expected = unvec((t0 + t1) @ vec(rho0))
         ts, measure = _engine_measurement(term, weight, eps, "local", rng)
         n = 40_000
         acc = np.zeros((4, 4), dtype=complex)
@@ -235,58 +243,58 @@ class TestApplySampled:
 
 class TestTransfer:
     def test_identity_kraus(self):
-        t = im.transfer_of_kraus([np.eye(3)])
+        t = transfer_of_kraus([np.eye(3)])
         assert np.allclose(t.matrix, np.eye(9))
         assert t.trace_preserving
 
     def test_x_moves_populations(self):
         x = pauli.PauliString("X").to_matrix()
-        t = im.transfer_of_kraus([x])
+        t = transfer_of_kraus([x])
         out = t.apply(np.diag([1.0, 0.0]).astype(complex))
         assert np.allclose(out, np.diag([0.0, 1.0]))
 
     def test_diagonal_kraus(self):
         k = np.diag([0.9, 0.3]).astype(complex)
-        t = im.transfer_of_kraus([k])
+        t = transfer_of_kraus([k])
         assert np.allclose(np.diag(t.matrix).real, [0.81, 0.27, 0.27, 0.09])
 
     def test_round_trip_and_action(self, rng):
         rho = _rand_density(rng, 4)
-        assert np.abs(im.unvec(im.vec(rho)) - rho).max() == 0.0
+        assert np.abs(unvec(vec(rho)) - rho).max() == 0.0
         ops = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) * 0.3 for _ in range(3)]
         ops = [o / (3 * np.linalg.norm(o, 2)) for o in ops]
-        t = im.transfer_of_kraus(ops)
+        t = transfer_of_kraus(ops)
         direct = sum(o @ rho @ o.conj().T for o in ops)
         assert np.abs(t.apply(rho) - direct).max() <= 1e-12
 
     def test_spectral_radius_trace_non_increasing(self, heis2, spec2):
         a = agsp.agsp_linear(heis2, spec2)
-        inst = im.make_instrument(a.operator, 0.5, im.Resampler.global_mixed(4))
-        t0 = im.transfer_of_instrument_success(inst)
+        inst = im.make_instrument(a.operator, 0.5, im.Resampler.global_mixed())
+        t0 = transfer_of_instrument_success(inst)
         radius = np.abs(np.linalg.eigvals(t0.matrix)).max()
         assert radius <= 1.0 + 1e-9
 
     def test_failure_transfer_global_cases(self):
         d = 4
         zero = np.zeros((d, d), dtype=complex)
-        inst = im.Instrument(zero, np.eye(d), im.Resampler.global_mixed(d))
-        t1 = im.transfer_of_instrument_failure(inst)
+        inst = im.Instrument(zero, np.eye(d), im.Resampler.global_mixed())
+        t1 = transfer_of_instrument_failure(inst)
         rho = np.diag([1.0, 0, 0, 0]).astype(complex)
         assert np.abs(t1.apply(rho) - np.eye(d) / d).max() <= 1e-12
 
     def test_failure_probability_zero_on_top_eigenspace(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(p, 1.0, im.Resampler.global_mixed(2))
-        t1 = im.transfer_of_instrument_failure(inst)
+        inst = im.make_instrument(p, 1.0, im.Resampler.global_mixed())
+        t1 = transfer_of_instrument_failure(inst)
         rho = np.diag([1.0, 0.0]).astype(complex)
         assert np.trace(t1.apply(rho)).real <= 1e-12
 
     def test_sum_trace_preserving(self, heis2, spec2):
         a = agsp.agsp_linear(heis2, spec2)
-        inst = im.make_instrument(a.operator, 0.5, im.Resampler.global_mixed(4))
-        t0 = im.transfer_of_instrument_success(inst).matrix
-        t1 = im.transfer_of_instrument_failure(inst).matrix
-        row = im.trace_row(4)
+        inst = im.make_instrument(a.operator, 0.5, im.Resampler.global_mixed())
+        t0 = transfer_of_instrument_success(inst).matrix
+        t1 = transfer_of_instrument_failure(inst).matrix
+        row = trace_row(4)
         assert np.abs(row @ (t0 + t1) - row).max() <= 1e-10
 
     def test_local_failure_trace_preserving_sum(self, heis3, spec3):
@@ -295,9 +303,9 @@ class TestTransfer:
         inst = im.make_instrument(
             f.embed(f.weight * f.k_local), 0.3, im.Resampler.local_mixed(f.support), support=f.support
         )
-        t0 = im.transfer_of_instrument_success(inst).matrix
-        t1 = im.transfer_of_instrument_failure(inst, 3).matrix
-        row = im.trace_row(8)
+        t0 = transfer_of_instrument_success(inst).matrix
+        t1 = transfer_of_instrument_failure(inst, 3).matrix
+        row = trace_row(8)
         assert np.abs(row @ (t0 + t1) - row).max() <= 1e-10
 
 
@@ -366,19 +374,19 @@ class TestSweepTransfers:
             for f in a.local_factors
         ]
         t0, t1 = im.sweep_transfer_product(insts, 3)
-        row = im.trace_row(8)
+        row = trace_row(8)
         assert np.abs(row @ (column_stacked(t0) + column_stacked(t1)) - row).max() <= 1e-9
 
     def test_mixture_sweep_trace_preserving(self, heis2, spec2):
         a = agsp.agsp_linear(heis2, spec2)
         insts = [
             im.make_instrument(
-                f.embed(f.weight * f.k_local), 0.2, im.Resampler.global_mixed(4), support=f.support
+                f.embed(f.weight * f.k_local), 0.2, im.Resampler.global_mixed(), support=f.support
             )
             for f in a.local_factors
         ]
         t0, t1 = im.sweep_transfer_mixture(insts, 2)
-        row = im.trace_row(4)
+        row = trace_row(4)
         assert np.abs(row @ (column_stacked(t0) + column_stacked(t1)) - row).max() <= 1e-9
 
 
@@ -423,6 +431,10 @@ _NON_ADJACENT = pauli.PauliHamiltonian(
 )
 
 
+# a projective measurement of X on qubit 1 never succeeds after a failure
+# when nothing resamples
+_ONE_X = pauli.PauliHamiltonian(3, (pauli.PauliTerm(1.0, pauli.PauliString("IXI")),))
+
 # Above this E(tau), W's conditioning puts two float64 solves more than 1e-10
 # apart: at n = 3 the non-adjacent example below has E(tau) = 3.6e4, and
 # against a 30-digit solve the dense reference is off by 1.5e-10 and the
@@ -446,6 +458,7 @@ class TestLocalSweepTransfer:
     @example(ham=_NON_ADJACENT, eps=0.5, resampler="local", mode="product-sweep")
     @example(ham=_NON_ADJACENT, eps=1.0, resampler="global", mode="product-sweep")
     @example(ham=_NON_ADJACENT, eps=0.5, resampler="identity", mode="mixture-random")
+    @example(ham=_ONE_X, eps=1.0, resampler="identity", mode="product-sweep")
     def test_matches_dense_reference(self, ham, eps, resampler, mode):
         engine = _sweep_engine(ham, eps, resampler, mode)
         insts = engine.instruments_at(eps)
@@ -455,13 +468,20 @@ class TestLocalSweepTransfer:
         r0, r1 = dense_sweep(insts, ham.num_qubits)
         assert np.abs(column_stacked(t0) - r0).max() <= 1e-13
         assert np.abs(column_stacked(t1) - r1).max() <= 1e-13
-        row = im.trace_row(ham.dimension)
+        row = trace_row(ham.dimension)
         assert np.abs(row @ (column_stacked(t0) + column_stacked(t1)) - row).max() <= 1e-12
         # the engine's sector gives the stopped process of the dense reference
         s0, s1 = engine.sweep_transfers(eps)
         assert s0.matrix.dtype == s1.matrix.dtype == np.float64
         assert s0.matrix.shape[0] == engine.sector.dimension
         rho0 = np.eye(ham.dimension) / ham.dimension
+        v0 = vec(rho0)
+        if (row @ r1 @ v0).real > 1e-15 and (row @ r0 @ r1 @ v0).real <= 1e-15:
+            # no failure is ever followed by a success (eps = 1 with the
+            # identity resampler): W is singular, and the oracle refuses
+            with pytest.raises(ParameterError, match="never succeeds"):
+                an.expected_stopped_general(s0, s1, rho0, [1])
+            return
         for n in (1, 2, 3):
             state, tau = dense_stopped_general(r0, r1, rho0, n)
             if tau > _TAU_COMPARED:
@@ -479,7 +499,7 @@ class TestLocalSweepTransfer:
         full[table[:, :, None], table[:, None, :]] = a
         x = rng.normal(size=(64, 5)) + 1j * rng.normal(size=(64, 5))
         xt = x.reshape((2,) * 6 + (5,))
-        out = im.apply_local_tensor(np.kron(a.conj(), a), (0, 2), 3, xt).reshape(x.shape)
+        out = apply_local_tensor(np.kron(a.conj(), a), (0, 2), 3, xt).reshape(x.shape)
         assert np.abs(out - np.kron(full.conj(), full) @ x).max() <= 1e-12
 
     def test_mixture_matches_dense_composition(self, heis2):
@@ -581,7 +601,7 @@ class TestPauliSector:
         assert t0.matrix.shape == t1.matrix.shape == (16, 16)
         assert t0.matrix.dtype == t1.matrix.dtype == np.float64
         rho = np.eye(8) / 8
-        assert np.abs(t0.apply(rho) - im.unvec(column_stacked(t0) @ im.vec(rho))).max() <= 1e-15
+        assert np.abs(t0.apply(rho) - unvec(column_stacked(t0) @ vec(rho))).max() <= 1e-15
 
     def test_state_outside_sector_refused(self, heis3):
         t0, t1 = _sweep_engine(heis3, 0.3, "local").sweep_transfers(0.3)
@@ -609,19 +629,8 @@ class TestCustomResampler:
     def test_unitary_custom_resampler(self):
         x = pauli.PauliString("X").to_matrix()
         res = im.Resampler.custom([x])
-        t = im.resampler_transfer(res, 1)
+        t = resampler_transfer(res, 1)
         assert t.trace_preserving
-
-    def test_min_support_sampling(self, rng):
-        # the global maximally mixed map honestly declares mu = 1/D
-        res = im.Resampler.global_mixed(4)
-        assert res.min_support == pytest.approx(0.25)
-        im.validate_min_support(res, 2, rng)
-        # a unitary resampler with a dishonest mu is rejected
-        x = pauli.PauliString("XI").to_matrix()
-        bad = im.Resampler.custom([x], min_support=0.1)
-        with pytest.raises(ParameterError):
-            im.validate_min_support(bad, 2, rng)
 
 
 class TestMarkovOracleAgreement:

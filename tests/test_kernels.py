@@ -187,8 +187,10 @@ class TestStateInvariants:
         (pauli.PauliHamiltonian(2, (pauli.PauliTerm(1.0, PauliString("XY")),)), {}, np.complex128),
         (pauli.build_heisenberg_chain(3), {"noise": DepolarizingPerGate(1e-4, 1e-4)},
          np.complex128),
-        (pauli.build_heisenberg_chain(3), {"agsp_mode": "linear-global"}, np.complex128),
-    ], ids=["heisenberg", "heisenberg-mixture", "maxsat", "odd-y", "noisy", "global"])
+        (pauli.build_heisenberg_chain(3), {"agsp_mode": "linear-global"}, np.float64),
+        (pauli.PauliHamiltonian(2, (pauli.PauliTerm(1.0, PauliString("XY")),)),
+         {"agsp_mode": "linear-global"}, np.complex128),
+    ], ids=["heisenberg", "heisenberg-mixture", "maxsat", "odd-y", "noisy", "global", "odd-y-global"])
     def test_state_dtype_rule(self, ham, kw, dtype):
         engine = tj.TrajectoryEngine(_cfg(ham, **kw))
         assert engine.state_dtype == dtype

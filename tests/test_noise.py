@@ -5,7 +5,16 @@ from dqe import agsp, analytics as an, instrument as im, noise as nz, pauli
 from dqe import stopping as st, trajectory as tj
 from dqe.errors import InvalidNoiseError
 
-from oracles import column_stacked, dense_noisy_sweep_success_transfer, iterative_free_decay_overlaps
+from oracles import (
+    DenseTransfer,
+    column_stacked,
+    dense_noisy_sweep_success_transfer,
+    in_pauli_basis,
+    iterative_free_decay_overlaps,
+    pauli_basis,
+    trace_row,
+    vec,
+)
 
 
 class TestDepolarizingTomography:
@@ -81,7 +90,7 @@ class TestDepolarizingTomography:
 class TestChannelPerturbation:
     def _clean_instrument(self):
         k = np.diag([0.9, 0.85, 0.3, 0.2]).astype(complex)
-        return im.make_instrument(k, 1.0, im.Resampler.global_mixed(4))
+        return im.make_instrument(k, 1.0, im.Resampler.global_mixed())
 
     def test_zero_delta_identity(self):
         inst = self._clean_instrument()
@@ -101,7 +110,7 @@ class TestChannelPerturbation:
         # the direction acts on every qubit, so the sweep oracle must see a
         # full-space instrument rather than refuse a false support
         k = np.diag([0.9, 0.3, 0.9, 0.3]).astype(complex)  # acts on qubit 1 only
-        inst = im.make_instrument(k, 0.5, im.Resampler.global_mixed(4), support=(1,))
+        inst = im.make_instrument(k, 0.5, im.Resampler.global_mixed(), support=(1,))
         pert = nz.perturb_instrument(inst, nz.ChannelPerturbation(1e-2, seed=2))
         assert pert.support is None
         t0, _ = im.sweep_transfer_product([pert], 2)
@@ -109,7 +118,7 @@ class TestChannelPerturbation:
 
     def test_norm_guard(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(p, 1.0, im.Resampler.global_mixed(2))
+        inst = im.make_instrument(p, 1.0, im.Resampler.global_mixed())
         with pytest.raises(InvalidNoiseError):
             nz.perturb_instrument(inst, nz.ChannelPerturbation(0.3, seed=1))
 
@@ -139,7 +148,7 @@ class TestBounds:
         k = (q * vals) @ q.conj().T
         pi = q[:, :1] @ q[:, :1].conj().T
         params = agsp.verify_agsp(k, pi)
-        inst = im.make_instrument(k, 1.0, im.Resampler.global_mixed(8))
+        inst = im.make_instrument(k, 1.0, im.Resampler.global_mixed())
         for delta in (1e-3, 1e-2):
             for seed in (0, 1, 2):
                 pert = nz.perturb_instrument(inst, nz.ChannelPerturbation(delta, seed=seed))
@@ -179,7 +188,7 @@ class TestNoisyOracle:
             noise=nz.DepolarizingPerGate(1e-3, 1e-3),
         )
         eng = tj.TrajectoryEngine(cfg)
-        local = nz.noisy_sweep_success_transfer(eng)
+        local = column_stacked(nz.noisy_sweep_success_transfer(eng))
         assert np.abs(local - dense_noisy_sweep_success_transfer(eng)).max() <= 1e-13
 
     def test_sweep_apply_and_adjoint_match_dense(self, heis3, rng):
@@ -193,21 +202,23 @@ class TestNoisyOracle:
         dense = dense_noisy_sweep_success_transfer(eng)
         blocks = nz.noisy_sweep_blocks(eng)
         x = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
-        fwd = nz.apply_noisy_sweep(blocks, 3, x)
-        adj = nz.apply_noisy_sweep(blocks, 3, x, adjoint=True)
+        # the stack and the sweep's output in the Pauli-transfer basis
+        b = pauli_basis(3)
+        fwd = b @ nz.apply_noisy_sweep(blocks, 3, b.conj().T @ x)
+        adj = b @ nz.apply_noisy_sweep(blocks, 3, b.conj().T @ x, adjoint=True)
         assert np.abs(fwd - dense @ x).max() <= 1e-13
         assert np.abs(adj - dense.conj().T @ x).max() <= 1e-13
         # depolarizing leaves the sweep self-adjoint; random Kraus operators
         # on the same supports do not, so the flag is checked there too
         ops = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in eng.terms]
         ops = [a / np.linalg.norm(a, 2) for a in ops]
-        blocks = [(np.kron(a.conj(), a), t.support) for a, t in zip(ops, eng.terms)]
+        blocks = [(in_pauli_basis(np.kron(a.conj(), a)), t.support) for a, t in zip(ops, eng.terms)]
         dense = np.eye(64, dtype=complex)
         for v in list(range(6)) + list(range(5, -1, -1)):
             full = eng.terms[v].embed(ops[v])
             dense = np.kron(full.conj(), full) @ dense
-        fwd = nz.apply_noisy_sweep(blocks, 3, x)
-        adj = nz.apply_noisy_sweep(blocks, 3, x, adjoint=True)
+        fwd = b @ nz.apply_noisy_sweep(blocks, 3, b.conj().T @ x)
+        adj = b @ nz.apply_noisy_sweep(blocks, 3, b.conj().T @ x, adjoint=True)
         assert np.abs(fwd - dense @ x).max() <= 1e-13
         assert np.abs(adj - dense.conj().T @ x).max() <= 1e-13
         assert np.abs(fwd - adj).max() > 1e-3 * np.abs(fwd).max()
@@ -273,7 +284,7 @@ class TestNoisyOracle:
                 for r in range(table.shape[0]):
                     full[np.ix_(table[r], table[r])] = a
                 t0m += np.kron(full.conj(), full)
-            t1m = np.outer(im.vec(np.eye(d) / d), im.trace_row(d).conj()) @ (
+            t1m = np.outer(vec(np.eye(d) / d), trace_row(d).conj()) @ (
                 np.eye(d * d) - t0m
             )
             micro.append((t0m, t1m))
@@ -284,9 +295,10 @@ class TestNoisyOracle:
             full_t = (micro[v][0] + micro[v][1]) @ full_t
             succ = micro[v][0] @ succ
         rho0 = np.eye(d) / d
-        ex_state = an.expected_state_general(succ, full_t - succ, rho0, 3)
+        t0, t1 = DenseTransfer(succ), DenseTransfer(full_t - succ)
+        ex_state = an.expected_state_general(t0, t1, rho0, 3)
         ex_ov = float(np.trace(spec3.ground_projector @ ex_state).real)
-        ex_tau = an.expected_tau_general(succ, full_t - succ, rho0, 3)
+        ex_tau = an.expected_tau_general(t0, t1, rho0, 3)
         assert abs(stats.mean_overlap - ex_ov) <= 3 * stats.stderr_overlap
         assert abs(stats.mean_tau - ex_tau) <= 3 * stats.stderr_tau
 
