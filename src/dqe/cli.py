@@ -102,15 +102,21 @@ def parse_stopping(spec: str) -> stopping.StoppingRule:
 def parse_epsilon(spec: str, ham) -> stopping.EpsilonSchedule:
     if spec == "auto":
         return stopping.EpsilonSchedule.constant(stopping.suggest_epsilon(ham))
-    if spec.startswith("decaying:"):
-        base = spec.split(":", 1)[1]
-        if base == "auto":
-            return stopping.EpsilonSchedule.decaying(stopping.suggest_epsilon(ham))
-        return stopping.EpsilonSchedule.decaying(float(base))
     try:
+        if spec.startswith("decaying:"):
+            base = spec.split(":", 1)[1]
+            if base == "auto":
+                return stopping.EpsilonSchedule.decaying(stopping.suggest_epsilon(ham))
+            return stopping.EpsilonSchedule.decaying(float(base))
         return stopping.EpsilonSchedule.constant(float(spec))
     except ValueError as exc:
         raise ConfigError(f"cannot parse eps spec {spec!r}") from exc
+
+
+def _constant_eps(schedule: stopping.EpsilonSchedule, command: str) -> float:
+    if schedule.kind != "constant":
+        raise ConfigError(f"{command} needs a constant eps schedule")
+    return schedule.base
 
 
 def make_run_config(cfg: ExperimentConfig, noise_model=None) -> trajectory.RunConfig:
@@ -258,10 +264,8 @@ def cmd_ensemble(args) -> int:
 def cmd_analytics(args) -> int:
     cfg = _experiment_from_args(args, "analytics")
     rc = make_run_config(cfg)
-    if rc.schedule.kind != "constant":
-        raise ConfigError("analytics needs a constant eps schedule")
+    eps = _constant_eps(rc.schedule, "analytics")
     engine = trajectory.TrajectoryEngine(rc)
-    eps = rc.schedule.base
     t0, t1 = engine.sweep_transfers(eps)
     rho0 = np.eye(engine.dim) / engine.dim
     spec = engine.spectral
@@ -323,7 +327,7 @@ def cmd_compare_resampling(args) -> int:
         raise ConfigError("compare-resampling sweeps Heisenberg chain sizes")
     sizes = _parse_int_list(args.sizes)
     nz = args.n_zeros
-    eps = float(cfg.eps)
+    eps = _constant_eps(parse_epsilon(cfg.eps, build_system(cfg.system)), "compare-resampling")
     rows = []
     taus_g, taus_l = [], []
     for size in sizes:
@@ -363,7 +367,7 @@ def cmd_noise_sweep(args) -> int:
     cfg = _experiment_from_args(args, "noise-sweep")
     ham = build_system(cfg.system)
     runtimes = _parse_int_list(args.runtimes)
-    eps = float(cfg.eps)
+    eps = _constant_eps(parse_epsilon(cfg.eps, ham), "noise-sweep")
     rows = []
     for p in [float(x) for x in args.rates.split(",")]:
         model = noise.DepolarizingPerGate(p, p)
@@ -475,6 +479,8 @@ def _experiment_from_args(args, command: str) -> ExperimentConfig:
     mode = pick("agsp", "product")
     if mode not in _AGSP_CLI:
         raise ConfigError(f"agsp must be one of {sorted(_AGSP_CLI)}, got {mode!r}")
+    own = sorted(set(vars(args)) - _COMMON_DESTS - {"cmd", "fn"})
+    extra = {k: getattr(args, k) for k in own if getattr(args, k) is not None}
     return ExperimentConfig(
         command=command,
         system=_system_from_args(args, file_cfg),
@@ -489,6 +495,7 @@ def _experiment_from_args(args, command: str) -> ExperimentConfig:
         cheb_degree=int(pick("cheb_degree", 2)),
         max_steps=int(pick("max_steps", 1_000_000)),
         workers=int(pick("workers", os.cpu_count() or 1)),
+        extra=extra or None,
     )
 
 
@@ -530,6 +537,12 @@ def _add_common(p: argparse.ArgumentParser, trajectories=False):
     p.add_argument("--output", "-o", default=None, help="output file ('-' = stdout)")
     if trajectories:
         p.add_argument("--trajectories", type=int, default=None)
+    return p
+
+
+# the common arguments; every other argument of a subcommand is its own,
+# and enters the config (and with it the hash) as extra
+_COMMON_DESTS = frozenset(vars(_add_common(argparse.ArgumentParser(), trajectories=True).parse_args([])))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -454,9 +454,10 @@ def pauli_matrix(coeffs: np.ndarray, num_qubits: int) -> np.ndarray:
 def pauli_transfer(kraus) -> np.ndarray:
     """Real 4^k x 4^k Pauli-transfer matrix of rho -> sum_A A rho A^dag."""
     k = kraus[0].shape[0].bit_length() - 1
-    sup = sum(np.kron(a, a.conj()) for a in kraus)  # on row-major vec(rho)
-    pairs = _pair_axes(k)
-    x = sup.reshape((2,) * (4 * k)).transpose(pairs + [2 * k + ax for ax in pairs])
+    flat = np.array([np.ravel(a) for a in kraus])
+    # sum_A vec(A) vec(A)^dag in one product; pairing each bit of A's rows
+    # (then columns) with conj(A)'s gives A (x) conj(A) per qubit
+    x = (flat.T @ flat.conj()).reshape((2,) * (4 * k)).transpose(_pair_axes(2 * k))
     x = _on_axes(x.reshape((4,) * (2 * k)), _PAIR.conj(), range(k))
     return _on_axes(x, _PAIR, range(k, 2 * k)).reshape(4**k, 4**k).real
 

@@ -2,7 +2,7 @@
 
 Two noise models: per-gate depolarizing applied inside the measurement
 circuit (the effective noisy instrument is then extracted by process
-tomography on the dense simulator), and a direct Kraus-operator
+tomography in the Pauli-transfer basis), and a direct Kraus-operator
 perturbation of a clean instrument with a transfer-norm budget.  Transfers
 are real Pauli-transfer matrices (``instrument.PauliSector``'s basis); the
 basis is orthonormal in Hilbert-Schmidt space, so their operator-norm
@@ -11,7 +11,8 @@ distances are those of any other orthonormal basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -36,9 +37,7 @@ from .instrument import (
     pauli_transfer,
     principal_sqrt_complement,
 )
-from .pauli import PauliString, PauliTerm
-
-_PAULI_AXES = ("X", "Y", "Z")
+from .pauli import PauliTerm
 
 
 @dataclass(frozen=True)
@@ -65,17 +64,29 @@ class ChannelPerturbation:
             raise ParameterError("delta must be >= 0")
 
 
-NoiseModel = DepolarizingPerGate | ChannelPerturbation
-
-
 @dataclass(frozen=True)
 class NoisyTermInstrument:
-    """Tomography-extracted branches of one noisy weak measurement."""
+    """Tomography-extracted branches of one noisy weak measurement.
+
+    Each Kraus set is held heaviest first, so the sampler's lazy branch walk
+    usually stops after one application.
+    """
 
     kraus0: tuple[np.ndarray, ...]
     kraus1: tuple[np.ndarray, ...]
     support: tuple[int, ...]
     delta_measured: float
+
+    @cached_property
+    def success_povm(self) -> np.ndarray:
+        """sum_a a^dag a over the success branch, Hermitian to round-off."""
+        m0 = sum(a.conj().T @ a for a in self.kraus0)
+        return (m0 + m0.conj().T) / 2.0
+
+    @cached_property
+    def success_transfer(self) -> np.ndarray:
+        """Pauli-transfer matrix of the success branch on the support."""
+        return pauli_transfer(self.kraus0)
 
 
 @dataclass(frozen=True)
@@ -92,83 +103,67 @@ class ResilienceReport:
 
 
 # ---------------------------------------------------------------------------
-# Depolarizing channels on dense density matrices
+# Process tomography in the Pauli-transfer basis
 # ---------------------------------------------------------------------------
 
 
-def _pauli_conj_data(num_qubits: int, qubits: tuple[int, ...]):
-    """(perm, phase-left) pairs realizing sigma rho sigma^dag for the 3 or 15
-    non-identity Pauli words on the given qubits."""
-    words = []
-    if len(qubits) == 1:
-        combos = [(a,) for a in _PAULI_AXES]
-    else:
-        combos = [
-            (a, b)
-            for a in ("I",) + _PAULI_AXES
-            for b in ("I",) + _PAULI_AXES
-            if not (a == "I" and b == "I")
-        ]
-    for combo in combos:
-        factors = ["I"] * num_qubits
-        for q, ax in zip(qubits, combo):
-            if ax != "I":
-                factors[q] = ax
-        perm, phase = PauliString("".join(factors)).perm_and_phase()
-        words.append((perm, phase[perm]))
-    return words
-
-
-def _apply_depolarizing(rho: np.ndarray, words, p: float) -> np.ndarray:
-    if p == 0.0:
-        return rho
-    acc = np.zeros_like(rho)
-    for perm, pl in words:
-        acc += (pl[:, None] * rho[np.ix_(perm, perm)]) * pl.conj()[None, :]
-    return (1.0 - p) * rho + (p / len(words)) * acc
-
-
-def _gate_noise_targets(gate, num_qubits: int):
-    if isinstance(gate, BasisRotation):
-        return (gate.qubit,)
-    if isinstance(gate, AncillaRotation):
-        return (num_qubits - 1,)
+def _local_gate(gate, num_qubits: int):
+    """(unitary, qubits) of a gate on just the qubits it acts on."""
     if isinstance(gate, ControlledNot):
-        return (gate.control, gate.target)
-    return ()
+        return gate_unitary(ControlledNot(0, 1), 2), (gate.control, gate.target)
+    if isinstance(gate, BasisRotation):
+        return gate_unitary(replace(gate, qubit=0), 1), (gate.qubit,)
+    return gate_unitary(gate, 1), (num_qubits - 1,)
+
+
+# input columns evolved at once: a weight-k term's stack holds at most
+# 4^(k+1) x 1024 reals (134 MB at k = 6)
+_TOMOGRAPHY_COLUMNS = 1024
 
 
 def noisy_circuit_branches(circ, model: DepolarizingPerGate):
-    """Branch channels Phi_0, Phi_1 of the noisy circuit, as Choi matrices.
+    """Branch channels Phi_0, Phi_1 of the noisy circuit, as Choi matrices
+    sum_ij E_ij (x) Phi_b(E_ij) over the data matrix units E_ij.
 
-    Evolves each data basis matrix unit through the gate list with a
-    depolarizing channel after every gate, then projects the ancilla.
+    Each gate and its depolarizing channel act as one real local
+    Pauli-transfer matrix on a (4,)*n + (columns,) stack over the data Pauli
+    strings.  The ancilla (the last qubit) enters as |0><0| = (I + Z)/2 and
+    is read out as <b|.|b>: over the output's ancilla digit, the branch
+    transfers are R_b = (out[.., I, :] +- out[.., Z, :]) / 2.  The Choi
+    matrix is sum_{s,t} R_b[t, s] P_s^T (x) P_t, the partial transpose of a
+    Pauli expansion (Wood, Biamonte & Cory, QIC 15, 2015).
     """
     n = circ.num_qubits
-    d_data = 1 << (n - 1)
-    gates = []
+    k = n - 1
+    steps = []
     for g in circ.gates:
         if isinstance(g, (MeasureAncilla, ResetAncilla)):
             continue
-        targets = _gate_noise_targets(g, n)
-        p = model.p1 if len(targets) == 1 else model.p2
-        gates.append((gate_unitary(g, n), _pauli_conj_data(n, targets), p))
-    anc0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
-    choi0 = np.zeros((d_data * d_data, d_data * d_data), dtype=np.complex128)
-    choi1 = np.zeros_like(choi0)
-    for i in range(d_data):
-        for j in range(d_data):
-            e_ij = np.zeros((d_data, d_data), dtype=np.complex128)
-            e_ij[i, j] = 1.0
-            rho = np.kron(e_ij, anc0)
-            for u, words, p in gates:
-                rho = u @ rho @ u.conj().T
-                rho = _apply_depolarizing(rho, words, p)
-            unit = np.zeros_like(e_ij)
-            unit[i, j] = 1.0
-            choi0 += np.kron(unit, rho[0::2, 0::2])
-            choi1 += np.kron(unit, rho[1::2, 1::2])
-    return choi0, choi1
+        u, qubits = _local_gate(g, n)
+        t = len(qubits)
+        p = model.p1 if t == 1 else model.p2
+        # (1 - p) rho + p/(4^t - 1) sum_sigma sigma rho sigma over the
+        # non-identity strings sigma scales each of them by 1 - p 4^t/(4^t - 1)
+        diag = np.full(4**t, 1.0 - p * 4**t / (4**t - 1))
+        diag[0] = 1.0
+        steps.append((diag[:, None] * pauli_transfer([u]), qubits))
+    cols = 4**k
+    out = np.empty((cols, 2, cols))
+    for lo in range(0, cols, _TOMOGRAPHY_COLUMNS):
+        idx = np.arange(lo, min(lo + _TOMOGRAPHY_COLUMNS, cols))
+        x = np.zeros((cols, 4, len(idx)))
+        x[idx, ::3, idx - lo] = 1.0  # data string idx, ancilla I + Z
+        x = x.reshape((4,) * n + (len(idx),))
+        for transfer, qubits in steps:
+            x = apply_on_axes(transfer, qubits, x)
+        out[:, :, idx] = x.reshape(cols, 4, -1)[:, ::3]
+    d = 1 << k
+    # pauli_matrix(c, 2k) = sum_{s,t} c[s, t] P_s (x) P_t, with rows (i, a)
+    # and columns (j, b); transposing the input factor swaps i and j
+    return tuple(
+        pauli_matrix(rb.T.reshape(-1), 2 * k).reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
+        for rb in ((out[:, 0] + out[:, 1]) / 2.0, (out[:, 0] - out[:, 1]) / 2.0)
+    )
 
 
 def _kraus_from_choi(choi: np.ndarray, d: int, tol: float = 1e-12):
@@ -193,8 +188,9 @@ def noisy_term_instrument(
     circ = measurement_circuit(term, eps, weight)
     choi0, choi1 = noisy_circuit_branches(circ, model)
     d = 1 << len(term.string.support)
-    kraus0 = _kraus_from_choi(choi0, d)
-    kraus1 = _kraus_from_choi(choi1, d)
+    kraus0, kraus1 = (
+        sorted(_kraus_from_choi(choi, d), key=lambda a: -np.linalg.norm(a)) for choi in (choi0, choi1)
+    )
     comp = sum(a.conj().T @ a for a in kraus0) + sum(a.conj().T @ a for a in kraus1)
     defect = float(np.abs(comp - np.eye(d)).max())
     if defect > 1e-8:
@@ -273,10 +269,7 @@ def fixed_point_resilience_bound(params, delta: float, dim: int, degeneracy: int
 def noisy_sweep_blocks(engine):
     """(Pauli-transfer block, support) of each term's noisy success branch,
     rho -> sum_a a rho a^dag over its tomography-extracted Kraus set."""
-    return [
-        (pauli_transfer(kraus0), td.support)
-        for (kraus0, _, _, _), td in zip(engine.noisy_terms, engine.terms)
-    ]
+    return [(ni.success_transfer, ni.support) for ni in engine.noisy_instruments]
 
 
 def apply_noisy_sweep(blocks, num_qubits: int, x: np.ndarray, adjoint: bool = False) -> np.ndarray:

@@ -116,8 +116,7 @@ class TrajectoryEngine:
             spectral = diagonalize(ham, h_dense=self.h_dense)
         self.spectral = spectral
         self.pi0 = self.spectral.ground_projector
-        self.noisy_terms = None  # per-term (kraus0, kraus1, table) for the hot loop
-        self.noisy_instruments = None
+        self.noisy_instruments = None  # per-term noise.NoisyTermInstrument
         # the state stays real when every operator the sampler applies is:
         # no Kraus branches, and each term has an even number of Ys, so H,
         # its eigenvectors and each term's action are real
@@ -151,15 +150,6 @@ class TrajectoryEngine:
                     if key not in tomographed:
                         tomographed[key] = noisy_term_instrument(t.term, eps, t.weight, cfg.noise)
                     self.noisy_instruments.append(replace(tomographed[key], support=t.support))
-                self.noisy_terms = []
-                for ni, term in zip(self.noisy_instruments, self.terms):
-                    # heaviest Kraus first so the lazy branch walk usually
-                    # stops after one application
-                    k0 = sorted(ni.kraus0, key=lambda a: -np.linalg.norm(a))
-                    k1 = sorted(ni.kraus1, key=lambda a: -np.linalg.norm(a))
-                    m0 = sum(a.conj().T @ a for a in k0)
-                    m0 = (m0 + m0.conj().T) / 2.0
-                    self.noisy_terms.append((tuple(k0), tuple(k1), term.table, m0))
 
     def rebind(self, cfg: RunConfig) -> "TrajectoryEngine":
         """This engine's operators under ``cfg``: a shallow copy with cfg replaced.
@@ -360,7 +350,7 @@ def _lazy_kraus_apply(ts: _TrajectoryState, kraus, table, total: float) -> bool:
     return True
 
 
-def _measure_term_noisy(ts: _TrajectoryState, nt, resampler: str) -> int:
+def _measure_term_noisy(ts: _TrajectoryState, ni, table: np.ndarray, resampler: str) -> int:
     """Weak measurement through tomography-extracted Kraus branches.
 
     The success probability comes from one quadratic form with the branch
@@ -368,11 +358,10 @@ def _measure_term_noisy(ts: _TrajectoryState, nt, resampler: str) -> int:
     random-stream consumption matches the clean path exactly, so p=0
     reproduces clean trajectories bit for bit.
     """
-    kraus0, kraus1, table, m0 = nt
-    p0 = _kernels.local_quadform(ts.psi, table, m0)
+    p0 = _kernels.local_quadform(ts.psi, table, ni.success_povm)
     u = ts.rng.random()
     if u < p0 and p0 > 1e-15:
-        if _lazy_kraus_apply(ts, kraus0, table, p0):
+        if _lazy_kraus_apply(ts, ni.kraus0, table, p0):
             return 0
         ts.reset_random_basis()
         return 0
@@ -380,7 +369,7 @@ def _measure_term_noisy(ts: _TrajectoryState, nt, resampler: str) -> int:
         ts.reset_random_basis()
         return 1
     p1 = max(1.0 - p0, 0.0)
-    if p1 < 1e-15 or not _lazy_kraus_apply(ts, kraus1, table, p1):
+    if p1 < 1e-15 or not _lazy_kraus_apply(ts, ni.kraus1, table, p1):
         ts.reset_random_basis()
         return 1
     if resampler == "local":
@@ -425,12 +414,12 @@ def _run_sweep(ts: _TrajectoryState, engine: TrajectoryEngine, eps: float, micro
         m = len(engine.terms)
         order = [int(ts.rng.integers(m)) for _ in range(2 * m)]
     micro = [] if micro_sink is not None else None
-    noisy = engine.noisy_terms
+    noisy = engine.noisy_instruments
     rows = engine.branch_rows(eps) if noisy is None else None
     bit = 0
     for v in order:
         if noisy is not None:
-            out = _measure_term_noisy(ts, noisy[v], resampler)
+            out = _measure_term_noisy(ts, noisy[v], engine.terms[v].table, resampler)
         else:
             out = _measure_term_clean(ts, engine.terms[v], rows[v], resampler)
         bit |= out

@@ -318,9 +318,10 @@ def dense_noisy_sweep_success_transfer(engine):
     in the full space and composed by dense matmuls."""
     d = engine.dim
     micro = []
-    for kraus0, _, table, _ in engine.noisy_terms:
+    for ni, term in zip(engine.noisy_instruments, engine.terms):
+        table = term.table
         t0 = np.zeros((d * d, d * d), dtype=np.complex128)
-        for a in kraus0:
+        for a in ni.kraus0:
             full = np.zeros((d, d), dtype=np.complex128)
             for r in range(table.shape[0]):
                 full[np.ix_(table[r], table[r])] = a
@@ -332,18 +333,118 @@ def dense_noisy_sweep_success_transfer(engine):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Gate noise on dense density matrices: the reference for the Pauli-transfer
+# tomography of ``dqe.noise``
+# ---------------------------------------------------------------------------
+
+_PAULI_AXES = ("X", "Y", "Z")
+
+
+def gate_noise_targets(gate, num_qubits):
+    from dqe import circuits
+
+    if isinstance(gate, circuits.BasisRotation):
+        return (gate.qubit,)
+    if isinstance(gate, circuits.AncillaRotation):
+        return (num_qubits - 1,)
+    if isinstance(gate, circuits.ControlledNot):
+        return (gate.control, gate.target)
+    return ()
+
+
+def pauli_conj_data(num_qubits, qubits):
+    """(perm, phase-left) pairs realizing sigma rho sigma^dag for the 3 or 15
+    non-identity Pauli words on the given qubits."""
+    from dqe import pauli
+
+    words = []
+    if len(qubits) == 1:
+        combos = [(a,) for a in _PAULI_AXES]
+    else:
+        combos = [
+            (a, b)
+            for a in ("I",) + _PAULI_AXES
+            for b in ("I",) + _PAULI_AXES
+            if not (a == "I" and b == "I")
+        ]
+    for combo in combos:
+        factors = ["I"] * num_qubits
+        for q, ax in zip(qubits, combo):
+            if ax != "I":
+                factors[q] = ax
+        perm, phase = pauli.PauliString("".join(factors)).perm_and_phase()
+        words.append((perm, phase[perm]))
+    return words
+
+
+def apply_depolarizing(rho, words, p):
+    if p == 0.0:
+        return rho
+    acc = np.zeros_like(rho)
+    for perm, pl in words:
+        acc += (pl[:, None] * rho[np.ix_(perm, perm)]) * pl.conj()[None, :]
+    return (1.0 - p) * rho + (p / len(words)) * acc
+
+
+def dense_noisy_circuit_branches(circ, model):
+    """Branch channels Phi_0, Phi_1 of the noisy circuit, as Choi matrices.
+
+    Evolves each data basis matrix unit through the gate list with a
+    depolarizing channel after every gate, then projects the ancilla.
+    """
+    from dqe import circuits
+
+    n = circ.num_qubits
+    d_data = 1 << (n - 1)
+    gates = []
+    for g in circ.gates:
+        if isinstance(g, (circuits.MeasureAncilla, circuits.ResetAncilla)):
+            continue
+        targets = gate_noise_targets(g, n)
+        p = model.p1 if len(targets) == 1 else model.p2
+        gates.append((circuits.gate_unitary(g, n), pauli_conj_data(n, targets), p))
+    anc0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
+    choi0 = np.zeros((d_data * d_data, d_data * d_data), dtype=np.complex128)
+    choi1 = np.zeros_like(choi0)
+    for i in range(d_data):
+        for j in range(d_data):
+            e_ij = np.zeros((d_data, d_data), dtype=np.complex128)
+            e_ij[i, j] = 1.0
+            rho = np.kron(e_ij, anc0)
+            for u, words, p in gates:
+                rho = u @ rho @ u.conj().T
+                rho = apply_depolarizing(rho, words, p)
+            unit = np.zeros_like(e_ij)
+            unit[i, j] = 1.0
+            choi0 += np.kron(unit, rho[0::2, 0::2])
+            choi1 += np.kron(unit, rho[1::2, 1::2])
+    return choi0, choi1
+
+
+def dense_noisy_term_instrument(term, eps, weight, model):
+    """(kraus0, kraus1, delta_measured) of one noisy term from the dense
+    matrix-unit simulation, through the package's Kraus extraction."""
+    from dqe import circuits, instrument as im, noise as nz
+
+    choi0, choi1 = dense_noisy_circuit_branches(circuits.measurement_circuit(term, eps, weight), model)
+    d = 1 << len(term.string.support)
+    kraus0, kraus1 = nz._kraus_from_choi(choi0, d), nz._kraus_from_choi(choi1, d)
+    e0_clean = im.TermInstrument(term, weight).kraus(eps)[0]
+    delta = float(np.linalg.norm(im.pauli_transfer(kraus0) - im.pauli_transfer([e0_clean]), 2))
+    return kraus0, kraus1, delta
+
+
 def iterative_free_decay_overlaps(spectral, p1, steps):
     """Free-decay overlap series by stepping the dense density matrix: each
     step applies (1 - p) rho + (p/3) sum_sigma sigma rho sigma on every qubit."""
-    from dqe import noise as nz
-
     n = int(round(np.log2(spectral.dimension)))
     rho = spectral.ground_projector.astype(np.complex128) / spectral.degeneracy
-    words = [nz._pauli_conj_data(n, (q,)) for q in range(n)]
+    words = [pauli_conj_data(n, (q,)) for q in range(n)]
     series = np.empty(steps + 1)
     series[0] = float(np.trace(spectral.ground_projector @ rho).real)
     for t in range(1, steps + 1):
         for q in range(n):
-            rho = nz._apply_depolarizing(rho, words[q], p1)
+            rho = apply_depolarizing(rho, words[q], p1)
         series[t] = float(np.trace(spectral.ground_projector @ rho).real)
     return series

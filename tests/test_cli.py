@@ -138,6 +138,44 @@ class TestConfigHash:
         other.write_text(text.replace("0.5", "0.25"))
         assert self._hash(capsys, ["--hamiltonian", str(other)]) != hashes[0]
 
+    @staticmethod
+    def _config(argv):
+        return cli._experiment_from_args(cli.build_parser().parse_args(argv), argv[0])
+
+    def test_hash_without_command_arguments_pinned(self, capsys):
+        # spectrum has no arguments of its own, and a clean ensemble gives none
+        assert self._hash(capsys, ["--heisenberg", "2"]) == "8451c41419210472"
+        argv = ["ensemble", "--heisenberg", "2", "--trajectories", "20", "--stopping", "secretary:50"]
+        assert self._config(argv).extra is None
+        assert self._config(argv).hash() == "281e9b5d57d369c1"
+
+    def test_defaulted_command_arguments_pinned(self):
+        # a subcommand's own arguments enter the hash at their defaults too
+        config = self._config(["analytics", "--heisenberg", "2"])
+        assert config.extra == {"n_values": "1..8"}
+        assert config.hash() == "e54958c7e4835a5c"
+
+    @pytest.mark.parametrize(
+        "argv,flags",
+        [
+            (["run", "--heisenberg", "2"], ["--noise-p1", "0.05", "--noise-p2", "0.05"]),
+            (["ensemble", "--heisenberg", "2"], ["--noise-p2", "0.05"]),
+            (["analytics", "--heisenberg", "2", "--n-values", "1..2"], ["--n-values", "1..3"]),
+            (["fixed-point", "--heisenberg", "2"], ["--scale", "0.9"]),
+            (["compare-resampling", "--heisenberg", "2"], ["--sizes", "2..4"]),
+            (["compare-resampling", "--heisenberg", "2"], ["--n-zeros", "3"]),
+            (["noise-sweep", "--heisenberg", "2"], ["--rates", "1e-3"]),
+            (["noise-sweep", "--heisenberg", "2"], ["--runtimes", "10"]),
+            (["circuit", "--heisenberg", "2"], ["--term-index", "1"]),
+            (["circuit", "--heisenberg", "2"], ["--full-sweep"]),
+        ],
+    )
+    def test_command_arguments_hashed(self, argv, flags):
+        base, changed = self._config(argv), self._config(argv + flags)
+        assert base.hash() != changed.hash()
+        name = flags[0][2:].replace("-", "_")
+        assert changed.to_dict()["extra"][name] == getattr(cli.build_parser().parse_args(argv + flags), name)
+
     def test_printed_config_keeps_workers_and_path(self, tmp_path, capsys):
         path = tmp_path / "h.json"
         path.write_text(json.dumps({"num_qubits": 1, "terms": [{"coeff": 1.0, "paulis": "Z"}]}))
@@ -244,6 +282,27 @@ class TestCompareResampling:
         body = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
         data = np.array([[float(x) for x in r.split(",")] for r in body[1:]])
         assert np.all(data[:, 2] <= data[:, 1] + 1e-9)
+
+
+class TestEpsSpecs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["noise-sweep", "--heisenberg", "2", "--rates", "1e-4", "--runtimes", "20",
+             "--trajectories", "2", "--workers", "1"],
+            ["compare-resampling", "--heisenberg", "2", "--sizes", "2..3", "--n-zeros", "2"],
+        ],
+        ids=["noise-sweep", "compare-resampling"],
+    )
+    def test_auto_resolved_and_decaying_refused(self, argv, capsys):
+        assert run_cli(argv + ["--eps", "auto", "-o", "-"]) == 0
+        capsys.readouterr()
+        assert run_cli(argv + ["--eps", "decaying:0.1"]) == 2
+        assert "needs a constant eps schedule" in capsys.readouterr().err
+
+    def test_unparsable_decaying_base_is_a_config_error(self, capsys):
+        assert run_cli(["analytics", "--heisenberg", "2", "--eps", "decaying:x"]) == 2
+        assert "cannot parse eps spec" in capsys.readouterr().err
 
 
 class TestFixedPointCommand:

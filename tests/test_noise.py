@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dqe import agsp, analytics as an, instrument as im, noise as nz, pauli
+from dqe import agsp, analytics as an, circuits, instrument as im, noise as nz, pauli
 from dqe import stopping as st, trajectory as tj
 from dqe.errors import InvalidNoiseError
 
@@ -9,6 +11,7 @@ from oracles import (
     DenseTransfer,
     column_stacked,
     dense_noisy_sweep_success_transfer,
+    dense_noisy_term_instrument,
     in_pauli_basis,
     iterative_free_decay_overlaps,
     pauli_basis,
@@ -25,6 +28,50 @@ class TestDepolarizingTomography:
         assert ni.delta_measured <= 1e-12
         e0 = 0.8 * np.eye(4) + 0.2 * im.TermInstrument(term, 1.0).k_local
         assert np.abs(np.kron(ni.kraus0[0].conj(), ni.kraus0[0]) - np.kron(e0.conj(), e0)).max() <= 1e-10
+
+    @pytest.mark.parametrize("rates", [(0.0, 0.0), (1e-4, 1e-4), (1e-2, 1e-2), (1e-3, 5e-3)])
+    @pytest.mark.parametrize(
+        "factors,coefficient,weight",
+        [
+            ("XX", 1.0, 1.0),
+            ("YY", 1.0, 1.0),
+            ("ZZ", 1.0, 1.0),
+            ("XY", 1.0, 1.0),  # odd Y: complex Kraus operators
+            ("ZZ", -0.7, 1.0),
+            ("XX", 1.0, 0.5),
+            ("XYZ", 1.0, 1.0),
+            ("ZZZZ", 1.0, 1.0),
+        ],
+    )
+    def test_matches_dense_simulation(self, factors, coefficient, weight, rates):
+        self._check_against_dense(factors, coefficient, weight, rates)
+
+    def test_weight_five_matches_dense_simulation(self):
+        # one case: the dense reference takes about 30 s at weight 5
+        self._check_against_dense("XYZZX", 1.0, 1.0, (1e-3, 5e-3))
+
+    def test_column_blocks_match_one_block(self, monkeypatch):
+        # a weight-k term evolves its 4^k input columns in blocks past k = 5
+        term = pauli.PauliTerm(1.0, pauli.PauliString("XYZ"))
+        circ = circuits.measurement_circuit(term, 0.3, 1.0)
+        model = nz.DepolarizingPerGate(1e-3, 5e-3)
+        whole = nz.noisy_circuit_branches(circ, model)
+        monkeypatch.setattr(nz, "_TOMOGRAPHY_COLUMNS", 7)
+        for got, want in zip(nz.noisy_circuit_branches(circ, model), whole):
+            assert np.abs(got - want).max() <= 1e-14
+
+    @staticmethod
+    def _check_against_dense(factors, coefficient, weight, rates):
+        # the local Pauli-transfer stack against the matrix-unit simulation; the
+        # Kraus sets may differ where Choi eigenvalues repeat, their channels not
+        term = pauli.PauliTerm(coefficient, pauli.PauliString(factors))
+        model = nz.DepolarizingPerGate(*rates)
+        ni = nz.noisy_term_instrument(term, 0.3, weight, model)
+        ref0, ref1, ref_delta = dense_noisy_term_instrument(term, 0.3, weight, model)
+        for got, want in ((ni.kraus0, ref0), (ni.kraus1, ref1)):
+            assert len(got) == len(want)
+            assert np.abs(im.pauli_transfer(got) - im.pauli_transfer(want)).max() <= 1e-12
+        assert abs(ni.delta_measured - ref_delta) <= 1e-12
 
     def test_term_of_large_register(self):
         # tomography runs on the term's support: the clean reference of a
@@ -252,9 +299,8 @@ class TestNoisyOracle:
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             return a / np.linalg.norm(a, 2)
 
-        eng.noisy_terms = [
-            ((contraction(4), contraction(4) / 2), k1, table, m0)
-            for _, k1, table, m0 in eng.noisy_terms
+        eng.noisy_instruments = [
+            replace(ni, kraus0=(contraction(4), contraction(4) / 2)) for ni in eng.noisy_instruments
         ]
         k = contraction(8)
         dense = float(np.linalg.norm(dense_noisy_sweep_success_transfer(eng) - np.kron(k.conj(), k), 2))
@@ -277,9 +323,10 @@ class TestNoisyOracle:
         stats = tj.run_ensemble(cfg, 1500, engine=eng)
         d = 8
         micro = []
-        for k0, k1, table, _ in eng.noisy_terms:
+        for ni, t in zip(eng.noisy_instruments, eng.terms):
+            table = t.table
             t0m = np.zeros((d * d, d * d), dtype=complex)
-            for a in k0:
+            for a in ni.kraus0:
                 full = np.zeros((d, d), dtype=complex)
                 for r in range(table.shape[0]):
                     full[np.ix_(table[r], table[r])] = a
@@ -322,20 +369,19 @@ class TestSharedTomography:
         monkeypatch.undo()
         # XX, YY and ZZ bonds with equal coefficients: three distinct circuits
         assert len(calls) == 3
-        for t, ni, (k0, k1, table, m0) in zip(eng.terms, eng.noisy_instruments, eng.noisy_terms):
+        for t, ni in zip(eng.terms, eng.noisy_instruments):
             ref = nz.noisy_term_instrument(t.term, 0.4, t.weight, model)
             assert ni.support == ref.support == t.support
             assert ni.delta_measured == ref.delta_measured
             for got, want in ((ni.kraus0, ref.kraus0), (ni.kraus1, ref.kraus1)):
                 assert len(got) == len(want)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
-            ref0 = sorted(ref.kraus0, key=lambda a: -np.linalg.norm(a))
-            ref1 = sorted(ref.kraus1, key=lambda a: -np.linalg.norm(a))
-            assert all(np.array_equal(a, b) for a, b in zip(k0, ref0))
-            assert all(np.array_equal(a, b) for a, b in zip(k1, ref1))
-            m_ref = sum(a.conj().T @ a for a in ref0)
-            assert np.array_equal(m0, (m_ref + m_ref.conj().T) / 2.0)
-            assert np.array_equal(table, t.table)
+                # heaviest first
+                norms = [np.linalg.norm(a) for a in got]
+                assert norms == sorted(norms, reverse=True)
+            m_ref = sum(a.conj().T @ a for a in ref.kraus0)
+            assert np.array_equal(ni.success_povm, (m_ref + m_ref.conj().T) / 2.0)
+            assert np.array_equal(ni.success_transfer, im.pauli_transfer(ref.kraus0))
 
 
 class TestNoisyTrajectories:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqe import analytics as an, pauli, stopping as st, trajectory as tj
+from dqe import analytics as an, noise as nz, pauli, stopping as st, trajectory as tj
 from dqe.errors import ConfigError
 
 from oracles import global_run_success_probs, longest_zero_run, markov_expected_absorption
@@ -425,19 +425,19 @@ class TestSilentFallbacks:
         assert np.array_equal(ts.psi, np.eye(4)[3])
 
     @pytest.mark.parametrize(
-        "m0,kraus1",
+        "kraus0,kraus1",
         [
             (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),  # p1 = 1 - p0 = 0
-            (np.diag([0.5, 0.5]), np.diag([0.0, 1.0])),  # p1 = 1/2, E1 psi = 0
+            (np.sqrt(0.5) * np.eye(2), np.diag([0.0, 1.0])),  # p1 = 1/2, E1 psi = 0
         ],
         ids=["p1-underflow", "kraus-underflow"],
     )
-    def test_noisy_underflow_resets(self, ham_z, m0, kraus1):
+    def test_noisy_underflow_resets(self, ham_z, kraus0, kraus1):
         engine = tj.TrajectoryEngine(_cfg(ham_z, agsp_mode="product-sweep"))
         ts = self._state(engine, np.array([1.0, 0.0]), index=1)
         table = pauli.support_index_table(1, (0,))
-        nt = ((np.diag([1.0, 0.0]),), (kraus1.astype(complex),), table, m0)
-        assert tj._measure_term_noisy(ts, nt, "local") == 1
+        ni = nz.NoisyTermInstrument((kraus0.astype(complex),), (kraus1.astype(complex),), (0,), 0.0)
+        assert tj._measure_term_noisy(ts, ni, table, "local") == 1
         assert np.array_equal(ts.psi, np.eye(2)[1])
 
 
