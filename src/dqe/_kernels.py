@@ -3,8 +3,8 @@
 The clean loop acts on the state with Pauli strings: ``pauli_expect``
 writes h|psi> into a buffer by one multiply on an axis-flipped view of the
 state and returns the two inner products that fix both branch weights, and
-``axpb_pauli`` then overwrites the state with a psi + b h psi.  The noisy
-loop applies small dense operators to a subset of qubits
+``axpb_pauli`` then overwrites the state with a psi + b h psi.  A
+gate-error event applies a small dense operator to a subset of qubits
 (``apply_local``, ``local_quadform``); the local resampler reads the
 support marginals (``local_probs``) and moves one slice
 (``project_replace``); the secretary rule scans outcome streams.  Every

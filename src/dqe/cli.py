@@ -468,26 +468,44 @@ _AGSP_CLI = {
 
 
 def _experiment_from_args(args, command: str) -> ExperimentConfig:
+    """The invocation's config; every argument is resolved here.
+
+    Each argument takes its flag, else the config file's value, else its
+    default.  A file field may carry the flag's name or the name the CSV
+    header prints (``agsp_mode``, ``stopping_rule``), and a subcommand's own
+    arguments are read from the file's ``extra``, so a header fed back
+    through ``--config`` replays its run.  The subcommand's own arguments
+    are written back onto ``args`` resolved, for the command to read.
+    """
     file_cfg = _read_config_file(args)
 
-    def pick(name, default):
+    def pick(name, default, field=None):
         flag = getattr(args, name, None)
         if flag is not None:
             return flag
-        return file_cfg.get(name, default)
+        for key in (field, name):
+            if key in file_cfg:
+                return file_cfg[key]
+        return default
 
-    mode = pick("agsp", "product")
-    if mode not in _AGSP_CLI:
+    mode = pick("agsp", "product", field="agsp_mode")
+    agsp_mode = _AGSP_CLI.get(mode, mode)
+    if agsp_mode not in _AGSP_CLI.values():
         raise ConfigError(f"agsp must be one of {sorted(_AGSP_CLI)}, got {mode!r}")
-    own = sorted(set(vars(args)) - _COMMON_DESTS - {"cmd", "fn"})
+    file_extra = file_cfg.get("extra") or {}
+    defaults = getattr(args, "own_defaults", {})
+    own = sorted(set(vars(args)) - _COMMON_DESTS - {"cmd", "fn", "own_defaults"})
+    for name in own:
+        if getattr(args, name) is None:
+            setattr(args, name, file_extra.get(name, defaults.get(name)))
     extra = {k: getattr(args, k) for k in own if getattr(args, k) is not None}
     return ExperimentConfig(
         command=command,
         system=_system_from_args(args, file_cfg),
-        agsp_mode=_AGSP_CLI[mode],
+        agsp_mode=agsp_mode,
         eps=str(pick("eps", "0.2")),
         resampler=pick("resampler", "global"),
-        stopping_rule=pick("stopping", "run-of-zeros:4"),
+        stopping_rule=pick("stopping", "run-of-zeros:4", field="stopping_rule"),
         time_cap=pick("time_cap", None),
         trajectories=int(pick("trajectories", 1000)),
         seed=int(pick("seed", 0)),
@@ -541,7 +559,10 @@ def _add_common(p: argparse.ArgumentParser, trajectories=False):
 
 
 # the common arguments; every other argument of a subcommand is its own,
-# and enters the config (and with it the hash) as extra
+# and enters the config (and with it the hash) as extra.  Own arguments
+# parse to None when not given; their defaults are the subcommand's
+# ``own_defaults``, which _experiment_from_args applies after the config
+# file's extra.
 _COMMON_DESTS = frozenset(vars(_add_common(argparse.ArgumentParser(), trajectories=True).parse_args([])))
 
 
@@ -569,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analytics", help="exact overlap / run-time vs run length")
     _add_common(p)
-    p.add_argument("--n-values", default="1..8", help="run lengths, e.g. 1..8 or 2,4,6")
-    p.set_defaults(fn=cmd_analytics)
+    p.add_argument("--n-values", help="run lengths, e.g. 1..8 or 2,4,6 (default 1..8)")
+    p.set_defaults(fn=cmd_analytics, own_defaults={"n_values": "1..8"})
 
     p = sub.add_parser("fixed-point", help="closed-form vs iterated fixed point")
     _add_common(p)
@@ -579,21 +600,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare-resampling", help="exact E(tau): local vs global")
     _add_common(p)
-    p.add_argument("--sizes", default="2..5")
-    p.add_argument("--n-zeros", dest="n_zeros", type=int, default=8)
-    p.set_defaults(fn=cmd_compare_resampling)
+    p.add_argument("--sizes", help="chain sizes (default 2..5)")
+    p.add_argument("--n-zeros", dest="n_zeros", type=int, help="run length (default 8)")
+    p.set_defaults(fn=cmd_compare_resampling, own_defaults={"sizes": "2..5", "n_zeros": 8})
 
     p = sub.add_parser("noise-sweep", help="overlap vs run-time cap under gate noise")
     _add_common(p, trajectories=True)
-    p.add_argument("--rates", default="1e-4", help="comma-separated depolarizing rates")
-    p.add_argument("--runtimes", default="100,200,400")
-    p.set_defaults(fn=cmd_noise_sweep)
+    p.add_argument("--rates", help="comma-separated depolarizing rates (default 1e-4)")
+    p.add_argument("--runtimes", help="run-time caps (default 100,200,400)")
+    p.set_defaults(fn=cmd_noise_sweep, own_defaults={"rates": "1e-4", "runtimes": "100,200,400"})
 
     p = sub.add_parser("circuit", help="QASM export of measurement circuits")
     _add_common(p)
-    p.add_argument("--term-index", type=int, default=0)
-    p.add_argument("--full-sweep", action="store_true")
-    p.set_defaults(fn=cmd_circuit)
+    p.add_argument("--term-index", type=int, help="term to export (default 0)")
+    p.add_argument("--full-sweep", action="store_true", default=None)
+    p.set_defaults(fn=cmd_circuit, own_defaults={"term_index": 0, "full_sweep": False})
 
     return parser
 
@@ -602,10 +623,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except DqeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader closed stdout (``dqe ... | head``): point stdout at
+        # devnull so the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,23 +1,24 @@
 """Fault injection and the fault-resilience bounds.
 
 Two noise models: per-gate depolarizing applied inside the measurement
-circuit (the effective noisy instrument is then extracted by process
-tomography in the Pauli-transfer basis), and a direct Kraus-operator
-perturbation of a clean instrument with a transfer-norm budget.  Transfers
-are real Pauli-transfer matrices (``instrument.PauliSector``'s basis); the
-basis is orthonormal in Hilbert-Schmidt space, so their operator-norm
-distances are those of any other orthonormal basis.
+circuit, and a direct Kraus-operator perturbation of a clean instrument with
+a transfer-norm budget.  Per-gate depolarizing is a mixture of Pauli errors
+whose probabilities do not depend on the state, so it enters twice, as the
+same channel: the sampler draws Pauli error events (``GateErrors``) and the
+oracle reads the branch transfers of a process tomography in the
+Pauli-transfer basis (``noisy_term_instrument``).  Transfers are real
+Pauli-transfer matrices (``instrument.PauliSector``'s basis); the basis is
+orthonormal in Hilbert-Schmidt space, so their operator-norm distances are
+those of any other orthonormal basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .circuits import (
-    AncillaRotation,
     BasisRotation,
     ControlledNot,
     MeasureAncilla,
@@ -37,7 +38,7 @@ from .instrument import (
     pauli_transfer,
     principal_sqrt_complement,
 )
-from .pauli import PauliTerm
+from .pauli import PauliString, PauliTerm
 
 
 @dataclass(frozen=True)
@@ -66,27 +67,13 @@ class ChannelPerturbation:
 
 @dataclass(frozen=True)
 class NoisyTermInstrument:
-    """Tomography-extracted branches of one noisy weak measurement.
+    """Tomographed branches of one noisy weak measurement: the real
+    Pauli-transfer matrices R_0 (success) and R_1 (failure) on the support."""
 
-    Each Kraus set is held heaviest first, so the sampler's lazy branch walk
-    usually stops after one application.
-    """
-
-    kraus0: tuple[np.ndarray, ...]
-    kraus1: tuple[np.ndarray, ...]
+    success_transfer: np.ndarray
+    failure_transfer: np.ndarray
     support: tuple[int, ...]
     delta_measured: float
-
-    @cached_property
-    def success_povm(self) -> np.ndarray:
-        """sum_a a^dag a over the success branch, Hermitian to round-off."""
-        m0 = sum(a.conj().T @ a for a in self.kraus0)
-        return (m0 + m0.conj().T) / 2.0
-
-    @cached_property
-    def success_transfer(self) -> np.ndarray:
-        """Pauli-transfer matrix of the success branch on the support."""
-        return pauli_transfer(self.kraus0)
 
 
 @dataclass(frozen=True)
@@ -107,13 +94,33 @@ class ResilienceReport:
 # ---------------------------------------------------------------------------
 
 
-def _local_gate(gate, num_qubits: int):
-    """(unitary, qubits) of a gate on just the qubits it acts on."""
+def _gate_qubits(gate, num_qubits: int) -> tuple[int, ...]:
+    """The qubits a gate acts on, and its depolarizing channel with it."""
     if isinstance(gate, ControlledNot):
-        return gate_unitary(ControlledNot(0, 1), 2), (gate.control, gate.target)
+        return (gate.control, gate.target)
     if isinstance(gate, BasisRotation):
-        return gate_unitary(replace(gate, qubit=0), 1), (gate.qubit,)
-    return gate_unitary(gate, 1), (num_qubits - 1,)
+        return (gate.qubit,)
+    return (num_qubits - 1,)
+
+
+def _noisy_gates(circ, model: DepolarizingPerGate):
+    """(gate, qubits, rate) of every unitary gate of the circuit, in order."""
+    out = []
+    for g in circ.gates:
+        if isinstance(g, (MeasureAncilla, ResetAncilla)):
+            continue
+        qubits = _gate_qubits(g, circ.num_qubits)
+        out.append((g, qubits, model.p1 if len(qubits) == 1 else model.p2))
+    return out
+
+
+def _local_gate(gate) -> np.ndarray:
+    """The unitary of a gate on just the qubits it acts on."""
+    if isinstance(gate, ControlledNot):
+        return gate_unitary(ControlledNot(0, 1), 2)
+    if isinstance(gate, BasisRotation):
+        return gate_unitary(replace(gate, qubit=0), 1)
+    return gate_unitary(gate, 1)
 
 
 # input columns evolved at once: a weight-k term's stack holds at most
@@ -122,32 +129,25 @@ _TOMOGRAPHY_COLUMNS = 1024
 
 
 def noisy_circuit_branches(circ, model: DepolarizingPerGate):
-    """Branch channels Phi_0, Phi_1 of the noisy circuit, as Choi matrices
-    sum_ij E_ij (x) Phi_b(E_ij) over the data matrix units E_ij.
+    """Pauli-transfer matrices R_0, R_1 of the noisy circuit's branches on
+    the data qubits.
 
     Each gate and its depolarizing channel act as one real local
     Pauli-transfer matrix on a (4,)*n + (columns,) stack over the data Pauli
     strings.  The ancilla (the last qubit) enters as |0><0| = (I + Z)/2 and
-    is read out as <b|.|b>: over the output's ancilla digit, the branch
-    transfers are R_b = (out[.., I, :] +- out[.., Z, :]) / 2.  The Choi
-    matrix is sum_{s,t} R_b[t, s] P_s^T (x) P_t, the partial transpose of a
-    Pauli expansion (Wood, Biamonte & Cory, QIC 15, 2015).
+    is read out as <b|.|b>: over the output's ancilla digit,
+    R_b = (out[.., I, :] +- out[.., Z, :]) / 2.
     """
     n = circ.num_qubits
-    k = n - 1
     steps = []
-    for g in circ.gates:
-        if isinstance(g, (MeasureAncilla, ResetAncilla)):
-            continue
-        u, qubits = _local_gate(g, n)
+    for g, qubits, p in _noisy_gates(circ, model):
         t = len(qubits)
-        p = model.p1 if t == 1 else model.p2
         # (1 - p) rho + p/(4^t - 1) sum_sigma sigma rho sigma over the
         # non-identity strings sigma scales each of them by 1 - p 4^t/(4^t - 1)
         diag = np.full(4**t, 1.0 - p * 4**t / (4**t - 1))
         diag[0] = 1.0
-        steps.append((diag[:, None] * pauli_transfer([u]), qubits))
-    cols = 4**k
+        steps.append((diag[:, None] * pauli_transfer([_local_gate(g)]), qubits))
+    cols = 4 ** (n - 1)
     out = np.empty((cols, 2, cols))
     for lo in range(0, cols, _TOMOGRAPHY_COLUMNS):
         idx = np.arange(lo, min(lo + _TOMOGRAPHY_COLUMNS, cols))
@@ -157,24 +157,7 @@ def noisy_circuit_branches(circ, model: DepolarizingPerGate):
         for transfer, qubits in steps:
             x = apply_on_axes(transfer, qubits, x)
         out[:, :, idx] = x.reshape(cols, 4, -1)[:, ::3]
-    d = 1 << k
-    # pauli_matrix(c, 2k) = sum_{s,t} c[s, t] P_s (x) P_t, with rows (i, a)
-    # and columns (j, b); transposing the input factor swaps i and j
-    return tuple(
-        pauli_matrix(rb.T.reshape(-1), 2 * k).reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
-        for rb in ((out[:, 0] + out[:, 1]) / 2.0, (out[:, 0] - out[:, 1]) / 2.0)
-    )
-
-
-def _kraus_from_choi(choi: np.ndarray, d: int, tol: float = 1e-12):
-    choi = (choi + choi.conj().T) / 2.0
-    w, v = np.linalg.eigh(choi)
-    cut = tol * max(w.max(), 1.0)
-    ops = []
-    for lam, col in zip(w, v.T):
-        if lam > cut:
-            ops.append(np.sqrt(lam) * col.reshape((d, d), order="F"))
-    return ops
+    return (out[:, 0] + out[:, 1]) / 2.0, (out[:, 0] - out[:, 1]) / 2.0
 
 
 def noisy_term_instrument(
@@ -182,22 +165,124 @@ def noisy_term_instrument(
 ) -> NoisyTermInstrument:
     """Effective noisy instrument of one term's measurement circuit.
 
-    delta_measured is the transfer-norm distance between the noisy and
-    clean success branches on the term's support.
+    The branches together preserve the trace: the identity row of
+    R_0 + R_1 is e_0, or InvalidNoiseError is raised.  delta_measured is the
+    transfer-norm distance between the noisy and clean success branches on
+    the term's support.
     """
-    circ = measurement_circuit(term, eps, weight)
-    choi0, choi1 = noisy_circuit_branches(circ, model)
-    d = 1 << len(term.string.support)
-    kraus0, kraus1 = (
-        sorted(_kraus_from_choi(choi, d), key=lambda a: -np.linalg.norm(a)) for choi in (choi0, choi1)
-    )
-    comp = sum(a.conj().T @ a for a in kraus0) + sum(a.conj().T @ a for a in kraus1)
-    defect = float(np.abs(comp - np.eye(d)).max())
+    r0, r1 = noisy_circuit_branches(measurement_circuit(term, eps, weight), model)
+    trace_row = r0[0] + r1[0]
+    trace_row[0] -= 1.0
+    defect = float(np.abs(trace_row).max())
     if defect > 1e-8:
-        raise InvalidNoiseError(f"noisy instrument completeness defect {defect:.2e}")
+        raise InvalidNoiseError(f"noisy instrument trace-preservation defect {defect:.2e}")
     e0_clean = TermInstrument(term, weight).kraus(eps)[0]
-    delta = float(np.linalg.norm(pauli_transfer(kraus0) - pauli_transfer([e0_clean]), 2))
-    return NoisyTermInstrument(tuple(kraus0), tuple(kraus1), term.string.support, delta)
+    delta = float(np.linalg.norm(r0 - pauli_transfer([e0_clean]), 2))
+    return NoisyTermInstrument(r0, r1, term.string.support, delta)
+
+
+# ---------------------------------------------------------------------------
+# Pauli error events for the sampler
+# ---------------------------------------------------------------------------
+
+# error patterns whose branch operators one GateErrors keeps; past it a
+# pattern's operators are rebuilt each time it fires (at p = 1 the patterns
+# of a two-qubit term number about 1e8)
+_PATTERN_CACHE = 4096
+
+
+class GateErrors:
+    """Per-gate depolarizing of one term's measurement circuit, sampled as
+    Pauli error events.
+
+    Gate g fails with its rate p_g and then applies a uniform non-identity
+    Pauli on its qubits; the circuit sees no error with probability
+    exp(-hazard), hazard = -sum_g log1p(-p_g).  ``draw`` samples an error
+    pattern given that at least one gate fails: the first failing gate
+    from its conditional distribution, each later gate independently.  A
+    pattern's branch operators K_b = <b|U_pattern|0> on the support (the
+    ancilla is the least significant qubit) are built from the gates'
+    unitaries with the Paulis inserted, on the pattern's first draw, and
+    each is rephased by its largest entry.  For a real state (``real``) a
+    residual imaginary part above 1e-12 raises InvalidNoiseError.
+    """
+
+    def __init__(self, term: PauliTerm, eps: float, weight: float, model: DepolarizingPerGate, real: bool):
+        self.circuit = measurement_circuit(term, eps, weight)
+        self.gates, self.qubits, self.rates = map(list, zip(*_noisy_gates(self.circuit, model)))
+        self.real = real
+        with np.errstate(divide="ignore"):
+            cumulative = -np.cumsum(np.log1p(-np.array(self.rates)))
+        self.hazard = float(cumulative[-1])
+        # P(the first failing gate is at or before g | some gate fails)
+        self._first = -np.expm1(-cumulative) / -np.expm1(-self.hazard) if self.hazard > 0.0 else None
+        self._unitaries = None
+        self._paulis = {}
+        self._cache = {}
+
+    def draw(self, rng):
+        """(K0, K1, K0^dag K0) of an error pattern drawn given that at least
+        one gate fails."""
+        pattern = self.draw_pattern(rng)
+        ops = self._cache.get(pattern)
+        if ops is None:
+            ops = self.branch_operators(pattern)
+            if len(self._cache) < _PATTERN_CACHE:
+                self._cache[pattern] = ops
+        return ops
+
+    def draw_pattern(self, rng) -> tuple[tuple[int, int], ...]:
+        """The failing gates and their Paulis, given that at least one gate
+        fails, as (gate, Pauli) pairs (see ``branch_operators``)."""
+        first = int(np.searchsorted(self._first, rng.random(), side="right"))
+        pattern = [(first, self._draw_pauli(rng, first))]
+        for g in range(first + 1, len(self.rates)):
+            if rng.random() < self.rates[g]:
+                pattern.append((g, self._draw_pauli(rng, g)))
+        return tuple(pattern)
+
+    def _draw_pauli(self, rng, g: int) -> int:
+        """A uniform non-identity Pauli on gate g's qubits, as its base-4 index."""
+        return 1 + int(rng.integers(4 ** len(self.qubits[g]) - 1))
+
+    def branch_operators(self, pattern):
+        """(K0, K1, K0^dag K0) under the errors ``pattern``: (gate, Pauli)
+        pairs, the Pauli a base-4 index over the gate's qubits (I, X, Y, Z;
+        the first qubit most significant)."""
+        n = self.circuit.num_qubits
+        if self._unitaries is None:
+            self._unitaries = [gate_unitary(g, n) for g in self.gates]
+        errors = dict(pattern)
+        m = np.eye(1 << n, dtype=np.complex128)[:, ::2]  # data (x) |0>
+        for g, u in enumerate(self._unitaries):
+            m = u @ m
+            if g in errors:
+                m = self._pauli(g, errors[g]) @ m
+        k0, k1 = (self._rephased(m[b::2]) for b in (0, 1))
+        return k0, k1, k0.conj().T @ k0
+
+    def _pauli(self, g: int, s: int) -> np.ndarray:
+        """Pauli s on gate g's qubits, as a matrix on the circuit's register."""
+        mat = self._paulis.get((g, s))
+        if mat is None:
+            n = self.circuit.num_qubits
+            factors = ["I"] * n
+            t = len(self.qubits[g])
+            for j, q in enumerate(self.qubits[g]):
+                factors[q] = "IXYZ"[(s >> 2 * (t - 1 - j)) & 3]
+            mat = self._paulis[(g, s)] = PauliString("".join(factors)).to_matrix()
+        return mat
+
+    def _rephased(self, k: np.ndarray) -> np.ndarray:
+        big = k.reshape(-1)[np.argmax(np.abs(k))]
+        if big != 0.0:
+            k = k * (abs(big) / big)
+        if not self.real:
+            return k
+        residual = float(np.abs(k.imag).max())
+        if residual > 1e-12:
+            raise InvalidNoiseError(f"gate-error branch operator is not real up to a phase ({residual:.2e})")
+        return np.ascontiguousarray(k.real)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +352,8 @@ def fixed_point_resilience_bound(params, delta: float, dim: int, degeneracy: int
 
 
 def noisy_sweep_blocks(engine):
-    """(Pauli-transfer block, support) of each term's noisy success branch,
-    rho -> sum_a a rho a^dag over its tomography-extracted Kraus set."""
+    """(Pauli-transfer block, support) of each term's noisy success branch:
+    its tomographed R_0."""
     return [(ni.success_transfer, ni.support) for ni in engine.noisy_instruments]
 
 

@@ -3,8 +3,14 @@
 Pure-state unravelling: the maximally mixed initial state and every
 maximally-mixed resample are realized as uniformly random computational
 basis states, which reproduces the density-matrix process exactly in
-ensemble expectation.  Each trajectory owns its state buffers and random
-stream, so runs are embarrassingly parallel and bit-reproducible.
+ensemble expectation.  Gate noise is unravelled the same way: an
+exponential clock per trajectory decides which micro-measurements carry a
+Pauli error, those apply the drawn pattern's dense branch operator, and
+every other one runs the clean kernels (Dalibard, Castin & Molmer, PRL 68,
+580, 1992).  The state is float64 whenever every term is real, with or
+without noise, and complex128 otherwise.  Each trajectory owns its state
+buffers and random stream, so runs are embarrassingly parallel and
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -116,12 +122,12 @@ class TrajectoryEngine:
             spectral = diagonalize(ham, h_dense=self.h_dense)
         self.spectral = spectral
         self.pi0 = self.spectral.ground_projector
-        self.noisy_instruments = None  # per-term noise.NoisyTermInstrument
-        # the state stays real when every operator the sampler applies is:
-        # no Kraus branches, and each term has an even number of Ys, so H,
-        # its eigenvectors and each term's action are real
-        real = cfg.noise is None and all(t.string.is_real for t in ham.terms)
+        # the state stays real when each term has an even number of Ys: H,
+        # its eigenvectors and each term's action are then real, and so is
+        # every gate-error branch operator up to a phase (noise.GateErrors)
+        real = all(t.string.is_real for t in ham.terms)
         self.state_dtype = np.float64 if real else np.complex128
+        self.gate_errors = None  # per-term noise.GateErrors, when a rate is > 0
         self._branch_rows = {}  # eps -> per-term TermInstrument.branch_row
         if cfg.agsp_mode in ("linear-global", "chebyshev-global"):
             if cfg.agsp_mode == "linear-global":
@@ -138,18 +144,16 @@ class TrajectoryEngine:
             m = len(self.terms)
             self.sweep_order = tuple(range(m)) + tuple(range(m - 1, -1, -1))
             if cfg.noise is not None:
-                from .noise import noisy_term_instrument
+                from .noise import GateErrors
 
                 eps = cfg.schedule.base
-                # the tomography reads only the term's factors on its support,
-                # its sign and its weight; terms sharing them share the result
-                tomographed = {}
-                self.noisy_instruments = []
-                for t in self.terms:
-                    key = (tuple(t.term.string.factors[q] for q in t.support), t.sign, t.weight)
-                    if key not in tomographed:
-                        tomographed[key] = noisy_term_instrument(t.term, eps, t.weight, cfg.noise)
-                    self.noisy_instruments.append(replace(tomographed[key], support=t.support))
+                errors = _per_circuit(
+                    self.terms, lambda t: GateErrors(t.term, eps, t.weight, cfg.noise, real)
+                )
+                # all rates zero: the clean sweep, drawing nothing extra
+                if any(e.hazard > 0.0 for e in errors):
+                    self.gate_errors = errors
+                    self.hazards = [e.hazard for e in errors]
 
     def rebind(self, cfg: RunConfig) -> "TrajectoryEngine":
         """This engine's operators under ``cfg``: a shallow copy with cfg replaced.
@@ -165,6 +169,20 @@ class TrajectoryEngine:
         bound = copy.copy(self)
         bound.cfg = cfg
         return bound
+
+    @cached_property
+    def noisy_instruments(self):
+        """Per-term ``noise.NoisyTermInstrument`` for the oracle, built on
+        first use; None without gate noise.  Terms whose circuits agree share
+        one tomography."""
+        if self.cfg.noise is None:
+            return None
+        # looked up on the module at call time, where perfbench's probe sits
+        from .noise import noisy_term_instrument
+
+        eps, model = self.cfg.schedule.base, self.cfg.noise
+        shared = _per_circuit(self.terms, lambda t: noisy_term_instrument(t.term, eps, t.weight, model))
+        return [replace(ni, support=t.support) for ni, t in zip(shared, self.terms)]
 
     def branch_rows(self, eps: float) -> list[tuple[float, ...]]:
         """Per-term ``TermInstrument.branch_row`` at eps, built once per eps."""
@@ -226,6 +244,20 @@ class TrajectoryEngine:
         return sweep_success_operator(self.terms, eps)
 
 
+def _per_circuit(terms, build) -> list:
+    """``build(term)`` for each term, called once per distinct measurement
+    circuit: the circuit reads only the term's factors on its support, its
+    sign and its weight."""
+    built = {}
+    out = []
+    for t in terms:
+        key = (tuple(t.term.string.factors[q] for q in t.support), t.sign, t.weight)
+        if key not in built:
+            built[key] = build(t)
+        out.append(built[key])
+    return out
+
+
 def measure_observables(state, h_dense, pi0):
     """<psi|H|psi> and <psi|Pi0|psi> for a normalized pure state, or the
     trace forms when given a density matrix."""
@@ -258,6 +290,10 @@ class _TrajectoryState:
         self.psi[self.rng.integers(d)] = 1.0
         self.pair = pair.view(np.float64)
         self.views = {}  # term -> its pauli_expect arguments
+        # exponential clock of the next gate error: each micro-measurement
+        # takes its term's hazard off it, and an error fires when it goes
+        # below zero
+        self.clock = self.rng.standard_exponential() if engine.gate_errors is not None else 0.0
 
     def pauli_views(self, term: TermInstrument):
         """``pauli_expect``'s arguments for the term, built on first use."""
@@ -326,52 +362,30 @@ def _local_measure_replace(ts: _TrajectoryState, table: np.ndarray):
     _kernels.project_replace(ts.psi, table, a_old, a_new, 1.0 / math.sqrt(probs[a_old]))
 
 
-def _lazy_kraus_apply(ts: _TrajectoryState, kraus, table, total: float) -> bool:
-    """Sample a Kraus branch by Born weight, applying operators lazily.
+def _measure_term_error(ts: _TrajectoryState, ops, table: np.ndarray, resampler: str) -> int:
+    """A weak measurement in which a gate error fired; returns the outcome bit.
 
-    Walks the (weight-sorted) Kraus list accumulating norms until the
-    sampled target is passed; the accepted operator's output is already in
-    the buffer, so the dominant operator usually costs one application.  It
-    is written back into psi, normalised.
+    ``ops`` is the drawn error pattern's (K0, K1, K0^dag K0) on the support
+    (``noise.GateErrors.draw``).  The outcome is drawn from the quadratic
+    form, and the chosen branch K_b psi is written into psi, divided by its
+    norm.  A failure branch whose weight underflows resets the state, as on
+    the clean path.
     """
-    if len(kraus) == 1:
-        norm = _kernels.apply_local(ts.psi, ts.buf, table, kraus[0])
-    else:
-        target = ts.rng.random() * total
-        acc = 0.0
-        for op in kraus:
-            norm = _kernels.apply_local(ts.psi, ts.buf, table, op)
-            acc += norm
-            if acc >= target:
-                break
-    if norm < 1e-15:
-        return False
-    np.multiply(ts.buf, 1.0 / np.sqrt(norm), out=ts.psi)
-    return True
-
-
-def _measure_term_noisy(ts: _TrajectoryState, ni, table: np.ndarray, resampler: str) -> int:
-    """Weak measurement through tomography-extracted Kraus branches.
-
-    The success probability comes from one quadratic form with the branch
-    POVM element; with a single Kraus operator per branch (zero noise) the
-    random-stream consumption matches the clean path exactly, so p=0
-    reproduces clean trajectories bit for bit.
-    """
-    p0 = _kernels.local_quadform(ts.psi, table, ni.success_povm)
+    k0, k1, m0 = ops
+    p0 = _kernels.local_quadform(ts.psi, table, m0)
     u = ts.rng.random()
     if u < p0 and p0 > 1e-15:
-        if _lazy_kraus_apply(ts, ni.kraus0, table, p0):
-            return 0
-        ts.reset_random_basis()
+        norm = _kernels.apply_local(ts.psi, ts.buf, table, k0)
+        np.multiply(ts.buf, 1.0 / math.sqrt(norm), out=ts.psi)
         return 0
     if resampler == "global":
         ts.reset_random_basis()
         return 1
-    p1 = max(1.0 - p0, 0.0)
-    if p1 < 1e-15 or not _lazy_kraus_apply(ts, ni.kraus1, table, p1):
+    norm = _kernels.apply_local(ts.psi, ts.buf, table, k1)
+    if norm < 1e-15:
         ts.reset_random_basis()
         return 1
+    np.multiply(ts.buf, 1.0 / math.sqrt(norm), out=ts.psi)
     if resampler == "local":
         _local_measure_replace(ts, table)
     return 1
@@ -414,17 +428,32 @@ def _run_sweep(ts: _TrajectoryState, engine: TrajectoryEngine, eps: float, micro
         m = len(engine.terms)
         order = [int(ts.rng.integers(m)) for _ in range(2 * m)]
     micro = [] if micro_sink is not None else None
-    noisy = engine.noisy_instruments
-    rows = engine.branch_rows(eps) if noisy is None else None
+    terms = engine.terms
+    rows = engine.branch_rows(eps)
     bit = 0
-    for v in order:
-        if noisy is not None:
-            out = _measure_term_noisy(ts, noisy[v], engine.terms[v].table, resampler)
-        else:
-            out = _measure_term_clean(ts, engine.terms[v], rows[v], resampler)
-        bit |= out
-        if micro is not None:
-            micro.append(out)
+    if engine.gate_errors is None:
+        for v in order:
+            out = _measure_term_clean(ts, terms[v], rows[v], resampler)
+            bit |= out
+            if micro is not None:
+                micro.append(out)
+    else:
+        # P(no error through micro j) = exp(-sum of hazards), so the first
+        # micro-measurement at which the clock goes below zero is the first
+        # with an error, and the clock is memoryless after it
+        errors, hazards = engine.gate_errors, engine.hazards
+        clock = ts.clock
+        for v in order:
+            clock -= hazards[v]
+            if clock < 0.0:
+                out = _measure_term_error(ts, errors[v].draw(ts.rng), terms[v].table, resampler)
+                clock = ts.rng.standard_exponential()
+            else:
+                out = _measure_term_clean(ts, terms[v], rows[v], resampler)
+            bit |= out
+            if micro is not None:
+                micro.append(out)
+        ts.clock = clock
     if micro_sink is not None:
         micro_sink.append(tuple(micro))
     return bit

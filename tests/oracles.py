@@ -313,15 +313,49 @@ def dense_stopped_general(t0, t1, rho0, n):
     return rho / np.trace(rho).real, float(tau)
 
 
+def kraus_from_choi(choi, d, tol=1e-12):
+    """A Kraus set of the map with Choi matrix sum_ij E_ij (x) Phi(E_ij): the
+    eigenvectors of its eigenvalues above tol * max(1, largest), scaled by
+    their roots."""
+    choi = (choi + choi.conj().T) / 2.0
+    w, v = np.linalg.eigh(choi)
+    cut = tol * max(w.max(), 1.0)
+    return [np.sqrt(lam) * col.reshape((d, d), order="F") for lam, col in zip(w, v.T) if lam > cut]
+
+
+def choi_from_transfer(r, k):
+    """The Choi matrix of the map whose Pauli-transfer matrix on k qubits is
+    r: sum_{s,t} r[t, s] P_s^T (x) P_t, the partial transpose of a Pauli
+    expansion (Wood, Biamonte & Cory, QIC 15, 2015)."""
+    from dqe import instrument as im
+
+    d = 1 << k
+    # pauli_matrix(c, 2k) = sum_{s,t} c[s, t] P_s (x) P_t, with rows (i, a)
+    # and columns (j, b); transposing the input factor swaps i and j
+    choi = im.pauli_matrix(r.T.reshape(-1), 2 * k).reshape(d, d, d, d)
+    return choi.transpose(2, 1, 0, 3).reshape(d * d, d * d)
+
+
+def noisy_kraus(ni, tol=0.0):
+    """(kraus0, kraus1) of a tomographed noisy instrument, each heaviest
+    first, from the Choi matrices of its branch transfers."""
+    k = len(ni.support)
+    return tuple(
+        sorted(kraus_from_choi(choi_from_transfer(r, k), 1 << k, tol), key=lambda a: -np.linalg.norm(a))
+        for r in (ni.success_transfer, ni.failure_transfer)
+    )
+
+
 def dense_noisy_sweep_success_transfer(engine):
-    """Noisy all-zeros sweep transfer with every term's Kraus set embedded
-    in the full space and composed by dense matmuls."""
+    """Noisy all-zeros sweep transfer with a Kraus set of every term's
+    success branch embedded in the full space and composed by dense
+    matmuls."""
     d = engine.dim
     micro = []
     for ni, term in zip(engine.noisy_instruments, engine.terms):
         table = term.table
         t0 = np.zeros((d * d, d * d), dtype=np.complex128)
-        for a in ni.kraus0:
+        for a in noisy_kraus(ni)[0]:
             full = np.zeros((d, d), dtype=np.complex128)
             for r in range(table.shape[0]):
                 full[np.ix_(table[r], table[r])] = a
@@ -424,12 +458,13 @@ def dense_noisy_circuit_branches(circ, model):
 
 def dense_noisy_term_instrument(term, eps, weight, model):
     """(kraus0, kraus1, delta_measured) of one noisy term from the dense
-    matrix-unit simulation, through the package's Kraus extraction."""
-    from dqe import circuits, instrument as im, noise as nz
+    matrix-unit simulation; every positive Choi eigenvalue is kept, so the
+    Kraus sets give the simulated channels to round-off."""
+    from dqe import circuits, instrument as im
 
     choi0, choi1 = dense_noisy_circuit_branches(circuits.measurement_circuit(term, eps, weight), model)
     d = 1 << len(term.string.support)
-    kraus0, kraus1 = nz._kraus_from_choi(choi0, d), nz._kraus_from_choi(choi1, d)
+    kraus0, kraus1 = kraus_from_choi(choi0, d, 0.0), kraus_from_choi(choi1, d, 0.0)
     e0_clean = im.TermInstrument(term, weight).kraus(eps)[0]
     delta = float(np.linalg.norm(im.pauli_transfer(kraus0) - im.pauli_transfer([e0_clean]), 2))
     return kraus0, kraus1, delta

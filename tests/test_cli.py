@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +158,9 @@ class TestConfigHash:
         config = self._config(["analytics", "--heisenberg", "2"])
         assert config.extra == {"n_values": "1..8"}
         assert config.hash() == "e54958c7e4835a5c"
+        config = self._config(["analytics", "--heisenberg", "2", "--n-values", "1..3"])
+        assert config.extra == {"n_values": "1..3"}
+        assert config.hash() == "a004a9bd61e2de20"
 
     @pytest.mark.parametrize(
         "argv,flags",
@@ -371,3 +378,59 @@ class TestNoiseSweepCommand:
         body = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
         assert body[0] == "delta,runtime_cap,mean_overlap,stderr,bound,baseline_overlap"
         assert len(body) == 3
+
+
+class TestConfigReplay:
+    """A CSV header's config, fed back through --config, replays the run."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analytics", "--heisenberg", "2", "--n-values", "1..3"],
+            ["analytics", "--heisenberg", "2", "--agsp", "linear", "--eps", "0.3"],
+            ["noise-sweep", "--heisenberg", "2", "--eps", "0.2", "--rates", "1e-3", "--runtimes", "20,40",
+             "--trajectories", "10", "--seed", "3", "--stopping", "secretary:9", "--workers", "1"],
+        ],
+    )
+    def test_header_round_trip(self, tmp_path, capsys, argv):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert run_cli(argv + ["-o", str(first)]) == 0
+        header = first.read_text().splitlines()[2].split("# config: ", 1)[1]
+        (tmp_path / "config.json").write_text(header)
+        assert run_cli([argv[0], "--config", str(tmp_path / "config.json"), "-o", str(second)]) == 0
+        capsys.readouterr()
+        assert second.read_text() == first.read_text()
+
+    def test_flag_beats_file_beats_default(self, tmp_path):
+        path = tmp_path / "config.json"
+        system = {"builder": "heisenberg", "n": 2, "periodic": False}
+        path.write_text(json.dumps({"system": system, "extra": {"n_values": "1..3"}}))
+        parse = cli.build_parser().parse_args
+        from_file = cli._experiment_from_args(parse(["analytics", "--config", str(path)]), "analytics")
+        assert from_file.extra == {"n_values": "1..3"}
+        flagged = parse(["analytics", "--config", str(path), "--n-values", "1..8"])
+        assert cli._experiment_from_args(flagged, "analytics").extra == {"n_values": "1..8"}
+        assert flagged.n_values == "1..8"
+        path.write_text(json.dumps({"system": system}))
+        defaulted = parse(["analytics", "--config", str(path)])
+        assert cli._experiment_from_args(defaulted, "analytics").hash() == "e54958c7e4835a5c"
+        assert defaulted.n_values == "1..8"
+
+
+class TestBrokenPipe:
+    def test_closed_reader_exits_quietly(self):
+        # ``dqe ... -o - | head`` once the reader has gone: no traceback
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dqe", "analytics", "--heisenberg", "2", "--n-values", "1..3",
+                 "-o", "-"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1

@@ -185,12 +185,15 @@ class TestStateInvariants:
         (pauli.build_heisenberg_chain(3), {"agsp_mode": "mixture-random"}, np.float64),
         (pauli.build_maxsat(3, [((0, 1), "11"), ((1, 2), "01")]), {}, np.float64),
         (pauli.PauliHamiltonian(2, (pauli.PauliTerm(1.0, PauliString("XY")),)), {}, np.complex128),
-        (pauli.build_heisenberg_chain(3), {"noise": DepolarizingPerGate(1e-4, 1e-4)},
-         np.complex128),
+        (pauli.build_heisenberg_chain(3), {"noise": DepolarizingPerGate(1e-2, 1e-2)},
+         np.float64),
+        (pauli.PauliHamiltonian(2, (pauli.PauliTerm(1.0, PauliString("XY")),)),
+         {"noise": DepolarizingPerGate(1e-2, 1e-2)}, np.complex128),
         (pauli.build_heisenberg_chain(3), {"agsp_mode": "linear-global"}, np.float64),
         (pauli.PauliHamiltonian(2, (pauli.PauliTerm(1.0, PauliString("XY")),)),
          {"agsp_mode": "linear-global"}, np.complex128),
-    ], ids=["heisenberg", "heisenberg-mixture", "maxsat", "odd-y", "noisy", "global", "odd-y-global"])
+    ], ids=["heisenberg", "heisenberg-mixture", "maxsat", "odd-y", "noisy", "odd-y-noisy", "global",
+            "odd-y-global"])
     def test_state_dtype_rule(self, ham, kw, dtype):
         engine = tj.TrajectoryEngine(_cfg(ham, **kw))
         assert engine.state_dtype == dtype

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from oracles import (
     dense_noisy_term_instrument,
     in_pauli_basis,
     iterative_free_decay_overlaps,
+    noisy_kraus,
     pauli_basis,
     trace_row,
     vec,
@@ -24,10 +26,11 @@ class TestDepolarizingTomography:
     def test_zero_noise_is_exact(self):
         term = pauli.PauliTerm(1.0, pauli.PauliString("XX"))
         ni = nz.noisy_term_instrument(term, 0.2, 1.0, nz.DepolarizingPerGate(0.0, 0.0))
-        assert len(ni.kraus0) == 1
+        kraus0, _ = noisy_kraus(ni, tol=1e-12)
+        assert len(kraus0) == 1
         assert ni.delta_measured <= 1e-12
         e0 = 0.8 * np.eye(4) + 0.2 * im.TermInstrument(term, 1.0).k_local
-        assert np.abs(np.kron(ni.kraus0[0].conj(), ni.kraus0[0]) - np.kron(e0.conj(), e0)).max() <= 1e-10
+        assert np.abs(np.kron(kraus0[0].conj(), kraus0[0]) - np.kron(e0.conj(), e0)).max() <= 1e-10
 
     @pytest.mark.parametrize("rates", [(0.0, 0.0), (1e-4, 1e-4), (1e-2, 1e-2), (1e-3, 5e-3)])
     @pytest.mark.parametrize(
@@ -62,15 +65,13 @@ class TestDepolarizingTomography:
 
     @staticmethod
     def _check_against_dense(factors, coefficient, weight, rates):
-        # the local Pauli-transfer stack against the matrix-unit simulation; the
-        # Kraus sets may differ where Choi eigenvalues repeat, their channels not
+        # the local Pauli-transfer stack against the matrix-unit simulation
         term = pauli.PauliTerm(coefficient, pauli.PauliString(factors))
         model = nz.DepolarizingPerGate(*rates)
         ni = nz.noisy_term_instrument(term, 0.3, weight, model)
         ref0, ref1, ref_delta = dense_noisy_term_instrument(term, 0.3, weight, model)
-        for got, want in ((ni.kraus0, ref0), (ni.kraus1, ref1)):
-            assert len(got) == len(want)
-            assert np.abs(im.pauli_transfer(got) - im.pauli_transfer(want)).max() <= 1e-12
+        for got, want in ((ni.success_transfer, ref0), (ni.failure_transfer, ref1)):
+            assert np.abs(got - im.pauli_transfer(want)).max() <= 1e-12
         assert abs(ni.delta_measured - ref_delta) <= 1e-12
 
     def test_term_of_large_register(self):
@@ -91,11 +92,24 @@ class TestDepolarizingTomography:
     def test_completeness(self):
         term = pauli.PauliTerm(1.0, pauli.PauliString("XY"))
         ni = nz.noisy_term_instrument(term, 0.2, 0.5, nz.DepolarizingPerGate(1e-3, 1e-3))
-        d = 4
-        comp = sum(a.conj().T @ a for a in ni.kraus0) + sum(
-            a.conj().T @ a for a in ni.kraus1
-        )
-        assert np.abs(comp - np.eye(d)).max() <= 1e-8
+        # trace preservation: the identity row of R_0 + R_1 is e_0
+        total = ni.success_transfer + ni.failure_transfer
+        assert np.abs(total[0] - np.eye(16)[0]).max() <= 1e-12
+        kraus0, kraus1 = noisy_kraus(ni)
+        comp = sum(a.conj().T @ a for a in kraus0) + sum(a.conj().T @ a for a in kraus1)
+        assert np.abs(comp - np.eye(4)).max() <= 1e-8
+
+    def test_trace_defect_raises(self, monkeypatch):
+        term = pauli.PauliTerm(1.0, pauli.PauliString("XX"))
+        branches = nz.noisy_circuit_branches
+
+        def leaky(circ, model):
+            r0, r1 = branches(circ, model)
+            return r0, 0.99 * r1
+
+        monkeypatch.setattr(nz, "noisy_circuit_branches", leaky)
+        with pytest.raises(InvalidNoiseError):
+            nz.noisy_term_instrument(term, 0.2, 1.0, nz.DepolarizingPerGate(1e-3, 1e-3))
 
     def test_sweep_distance_within_term_sum(self, heis3):
         # the perturbed sweep transfer stays within the sum of per-term
@@ -117,7 +131,7 @@ class TestDepolarizingTomography:
             ) / 2.0
             clean_t.append(np.kron(e0.conj(), e0))
             embedded = []
-            for a in ni.kraus0:
+            for a in noisy_kraus(ni)[0]:
                 full = np.zeros((d, d), dtype=complex)
                 for r in range(table.shape[0]):
                     full[np.ix_(table[r], table[r])] = a
@@ -132,6 +146,78 @@ class TestDepolarizingTomography:
         dist = np.linalg.norm(prod_noisy - prod_clean, 2)
         budget = 2 * sum(ni.delta_measured for ni in noisy)
         assert dist <= budget + 1e-12
+
+
+def _sampler_channel(term, eps, model):
+    """sum over every error pattern of prob x the branch transfers the
+    sampler applies: the clean pair when no gate fails, else the pattern's
+    cached operators.  Gates with rate 0 only ever take the identity."""
+    errors = nz.GateErrors(term, eps, 1.0, model, real=term.string.is_real)
+    clean = im.TermInstrument(term, 1.0).kraus(eps)
+    choices = [range(4 ** len(q)) if p > 0.0 else range(1) for q, p in zip(errors.qubits, errors.rates)]
+    d = 1 << len(term.string.support)
+    acc = np.zeros((2, d * d, d * d), dtype=complex)
+    total = 0.0
+    for paulis in itertools.product(*choices):
+        prob = 1.0
+        for p, q, s in zip(errors.rates, errors.qubits, paulis):
+            prob *= p / (4 ** len(q) - 1) if s else 1.0 - p
+        pattern = tuple((g, s) for g, s in enumerate(paulis) if s)
+        ops = errors.branch_operators(pattern)[:2] if pattern else clean
+        for b in (0, 1):
+            # kron(conj(K), K) without np.kron's per-call overhead
+            k = ops[b]
+            acc[b] += prob * (k.conj()[:, None, :, None] * k[None, :, None, :]).reshape(d * d, d * d)
+        total += prob
+    return [in_pauli_basis(a) for a in acc], total, len(list(itertools.product(*choices)))
+
+
+class TestGateErrors:
+    @pytest.mark.parametrize(
+        "factors,rates,patterns",
+        [("Z", (0.05, 0.05), 16384), ("XX", (0.05, 0.0), 16384), ("YY", (0.05, 0.0), 16384),
+         ("ZZ", (0.0, 0.05), 65536)],
+    )
+    def test_patterns_sum_to_the_tomographed_channel(self, factors, rates, patterns):
+        term = pauli.PauliTerm(1.0, pauli.PauliString(factors))
+        model = nz.DepolarizingPerGate(*rates)
+        (r0, r1), total, count = _sampler_channel(term, 0.3, model)
+        assert count == patterns
+        assert total == pytest.approx(1.0, abs=1e-12)
+        ni = nz.noisy_term_instrument(term, 0.3, 1.0, model)
+        assert np.abs(r0 - ni.success_transfer).max() <= 1e-12
+        assert np.abs(r1 - ni.failure_transfer).max() <= 1e-12
+
+    @pytest.mark.parametrize("factors", ["XX", "YY", "ZZ"])
+    def test_single_error_operators_are_real(self, factors):
+        term = pauli.PauliTerm(1.0, pauli.PauliString(factors))
+        errors = nz.GateErrors(term, 0.3, 1.0, nz.DepolarizingPerGate(1e-3, 1e-3), real=False)
+        for g, q in enumerate(errors.qubits):
+            for s in range(1, 4 ** len(q)):
+                for k in errors.branch_operators(((g, s),))[:2]:
+                    assert np.abs(k.imag).max() <= 1e-14
+
+    def test_hazard_and_drawn_patterns(self):
+        # draw_pattern follows P(pattern | some gate fails): the first failing
+        # gate and the number of failing gates, against their exact laws
+        term = pauli.PauliTerm(1.0, pauli.PauliString("XX"))
+        errors = nz.GateErrors(term, 0.3, 1.0, nz.DepolarizingPerGate(0.02, 0.05), real=True)
+        rates = np.array(errors.rates)
+        survive = np.cumprod(np.concatenate(([1.0], 1.0 - rates)))
+        p_any = 1.0 - survive[-1]
+        assert errors.hazard == pytest.approx(-np.log(survive[-1]), rel=1e-14)
+        first = survive[:-1] * rates / p_any
+        draws = 20000
+        rng = np.random.default_rng(11)
+        patterns = [errors.draw_pattern(rng) for _ in range(draws)]
+        seen = np.bincount([pat[0][0] for pat in patterns], minlength=len(rates)) / draws
+        assert np.abs(seen - first).max() <= 5 * np.sqrt(first.max() / draws)
+        sizes = np.array([len(pat) for pat in patterns])
+        assert sizes.mean() == pytest.approx(rates.sum() / p_any, abs=5 * sizes.std() / np.sqrt(draws))
+        for pat in patterns[:200]:
+            gates = [g for g, _ in pat]
+            assert gates == sorted(set(gates))
+            assert all(1 <= s < 4 ** len(errors.qubits[g]) for g, s in pat)
 
 
 class TestChannelPerturbation:
@@ -300,15 +386,31 @@ class TestNoisyOracle:
             return a / np.linalg.norm(a, 2)
 
         eng.noisy_instruments = [
-            replace(ni, kraus0=(contraction(4), contraction(4) / 2)) for ni in eng.noisy_instruments
+            replace(ni, success_transfer=im.pauli_transfer([contraction(4), contraction(4) / 2]))
+            for ni in eng.noisy_instruments
         ]
         k = contraction(8)
         dense = float(np.linalg.norm(dense_noisy_sweep_success_transfer(eng) - np.kron(k.conj(), k), 2))
         assert nz.noisy_sweep_delta(eng, k) == pytest.approx(dense, rel=1e-10)
 
     def test_monte_carlo_matches_noisy_transfer(self, heis3, spec3):
-        # end-to-end: noisy trajectories vs the exact channel built from the
-        # same tomography-extracted Kraus sets
+        self._monte_carlo_against_exact(heis3, spec3, 1e-4, 1500)
+
+    def test_monte_carlo_tells_noise_from_clean(self, heis3, spec3):
+        # at 1e-4 the exact noisy overlap (0.99475) is within the band of the
+        # clean one (0.99675); at 5e-3 it is 0.898, which 800 trajectories
+        # resolve from the clean overlap by about 12 stderr
+        stats, ex_ov, rho0 = self._monte_carlo_against_exact(heis3, spec3, 5e-3, 800)
+        clean_cfg = tj.RunConfig(heis3, schedule=st.EpsilonSchedule.constant(0.2), rule=st.FirstRunOfZeros(3))
+        eng = tj.TrajectoryEngine(clean_cfg)
+        (clean,) = an.expected_stopped_general(*eng.sweep_transfers(0.2), rho0, [3])
+        clean_ov = float(np.trace(spec3.ground_projector @ clean.state).real)
+        assert abs(ex_ov - clean_ov) >= 10 * stats.stderr_overlap
+
+    @staticmethod
+    def _monte_carlo_against_exact(heis3, spec3, p, num_trajectories):
+        # end-to-end: sampled Pauli error events vs the exact channel built
+        # from the tomography's success transfers R_0
         cfg = tj.RunConfig(
             heis3,
             agsp_mode="product-sweep",
@@ -317,16 +419,16 @@ class TestNoisyOracle:
             rule=st.FirstRunOfZeros(3),
             seed=5,
             weighting="max",
-            noise=nz.DepolarizingPerGate(1e-4, 1e-4),
+            noise=nz.DepolarizingPerGate(p, p),
         )
         eng = tj.TrajectoryEngine(cfg)
-        stats = tj.run_ensemble(cfg, 1500, engine=eng)
+        stats = tj.run_ensemble(cfg, num_trajectories, engine=eng)
         d = 8
         micro = []
         for ni, t in zip(eng.noisy_instruments, eng.terms):
             table = t.table
             t0m = np.zeros((d * d, d * d), dtype=complex)
-            for a in ni.kraus0:
+            for a in noisy_kraus(ni)[0]:
                 full = np.zeros((d, d), dtype=complex)
                 for r in range(table.shape[0]):
                     full[np.ix_(table[r], table[r])] = a
@@ -348,6 +450,7 @@ class TestNoisyOracle:
         ex_tau = an.expected_tau_general(t0, t1, rho0, 3)
         assert abs(stats.mean_overlap - ex_ov) <= 3 * stats.stderr_overlap
         assert abs(stats.mean_tau - ex_tau) <= 3 * stats.stderr_tau
+        return stats, ex_ov, rho0
 
 
 class TestSharedTomography:
@@ -366,22 +469,19 @@ class TestSharedTomography:
 
         monkeypatch.setattr(nz, "noisy_term_instrument", counting)
         eng = tj.TrajectoryEngine(cfg)
+        # the sampler needs no tomography; the oracle's first use runs it
+        assert calls == []
+        instruments = eng.noisy_instruments
+        assert eng.noisy_instruments is instruments
         monkeypatch.undo()
         # XX, YY and ZZ bonds with equal coefficients: three distinct circuits
         assert len(calls) == 3
-        for t, ni in zip(eng.terms, eng.noisy_instruments):
+        for t, ni in zip(eng.terms, instruments):
             ref = nz.noisy_term_instrument(t.term, 0.4, t.weight, model)
             assert ni.support == ref.support == t.support
             assert ni.delta_measured == ref.delta_measured
-            for got, want in ((ni.kraus0, ref.kraus0), (ni.kraus1, ref.kraus1)):
-                assert len(got) == len(want)
-                assert all(np.array_equal(a, b) for a, b in zip(got, want))
-                # heaviest first
-                norms = [np.linalg.norm(a) for a in got]
-                assert norms == sorted(norms, reverse=True)
-            m_ref = sum(a.conj().T @ a for a in ref.kraus0)
-            assert np.array_equal(ni.success_povm, (m_ref + m_ref.conj().T) / 2.0)
-            assert np.array_equal(ni.success_transfer, im.pauli_transfer(ref.kraus0))
+            assert np.array_equal(ni.success_transfer, ref.success_transfer)
+            assert np.array_equal(ni.failure_transfer, ref.failure_transfer)
 
 
 class TestNoisyTrajectories:

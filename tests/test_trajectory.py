@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dqe import analytics as an, noise as nz, pauli, stopping as st, trajectory as tj
-from dqe.errors import ConfigError
+from dqe.errors import ConfigError, InvalidNoiseError
 
 from oracles import global_run_success_probs, longest_zero_run, markov_expected_absorption
 
@@ -433,12 +434,175 @@ class TestSilentFallbacks:
         ids=["p1-underflow", "kraus-underflow"],
     )
     def test_noisy_underflow_resets(self, ham_z, kraus0, kraus1):
+        # a gate-error event whose failure branch has no weight on the state
         engine = tj.TrajectoryEngine(_cfg(ham_z, agsp_mode="product-sweep"))
         ts = self._state(engine, np.array([1.0, 0.0]), index=1)
         table = pauli.support_index_table(1, (0,))
-        ni = nz.NoisyTermInstrument((kraus0.astype(complex),), (kraus1.astype(complex),), (0,), 0.0)
-        assert tj._measure_term_noisy(ts, ni, table, "local") == 1
+        ops = (kraus0, kraus1, kraus0.T @ kraus0)
+        assert tj._measure_term_error(ts, ops, table, "local") == 1
         assert np.array_equal(ts.psi, np.eye(2)[1])
+
+
+class _QueuedRng:
+    """Pinned draws in order, one queue per kind of draw."""
+
+    def __init__(self, uniforms=(), integers=(), exponentials=()):
+        self.uniforms, self.ints, self.exps = list(uniforms), list(integers), list(exponentials)
+
+    def random(self):
+        return self.uniforms.pop(0)
+
+    def integers(self, high):
+        value = self.ints.pop(0)
+        assert 0 <= value < high
+        return value
+
+    def standard_exponential(self):
+        return self.exps.pop(0)
+
+
+class _PinnedClock:
+    """A generator whose every re-armed clock is ``value``."""
+
+    def __init__(self, rng, value):
+        self.rng, self.value = rng, value
+
+    def random(self):
+        return self.rng.random()
+
+    def integers(self, high):
+        return self.rng.integers(high)
+
+    def standard_exponential(self):
+        return self.value
+
+
+def _noisy(ham, p=1e-2, **kw):
+    return tj.RunConfig(
+        ham, schedule=st.EpsilonSchedule.constant(0.3), rule=st.FirstRunOfZeros(3),
+        noise=nz.DepolarizingPerGate(p, p), **kw,
+    )
+
+
+class TestGateErrorEvents:
+    """Every branch of the error-event sampler, forced by pinned draws."""
+
+    # first failing gate 0 (the XX term's first basis rotation), a Z on it,
+    # and no later gate failing
+    PATTERN = ((0, 3),)
+
+    def _event(self, heis2, resampler):
+        engine = tj.TrajectoryEngine(_noisy(heis2, resampler=resampler))
+        errors = engine.gate_errors[0]
+        assert engine.terms[0].term.string.factors == "XX"
+        ts = tj._TrajectoryState(engine, np.random.SeedSequence(0))
+        psi = np.random.default_rng(4).normal(size=4)
+        ts.psi[:] = psi / np.linalg.norm(psi)
+        later = [0.999] * (len(errors.rates) - 1)
+        return engine, errors, ts, later
+
+    @pytest.mark.parametrize("resampler", ["global", "local", "identity"])
+    def test_success_branch(self, heis2, resampler):
+        engine, errors, ts, later = self._event(heis2, resampler)
+        k0, _, m0 = errors.branch_operators(self.PATTERN)
+        expected = k0 @ ts.psi
+        assert 1e-3 < float(ts.psi @ m0 @ ts.psi) < 0.999
+        psi = ts.psi
+        ts.rng = _QueuedRng(uniforms=[0.0] + later + [0.0], integers=[2])
+        ops = errors.draw(ts.rng)
+        assert list(errors._cache) == [self.PATTERN] and errors._cache[self.PATTERN] is ops
+        assert tj._measure_term_error(ts, ops, engine.terms[0].table, resampler) == 0
+        assert ts.psi is psi and ts.psi.dtype == np.float64
+        assert np.abs(ts.psi - expected / np.linalg.norm(expected)).max() <= 1e-14
+        assert not ts.rng.uniforms and not ts.rng.ints
+
+    @pytest.mark.parametrize("resampler", ["global", "local", "identity"])
+    def test_failure_branch(self, heis2, resampler):
+        engine, errors, ts, later = self._event(heis2, resampler)
+        _, k1, _ = errors.branch_operators(self.PATTERN)
+        expected = k1 @ ts.psi
+        expected /= np.linalg.norm(expected)
+        uniforms, ints = [0.0] + later + [0.999], [2]
+        if resampler == "global":
+            ints.append(3)  # the reset's basis state
+        if resampler == "local":
+            # the support is the whole register: keep slice 0, move it to 2
+            uniforms.append(0.0)
+            ints.append(2)
+        ts.rng = _QueuedRng(uniforms=uniforms, integers=ints)
+        ops = errors.draw(ts.rng)
+        assert tj._measure_term_error(ts, ops, engine.terms[0].table, resampler) == 1
+        assert not ts.rng.uniforms and not ts.rng.ints
+        if resampler == "global":
+            assert np.array_equal(ts.psi, np.eye(4)[3])
+        elif resampler == "identity":
+            assert np.abs(ts.psi - expected).max() <= 1e-14
+        else:
+            assert np.abs(np.abs(ts.psi) - np.eye(4)[2]).max() <= 1e-14
+
+    def test_every_micro_fires_at_rate_one(self, heis2, monkeypatch):
+        engine = tj.TrajectoryEngine(_noisy(heis2, p=1.0, max_steps=30))
+        assert engine.hazards == [np.inf] * 3
+        events = []
+        measure = tj._measure_term_error
+
+        def counting(ts, ops, table, resampler):
+            events.append(ops)
+            return measure(ts, ops, table, resampler)
+
+        monkeypatch.setattr(tj, "_measure_term_error", counting)
+        ts = tj._TrajectoryState(engine, np.random.SeedSequence(3))
+        bits = [tj._run_sweep(ts, engine, 0.3) for _ in range(20)]
+        assert len(events) == 20 * 6
+        assert np.isfinite(ts.psi).all()
+        assert np.linalg.norm(ts.psi) == pytest.approx(1.0, abs=1e-12)
+        assert 0 < sum(bits) <= 20
+        # every gate fails in every drawn pattern
+        for errors in engine.gate_errors:
+            assert all(len(key) == len(errors.rates) for key in errors._cache)
+        rec = tj.run_trajectory(engine)
+        assert np.isfinite([rec.final_energy, rec.final_overlap]).all()
+
+    @pytest.mark.parametrize("position", [0, 5])
+    def test_clock_fires_on_first_and_last_micro(self, heis2, monkeypatch, position):
+        engine = tj.TrajectoryEngine(_noisy(heis2, p=1e-3))
+        kinds = []
+        clean, error = tj._measure_term_clean, tj._measure_term_error
+
+        def spy_clean(*args):
+            kinds.append("clean")
+            return clean(*args)
+
+        def spy_error(*args):
+            kinds.append("error")
+            return error(*args)
+
+        monkeypatch.setattr(tj, "_measure_term_clean", spy_clean)
+        monkeypatch.setattr(tj, "_measure_term_error", spy_error)
+        ts = tj._TrajectoryState(engine, np.random.SeedSequence(1))
+        ts.rng = _PinnedClock(ts.rng, 1e9)
+        hz = [engine.hazards[v] for v in engine.sweep_order]
+        ts.clock = sum(hz[:position]) + 0.5 * hz[position]
+        tj._run_sweep(ts, engine, 0.3)
+        assert kinds == ["clean"] * position + ["error"] + ["clean"] * (5 - position)
+        assert ts.clock == pytest.approx(1e9 - sum(hz[position + 1:]), rel=1e-15)
+
+    def test_zero_rates_draw_nothing(self, heis2):
+        engine = tj.TrajectoryEngine(_noisy(heis2, p=0.0))
+        assert engine.gate_errors is None
+        clean = tj.TrajectoryEngine(replace(_noisy(heis2), noise=None))
+        for seed in range(5):
+            a = tj.run_trajectory(engine.rebind(tj.with_seed(engine.cfg, seed)))
+            b = tj.run_trajectory(clean.rebind(tj.with_seed(clean.cfg, seed)))
+            assert (a.stop_step, a.final_energy, a.final_overlap) == (
+                b.stop_step, b.final_energy, b.final_overlap
+            )
+
+    def test_complex_operator_on_a_real_state_raises(self):
+        term = pauli.PauliTerm(1.0, pauli.PauliString("XY"))
+        errors = nz.GateErrors(term, 0.3, 1.0, nz.DepolarizingPerGate(1e-2, 1e-2), real=True)
+        with pytest.raises(InvalidNoiseError):
+            errors.branch_operators(((0, 1),))
 
 
 def _witness():
