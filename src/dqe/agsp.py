@@ -4,8 +4,8 @@ An AGSP is a Hermitian K whose spectrum splits into a block >= sqrt(Gamma)
 on (a projector near) the ground space and a block <= sqrt(Delta) on its
 complement; epsilon is the operator-norm distance of that projector from
 the true ground projector.  Constructions here: the linear rescaling of H,
-the ordered product of local weak factors, the random-mixture Kraus set,
-and the Chebyshev spectral filter.
+the ordered product of local weak factors and the Chebyshev spectral
+filter.
 """
 
 from __future__ import annotations
@@ -127,15 +127,6 @@ def agsp_product(
     else:
         params = AgspParams(delta=1.0, gamma=1.0, epsilon=0.0)
     return Agsp(k, params, claimed=True, local_factors=factors, metadata={"eps": eps})
-
-
-def mixture_kraus(ham: PauliHamiltonian, eps: float) -> list[np.ndarray]:
-    """Kraus set E_i = ((1-eps)1 + eps*kappa_i*k_i)/sqrt(m) of the mixture map."""
-    if not 0.0 < eps < 1.0:
-        raise ParameterError(f"eps must be in (0, 1), got {eps}")
-    factors = term_instruments(ham, "sum")
-    m = len(factors)
-    return [f.embed(f.kraus(eps)[0]) / np.sqrt(m) for f in factors]
 
 
 def _chebyshev_t(ell: int, y: np.ndarray) -> np.ndarray:

@@ -544,7 +544,7 @@ def _add_common(p: argparse.ArgumentParser, trajectories=False):
     p.add_argument("--hamiltonian", metavar="FILE", help="Hamiltonian JSON file")
     p.add_argument("--agsp", choices=sorted(_AGSP_CLI), default=None)
     p.add_argument("--eps", default=None, help="float | decaying:FLOAT | auto")
-    p.add_argument("--resampler", choices=("global", "local", "identity"), default=None)
+    p.add_argument("--resampler", choices=instrument.RESAMPLER_KINDS, default=None)
     p.add_argument("--stopping", default=None, help="run-of-zeros:N | secretary:T | expected-rank:T")
     p.add_argument("--time-cap", dest="time_cap", type=int, default=None)
     p.add_argument("--weighting", choices=("max", "sum"), default=None)

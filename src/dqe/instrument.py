@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -27,59 +26,34 @@ from .pauli import PauliHamiltonian, PauliString, PauliTerm, support_index_table
 TRANSFER_LIMIT_QUBITS = 6
 
 
-class ResamplerKind(Enum):
-    GLOBAL = "global"
-    LOCAL = "local"
-    IDENTITY = "identity"
-    CUSTOM = "custom"
-
-
-@dataclass(frozen=True)
-class Resampler:
-    """Recovery map applied after a failure outcome."""
-
-    kind: ResamplerKind
-    qubits: tuple[int, ...] | None = None
-    kraus: tuple[np.ndarray, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind is ResamplerKind.LOCAL and not self.qubits:
-            raise ParameterError("local resampler needs a qubit set")
-        if self.kind is ResamplerKind.CUSTOM:
-            if not self.kraus:
-                raise ParameterError("custom resampler needs Kraus operators")
-            d = self.kraus[0].shape[0]
-            comp = sum(a.conj().T @ a for a in self.kraus)
-            if np.abs(comp - np.eye(d)).max() > 1e-10:
-                raise ParameterError("custom resampler Kraus set is not trace-preserving")
-
-    @staticmethod
-    def global_mixed() -> "Resampler":
-        return Resampler(ResamplerKind.GLOBAL)
-
-    @staticmethod
-    def local_mixed(qubits) -> "Resampler":
-        return Resampler(ResamplerKind.LOCAL, qubits=tuple(sorted(qubits)))
-
-    @staticmethod
-    def identity() -> "Resampler":
-        return Resampler(ResamplerKind.IDENTITY)
-
-    @staticmethod
-    def custom(kraus) -> "Resampler":
-        return Resampler(
-            ResamplerKind.CUSTOM, kraus=tuple(np.asarray(a, dtype=np.complex128) for a in kraus)
-        )
+RESAMPLER_KINDS = ("global", "local", "identity")
 
 
 @dataclass(frozen=True)
 class Instrument:
-    """Success/failure Kraus pair {E0, E1} plus the resampling map."""
+    """Success/failure Kraus pair {E0, E1} on the ascending qubits
+    ``support`` (every qubit when None) and the resampler kind applied
+    after a failure.
+
+    "global" resets the register to I/D, "local" resets the support's qubits
+    (every qubit when there is no support, and none on an empty support), and
+    "identity" keeps E1's post-measurement state.
+    """
 
     e0: np.ndarray
     e1: np.ndarray
-    resampler: Resampler
+    resampler: str
     support: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.resampler not in RESAMPLER_KINDS:
+            raise ParameterError(
+                f"resampler must be one of {RESAMPLER_KINDS}, got {self.resampler!r}"
+            )
+        if self.support is not None and self.dimension != 1 << len(self.support):
+            raise ParameterError(
+                f"a Kraus pair of dimension {self.dimension} on {len(self.support)} qubits"
+            )
 
     @property
     def dimension(self) -> int:
@@ -102,12 +76,13 @@ def principal_sqrt_complement(e0: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def make_instrument(op: np.ndarray, eps: float, resampler: Resampler, support=None) -> Instrument:
+def make_instrument(op: np.ndarray, eps: float, resampler: str, support=None) -> Instrument:
     """Weak measurement E0 = (1-eps)1 + eps*op with E1 completing it.
 
-    ``op`` is the (pre-weighted) Hermitian AGSP piece: the global K, or a
-    local factor kappa_v k_v embedded in the full space.  eps = 1 recovers
-    the bare AGSP Kraus pair, eps = 0 the trivial instrument.
+    ``op`` is the (pre-weighted) Hermitian AGSP piece on ``support``: the
+    global K with no support, or a local factor kappa_v k_v on the term's
+    qubits.  eps = 1 recovers the bare AGSP Kraus pair, eps = 0 the trivial
+    instrument.
     """
     _check_eps(eps)
     d = op.shape[0]
@@ -153,7 +128,7 @@ class TermInstrument:
     principal complement root E1.  Both are diagonal in the eigenbasis of
     k_v, so both are affine in the Pauli string: E_b = a_b 1 + b_b h_v.
     ``coefficients`` is the only copy of that closed form; the local Kraus
-    pair and the embedded instrument are built from it, and the dilation
+    pair and the instrument on the support are built from it, and the dilation
     angles (``dilation_angles``) have cos(phi) and cos(theta) equal to its
     eigenvalues of E0.
     ``table``, ``perm``, ``phase`` and ``hphase`` act on the full register:
@@ -276,17 +251,9 @@ class TermInstrument:
         eye = np.eye(self.h_local.shape[0], dtype=np.complex128)
         return a0 * eye + b0 * self.h_local, a1 * eye + b1 * self.h_local
 
-    def embed(self, op: np.ndarray) -> np.ndarray:
-        """A local operator on the support, padded with the identity elsewhere."""
-        d = 1 << self.num_qubits
-        full = np.zeros((d, d), dtype=np.complex128)
-        full[self.table[:, :, None], self.table[:, None, :]] = op
-        return full
-
-    def instrument(self, eps: float, resampler: Resampler) -> Instrument:
-        """The full-space instrument with this term's support declared."""
-        e0, e1 = self.kraus(eps)
-        return Instrument(self.embed(e0), self.embed(e1), resampler, self.support)
+    def instrument(self, eps: float, resampler: str) -> Instrument:
+        """The Kraus pair on the term's support with the given resampler kind."""
+        return Instrument(*self.kraus(eps), resampler, self.support)
 
 
 def term_weights(ham: PauliHamiltonian, weighting: str) -> list[float]:
@@ -344,7 +311,7 @@ def _check_transfer_dim(dim: int):
 def global_channel_transfer(e0: np.ndarray) -> TransferMatrix:
     """rho -> E0 rho E0^dag + (tr rho - tr E0 rho E0^dag) 1/D on the trivial
     sector: the full channel of ``sweep_transfer_global``'s step."""
-    inst = make_instrument(e0, 1.0, Resampler.global_mixed())
+    inst = make_instrument(e0, 1.0, "global")
     n = inst.dimension.bit_length() - 1
     _check_transfer_dim(inst.dimension)
     sector = PauliSector(n)
@@ -568,8 +535,6 @@ class PauliSector:
 # on a stack of coefficient vectors (Wood, Biamonte & Cory, QIC 15 (2015)).
 # ---------------------------------------------------------------------------
 
-_PADDING_TOL = 1e-10
-
 
 def apply_on_axes(op: np.ndarray, axes, xt: np.ndarray) -> np.ndarray:
     """A local operator on the listed axes of a stack tensor, as a view in
@@ -581,48 +546,21 @@ def apply_on_axes(op: np.ndarray, axes, xt: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, range(k), axes)
 
 
-def _support_block(op: np.ndarray, table: np.ndarray, name: str) -> np.ndarray:
-    """The block of ``op`` on a support, checked to be identity-padded."""
-    block = op[np.ix_(table[0], table[0])]
-    padded = np.zeros_like(op)
-    padded[table[:, :, None], table[:, None, :]] = block
-    defect = float(np.abs(op - padded).max())
-    if defect > _PADDING_TOL:
-        raise ParameterError(
-            f"{name} is not the identity outside its declared support (defect {defect:.2e})"
-        )
-    return block
-
-
 class _MicroStep:
-    """One instrument of a sweep as real Pauli-transfer blocks on its qubits.
-
-    The qubits are the instrument's support joined with a local resampler's
-    qubits.  An instrument without a support, or with a custom resampler,
-    acts on all qubits.  The global resampler stays a rank-one update.
+    """One instrument of a sweep as real Pauli-transfer blocks on its qubits:
+    its support, or every qubit when it has none.  The global resampler, and
+    the local one of an instrument without a support, stay a rank-one update.
     """
 
     def __init__(self, inst: Instrument, num_qubits: int):
-        res = inst.resampler
-        if inst.support is None or res.kind is ResamplerKind.CUSTOM:
-            qubits = tuple(range(num_qubits))
-        else:
-            extra = res.qubits if res.kind is ResamplerKind.LOCAL else ()
-            qubits = tuple(sorted(set(inst.support) | set(extra)))
-        table = support_index_table(num_qubits, qubits)
-        self.qubits = qubits
-        self.r0 = pauli_transfer([_support_block(inst.e0, table, "E0")])
+        self.qubits = tuple(range(num_qubits)) if inst.support is None else inst.support
+        self.r0 = pauli_transfer([inst.e0])
         self.r_full = None
-        if res.kind is not ResamplerKind.GLOBAL:
-            r1 = pauli_transfer([_support_block(inst.e1, table, "E1")])
-            if res.kind is ResamplerKind.LOCAL:
-                # I_S/d_S (x) tr_S keeps the strings that are I on S
-                keep = np.ones((4,) * len(qubits))
-                for q in res.qubits:
-                    keep[(slice(None),) * qubits.index(q) + (slice(1, None),)] = 0.0
-                r1 = keep.reshape(-1, 1) * r1
-            elif res.kind is ResamplerKind.CUSTOM:
-                r1 = pauli_transfer(res.kraus) @ r1
+        if inst.resampler == "identity" or (inst.resampler == "local" and inst.support is not None):
+            r1 = pauli_transfer([inst.e1])
+            if inst.resampler == "local":
+                # I_S/d_S (x) tr_S keeps only the identity string on S
+                r1[1:] = 0.0
             self.r_full = self.r0 + r1
 
     # both branches take and return a stack as its (4,)*n + (N,) tensor
@@ -650,8 +588,7 @@ def sweep_transfer_product(instruments, num_qubits: int, sector: PauliSector | N
     failing term and the sweep continues, so T1 = (full sweep channel) - T0.
     A sweep that leaves the sector raises ParameterError.
     """
-    d = instruments[0].dimension
-    _check_transfer_dim(d)
+    _check_transfer_dim(1 << num_qubits)
     sector = sector if sector is not None else PauliSector(num_qubits)
     steps = [_MicroStep(inst, num_qubits) for inst in instruments]
     full = succ = sector.identity_stack()
@@ -666,8 +603,7 @@ def sweep_transfer_mixture(instruments, num_qubits: int, sector: PauliSector | N
     """(T0_sweep, T1_sweep) for 2m uniformly sampled single-term micro-steps,
     on ``sector`` as in ``sweep_transfer_product``."""
     m = len(instruments)
-    d = instruments[0].dimension
-    _check_transfer_dim(d)
+    _check_transfer_dim(1 << num_qubits)
     sector = sector if sector is not None else PauliSector(num_qubits)
     eye = sector.identity_stack()
     steps = [_MicroStep(inst, num_qubits) for inst in instruments]

@@ -301,8 +301,8 @@ def perturb_instrument(inst: Instrument, model: ChannelPerturbation) -> Instrume
 
     E1 is recomputed as the principal complement root, so the perturbed
     instrument satisfies completeness exactly; the perturbation must keep
-    ||E0'|| <= 1 or the noise model is rejected.  The direction spans the
-    whole space, so the perturbed instrument declares no support.
+    ||E0'|| <= 1 or the noise model is rejected.  The direction acts on the
+    instrument's own qubits, so the perturbed instrument keeps its support.
     """
     e0 = inst.e0
     d = e0.shape[0]
@@ -317,7 +317,7 @@ def perturb_instrument(inst: Instrument, model: ChannelPerturbation) -> Instrume
     if np.linalg.norm(e0p, 2) > 1.0:
         raise InvalidNoiseError("perturbation pushes ||E0|| above 1; reduce delta")
     e1p = principal_sqrt_complement(e0p)
-    return Instrument(e0p, e1p, inst.resampler)
+    return Instrument(e0p, e1p, inst.resampler, inst.support)
 
 
 def transfer_delta(inst_a: Instrument, inst_b: Instrument) -> float:

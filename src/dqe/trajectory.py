@@ -28,9 +28,9 @@ from . import _kernels
 from .agsp import agsp_chebyshev, agsp_linear
 from .errors import ConfigError, ParameterError
 from .instrument import (
+    RESAMPLER_KINDS,
     Instrument,
     PauliSector,
-    Resampler,
     TermInstrument,
     make_instrument,
     sweep_success_operator,
@@ -40,7 +40,6 @@ from .pauli import PauliHamiltonian, SpectralData, diagonalize, to_dense
 from .stopping import EpsilonSchedule, RuleTracker, StoppingRule, epsilon_at
 
 AGSP_MODES = ("linear-global", "chebyshev-global", "product-sweep", "mixture-random")
-RESAMPLER_KINDS = ("global", "local", "identity")
 WEIGHTINGS = ("max", "sum")
 # RunConfig fields that no engine operator depends on
 _RUN_FIELDS = ("rule", "seed", "max_steps", "record_series", "record_micro")
@@ -196,17 +195,8 @@ class TrajectoryEngine:
     def instruments_at(self, eps: float) -> list[Instrument]:
         """Instrument list matching the engine's sweep at a fixed eps."""
         if self.k_global is not None:
-            return [make_instrument(self.k_global, eps, self._resampler_for(None))]
-        return [t.instrument(eps, self._resampler_for(t.support)) for t in self.terms]
-
-    def _resampler_for(self, support) -> Resampler:
-        if self.cfg.resampler == "global":
-            return Resampler.global_mixed()
-        if self.cfg.resampler == "identity":
-            return Resampler.identity()
-        if support:
-            return Resampler.local_mixed(support)
-        return Resampler.global_mixed()
+            return [make_instrument(self.k_global, eps, self.cfg.resampler)]
+        return [t.instrument(eps, self.cfg.resampler) for t in self.terms]
 
     @cached_property
     def sector(self) -> PauliSector:
@@ -401,7 +391,8 @@ def _global_measure(ts: _TrajectoryState, engine: TrajectoryEngine, eps: float) 
     if u < p0 and p0 > 1e-15:
         np.divide(phi0, np.sqrt(p0), out=ts.psi)
         return 0
-    if engine.cfg.resampler == "global":
+    # the global instrument's support is every qubit, so "local" resets them all
+    if engine.cfg.resampler != "identity":
         ts.reset_random_basis()
         return 1
     e1_amps = np.sqrt(np.clip(1.0 - amps**2, 0.0, None))

@@ -171,47 +171,72 @@ def transfer_of_kraus(ops):
     return DenseTransfer(mat, trace_preserving=bool(np.abs(row @ mat - row).max() < 1e-9))
 
 
-def resampler_transfer(resampler, num_qubits):
-    from dqe import instrument as im, pauli
+def embed(op, support, num_qubits):
+    """A local operator on ``support``, padded with the identity elsewhere;
+    with no support, ``op`` already acts on every qubit."""
+    from dqe import pauli
+
+    if support is None:
+        return np.asarray(op, dtype=np.complex128)
+    d = 1 << num_qubits
+    table = pauli.support_index_table(num_qubits, support)
+    full = np.zeros((d, d), dtype=np.complex128)
+    full[table[:, :, None], table[:, None, :]] = op
+    return full
+
+
+def _register_size(inst, num_qubits):
+    return inst.dimension.bit_length() - 1 if num_qubits is None else num_qubits
+
+
+def mixture_kraus(ham, eps):
+    """Kraus set E_i = ((1-eps)1 + eps*kappa_i*k_i)/sqrt(m) of the mixture map,
+    each padded to the full register."""
+    from dqe import instrument as im
+
+    factors = im.term_instruments(ham, "sum")
+    m = len(factors)
+    return [embed(f.kraus(eps)[0], f.support, ham.num_qubits) / np.sqrt(m) for f in factors]
+
+
+def _local_reset_transfer(qubits, num_qubits):
+    """rho -> I_S/d_S (x) tr_S rho, as a Kraus set of matrix units on S."""
+    from dqe import pauli
 
     d = 1 << num_qubits
-    if resampler.kind is im.ResamplerKind.GLOBAL:
-        return DenseTransfer(np.outer(vec(np.eye(d) / d), trace_row(d).conj()), trace_preserving=True)
-    if resampler.kind is im.ResamplerKind.IDENTITY:
-        return DenseTransfer(np.eye(d * d, dtype=np.complex128), trace_preserving=True)
-    if resampler.kind is im.ResamplerKind.LOCAL:
-        table = pauli.support_index_table(num_qubits, resampler.qubits)
-        ds = table.shape[1]
-        ops = []
-        for a in range(ds):
-            for b in range(ds):
-                k = np.zeros((d, d), dtype=np.complex128)
-                k[table[:, b], table[:, a]] = 1.0 / np.sqrt(ds)
-                ops.append(k)
-        return transfer_of_kraus(ops)
-    return transfer_of_kraus(resampler.kraus)
+    table = pauli.support_index_table(num_qubits, qubits)
+    ds = table.shape[1]
+    ops = []
+    for a in range(ds):
+        for b in range(ds):
+            k = np.zeros((d, d), dtype=np.complex128)
+            k[table[:, b], table[:, a]] = 1.0 / np.sqrt(ds)
+            ops.append(k)
+    return transfer_of_kraus(ops)
 
 
-def transfer_of_instrument_success(inst):
-    return transfer_of_kraus([inst.e0])
+def transfer_of_instrument_success(inst, num_qubits=None):
+    n = _register_size(inst, num_qubits)
+    return transfer_of_kraus([embed(inst.e0, inst.support, n)])
 
 
 def transfer_of_instrument_failure(inst, num_qubits=None):
-    """Failure branch rho -> R(E1 rho E1^dag).
+    """Failure branch rho -> R(E1 rho E1^dag), with E1 padded to the register.
 
-    For the global maximally-mixed resampler this equals
-    |1/D>><<1| (1 - E0-transfer) identically, which is the form used.
+    A global reset, and a local one of an instrument with no support, equal
+    |1/D>><<1| (1 - E0-transfer) identically, which is the form used; a
+    local reset acts on the support alone.
     """
-    from dqe import instrument as im
-
-    d = inst.dimension
-    if num_qubits is None:
-        num_qubits = d.bit_length() - 1
-    if inst.resampler.kind is im.ResamplerKind.GLOBAL:
-        t0 = transfer_of_kraus([inst.e0]).matrix
+    n = _register_size(inst, num_qubits)
+    d = 1 << n
+    if inst.resampler == "global" or (inst.resampler == "local" and inst.support is None):
+        t0 = transfer_of_instrument_success(inst, n).matrix
         return DenseTransfer(np.outer(vec(np.eye(d) / d), trace_row(d).conj()) @ (np.eye(d * d) - t0))
-    r = resampler_transfer(inst.resampler, num_qubits).matrix
-    return DenseTransfer(r @ np.kron(inst.e1.conj(), inst.e1))
+    e1 = embed(inst.e1, inst.support, n)
+    t1 = np.kron(e1.conj(), e1)
+    if inst.resampler == "local":
+        t1 = _local_reset_transfer(inst.support, n).matrix @ t1
+    return DenseTransfer(t1)
 
 
 def apply_local_tensor(t_loc, support, num_qubits, xt):
@@ -262,7 +287,7 @@ def dense_sweep_transfer_product(instruments, num_qubits):
     """
     micro = [
         (
-            transfer_of_instrument_success(inst).matrix,
+            transfer_of_instrument_success(inst, num_qubits).matrix,
             transfer_of_instrument_failure(inst, num_qubits).matrix,
         )
         for inst in instruments
@@ -283,7 +308,7 @@ def dense_sweep_transfer_mixture(instruments, num_qubits):
     m = len(instruments)
     micro = [
         (
-            transfer_of_instrument_success(inst).matrix,
+            transfer_of_instrument_success(inst, num_qubits).matrix,
             transfer_of_instrument_failure(inst, num_qubits).matrix,
         )
         for inst in instruments

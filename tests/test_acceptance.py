@@ -124,7 +124,7 @@ def test_criterion_04_general_resampling_identities():
         d = ham.dimension
         rho0 = np.eye(d) / d
         a = agsp.agsp_linear(ham, spec)
-        inst = im.make_instrument(a.operator, 0.5, im.Resampler.global_mixed())
+        inst = im.make_instrument(a.operator, 0.5, "global")
         t0g, t1g = im.sweep_transfer_global(inst)
         for n in (1, 3, 6):
             state = an.expected_state_general(t0g, t1g, rho0, n)
@@ -136,12 +136,7 @@ def test_criterion_04_general_resampling_identities():
         # local resampling: normalization of the expected stopped state
         amax = max(abs(t.coefficient) for t in ham.terms)
         insts = [
-            im.make_instrument(
-                f.embed((abs(t.coefficient) / amax) * f.k_local),
-                0.2,
-                im.Resampler.local_mixed(f.support),
-                support=f.support,
-            )
+            im.make_instrument((abs(t.coefficient) / amax) * f.k_local, 0.2, "local", support=f.support)
             for t, f in zip(ham.terms, a.local_factors)
         ]
         t0l, t1l = im.sweep_transfer_product(insts, size)
@@ -373,7 +368,7 @@ def test_criterion_09_circuit_consistency(heis4):
                 circ = cc.measurement_circuit(term, eps, weight)
                 piloc = im.TermInstrument(term, weight).k_local
                 d = piloc.shape[0]
-                inst = im.make_instrument(weight * piloc, eps, im.Resampler.identity())
+                inst = im.make_instrument(weight * piloc, eps, "identity")
                 for _ in range(8):
                     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
                     psi /= np.linalg.norm(psi)
@@ -440,7 +435,7 @@ def test_criterion_10_fault_resilience():
     k = (k + k.conj().T) / 2.0
     pi = q[:, :1] @ q[:, :1].conj().T
     params = agsp.verify_agsp(k, pi)
-    inst = im.make_instrument(k, 1.0, im.Resampler.global_mixed())
+    inst = im.make_instrument(k, 1.0, "global")
     fp_ok = True
     for delta in (1e-3, 1e-2):
         for seed in (0, 1):

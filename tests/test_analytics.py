@@ -20,7 +20,7 @@ from oracles import (
 def _weak_global(ham, eps, spectral=None):
     spectral = spectral if spectral is not None else pauli.diagonalize(ham)
     a = agsp.agsp_linear(ham, spectral)
-    inst = im.make_instrument(a.operator, eps, im.Resampler.global_mixed())
+    inst = im.make_instrument(a.operator, eps, "global")
     t0, t1 = im.sweep_transfer_global(inst)
     return inst, t0, t1, spectral
 
@@ -34,9 +34,7 @@ def _local_sweep(ham, eps, spectral=None, weighting="max"):
     else:
         weights = [f.weight for f in a.local_factors]
     insts = [
-        im.make_instrument(
-            f.embed(w * f.k_local), eps, im.Resampler.local_mixed(f.support), support=f.support
-        )
+        im.make_instrument(w * f.k_local, eps, "local", support=f.support)
         for w, f in zip(weights, a.local_factors)
     ]
     t0, t1 = im.sweep_transfer_product(insts, ham.num_qubits)
@@ -110,8 +108,8 @@ class TestGeneralFormulas:
         spec = pauli.diagonalize(ham_z)
         a = agsp.agsp_linear(ham_z, spec)
         k = 0.8 * a.operator  # keep ||E0|| < 1 so tau is regular
-        g = im.make_instrument(k, 0.6, im.Resampler.global_mixed())
-        l = im.make_instrument(k, 0.6, im.Resampler.local_mixed((0,)), support=(0,))
+        g = im.make_instrument(k, 0.6, "global")
+        l = im.make_instrument(k, 0.6, "local", support=(0,))
         rho0 = np.eye(2) / 2
         tg0, tg1 = im.sweep_transfer_global(g)
         tl0 = transfer_of_instrument_success(l)
@@ -182,7 +180,7 @@ class TestGeneralFormulas:
         # projector AGSP + identity resampling absorbs: the theorem's
         # condition tr(E0 o R(rho)) > 0 fails and must raise
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(p, 1.0, im.Resampler.identity())
+        inst = im.make_instrument(p, 1.0, "identity")
         t0 = transfer_of_instrument_success(inst)
         t1 = transfer_of_instrument_failure(inst, 1)
         rho0 = np.eye(2) / 2
@@ -323,9 +321,7 @@ class TestScheduleOracle:
         for j in range(1, 5):
             eps_j = 0.0625 / j
             insts = [
-                im.make_instrument(
-                    f.embed(f.weight * f.k_local), eps_j, im.Resampler.global_mixed(), support=f.support
-                )
+                im.make_instrument(f.weight * f.k_local, eps_j, "global", support=f.support)
                 for f in a.local_factors
             ]
             t0, t1 = im.sweep_transfer_product(insts, 2)

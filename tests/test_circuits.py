@@ -16,7 +16,7 @@ def _check_term_against_instrument(term, eps, weight, rng, samples=12):
     circ = cc.measurement_circuit(term, eps, weight)
     piloc = im.TermInstrument(term, weight).k_local
     d = piloc.shape[0]
-    inst = im.make_instrument(weight * piloc, eps, im.Resampler.identity())
+    inst = im.make_instrument(weight * piloc, eps, "identity")
     worst = 0.0
     for _ in range(samples):
         psi = rng.normal(size=d) + 1j * rng.normal(size=d)

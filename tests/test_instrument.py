@@ -12,9 +12,9 @@ from oracles import (
     dense_stopped_general,
     dense_sweep_transfer_mixture,
     dense_sweep_transfer_product,
+    embed,
     global_run_success_probs,
     markov_expected_absorption,
-    resampler_transfer,
     trace_row,
     transfer_of_instrument_failure,
     transfer_of_instrument_success,
@@ -38,19 +38,19 @@ def _rand_density(rng, d):
 class TestMakeInstrument:
     def test_projective_limit(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(p, 1.0, im.Resampler.global_mixed())
+        inst = im.make_instrument(p, 1.0, "global")
         assert np.allclose(inst.e0, p)
         assert np.allclose(inst.e1, np.eye(2) - p)
 
     def test_trivial_limit(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(p, 0.0, im.Resampler.global_mixed())
+        inst = im.make_instrument(p, 0.0, "global")
         assert np.allclose(inst.e0, np.eye(2))
         assert np.allclose(inst.e1, 0.0)
 
     def test_weighted_weak_eigenvalues(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(0.5 * p, 0.2, im.Resampler.global_mixed())
+        inst = im.make_instrument(0.5 * p, 0.2, "global")
         assert sorted(np.linalg.eigvalsh(inst.e0)) == pytest.approx([0.8, 0.9])
         expected = sorted([np.sqrt(1 - 0.81), np.sqrt(1 - 0.64)])
         assert sorted(np.linalg.eigvalsh(inst.e1)) == pytest.approx(expected)
@@ -58,18 +58,18 @@ class TestMakeInstrument:
     def test_completeness(self, heis3, spec3):
         a = agsp.agsp_linear(heis3, spec3)
         for eps in (0.1, 0.5, 1.0):
-            inst = im.make_instrument(a.operator, eps, im.Resampler.global_mixed())
+            inst = im.make_instrument(a.operator, eps, "global")
             comp = inst.e0.conj().T @ inst.e0 + inst.e1.conj().T @ inst.e1
             assert np.abs(comp - np.eye(8)).max() <= 1e-10
             assert np.linalg.norm(inst.e0, 2) <= 1.0 + 1e-12
 
     def test_overscaled_rejected(self):
         with pytest.raises(InvalidAgspError):
-            im.make_instrument(2.0 * np.eye(2), 1.0, im.Resampler.global_mixed())
+            im.make_instrument(2.0 * np.eye(2), 1.0, "global")
 
     def test_eps_out_of_range(self):
         with pytest.raises(ParameterError):
-            im.make_instrument(np.eye(2), 1.5, im.Resampler.global_mixed())
+            im.make_instrument(np.eye(2), 1.5, "global")
 
 
 @st.composite
@@ -119,7 +119,7 @@ class TestTermInstrument:
         # completeness
         assert np.abs(e0.conj().T @ e0 + e1.conj().T @ e1 - eye).max() <= 1e-12
         # the eigh path
-        ref = im.make_instrument(weight * inst.k_local, eps, im.Resampler.identity())
+        ref = im.make_instrument(weight * inst.k_local, eps, "identity")
         assert np.abs(e0 - ref.e0).max() <= 1e-12
         _assert_roots_close(e1, ref.e1, lam)
         # the engine's affine update and closed-form branch weights equal
@@ -135,7 +135,7 @@ class TestTermInstrument:
                 hpsi.reshape(shape),
             )
             _kernels.axpb_pauli(out, hpsi, a, b)
-            ref_out = inst.embed(e) @ psi
+            ref_out = embed(e, inst.support, term.string.num_qubits) @ psi
             assert np.abs(out - ref_out).max() <= 1e-12
             assert c + d * hh / nn == pytest.approx(
                 float(np.vdot(ref_out, ref_out).real), abs=1e-12
@@ -157,7 +157,7 @@ class TestTermInstrument:
             assert inst.support == ()
             e0, e1 = inst.kraus(0.25)
             assert e0[0, 0] == pytest.approx(0.75 + 0.25 * 0.6 * k)
-            assert np.abs(inst.embed(e0) - e0[0, 0] * np.eye(4)).max() == 0.0
+            assert np.abs(embed(e0, inst.support, 2) - e0[0, 0] * np.eye(4)).max() == 0.0
 
 
 def _engine_measurement(term, weight, eps, resampler, rng):
@@ -207,7 +207,7 @@ class TestApplySampled:
         # P(0) on |+> from 2x2 arithmetic, checked against 1e5 samples
         eps = 0.2
         pi = np.diag([0.0, 1.0]).astype(complex)  # ground of +Z
-        inst = im.make_instrument(pi, eps, im.Resampler.global_mixed())
+        inst = im.make_instrument(pi, eps, "global")
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
         p0 = float(np.vdot(inst.e0 @ plus, inst.e0 @ plus).real)
         term = pauli.PauliTerm(1.0, pauli.PauliString("Z"))
@@ -219,16 +219,13 @@ class TestApplySampled:
 
     def test_local_resampler_unravelling(self, rng):
         # ensemble of pure-state updates reproduces the channel on average
-        table_qubits = (0,)
         term = pauli.PauliTerm(1.0, pauli.PauliString("ZI"))
         weight, eps = 0.8, 0.7
-        k_full = (np.eye(4) - term.string.to_matrix()) / 2.0
-        inst = im.make_instrument(
-            weight * k_full, eps, im.Resampler.local_mixed(table_qubits), support=table_qubits
-        )
+        k_local = (np.eye(2) - pauli.PauliString("Z").to_matrix()) / 2.0
+        inst = im.make_instrument(weight * k_local, eps, "local", support=(0,))
         psi = _rand_state(rng, 4)
         rho0 = np.outer(psi, psi.conj())
-        t0 = transfer_of_instrument_success(inst).matrix
+        t0 = transfer_of_instrument_success(inst, 2).matrix
         t1 = transfer_of_instrument_failure(inst, 2).matrix
         expected = unvec((t0 + t1) @ vec(rho0))
         ts, measure = _engine_measurement(term, weight, eps, "local", rng)
@@ -269,7 +266,7 @@ class TestTransfer:
 
     def test_spectral_radius_trace_non_increasing(self, heis2, spec2):
         a = agsp.agsp_linear(heis2, spec2)
-        inst = im.make_instrument(a.operator, 0.5, im.Resampler.global_mixed())
+        inst = im.make_instrument(a.operator, 0.5, "global")
         t0 = transfer_of_instrument_success(inst)
         radius = np.abs(np.linalg.eigvals(t0.matrix)).max()
         assert radius <= 1.0 + 1e-9
@@ -277,21 +274,21 @@ class TestTransfer:
     def test_failure_transfer_global_cases(self):
         d = 4
         zero = np.zeros((d, d), dtype=complex)
-        inst = im.Instrument(zero, np.eye(d), im.Resampler.global_mixed())
+        inst = im.Instrument(zero, np.eye(d), "global")
         t1 = transfer_of_instrument_failure(inst)
         rho = np.diag([1.0, 0, 0, 0]).astype(complex)
         assert np.abs(t1.apply(rho) - np.eye(d) / d).max() <= 1e-12
 
     def test_failure_probability_zero_on_top_eigenspace(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(p, 1.0, im.Resampler.global_mixed())
+        inst = im.make_instrument(p, 1.0, "global")
         t1 = transfer_of_instrument_failure(inst)
         rho = np.diag([1.0, 0.0]).astype(complex)
         assert np.trace(t1.apply(rho)).real <= 1e-12
 
     def test_sum_trace_preserving(self, heis2, spec2):
         a = agsp.agsp_linear(heis2, spec2)
-        inst = im.make_instrument(a.operator, 0.5, im.Resampler.global_mixed())
+        inst = im.make_instrument(a.operator, 0.5, "global")
         t0 = transfer_of_instrument_success(inst).matrix
         t1 = transfer_of_instrument_failure(inst).matrix
         row = trace_row(4)
@@ -300,10 +297,8 @@ class TestTransfer:
     def test_local_failure_trace_preserving_sum(self, heis3, spec3):
         a = agsp.agsp_linear(heis3, spec3)
         f = a.local_factors[0]
-        inst = im.make_instrument(
-            f.embed(f.weight * f.k_local), 0.3, im.Resampler.local_mixed(f.support), support=f.support
-        )
-        t0 = transfer_of_instrument_success(inst).matrix
+        inst = im.make_instrument(f.weight * f.k_local, 0.3, "local", support=f.support)
+        t0 = transfer_of_instrument_success(inst, 3).matrix
         t1 = transfer_of_instrument_failure(inst, 3).matrix
         row = trace_row(8)
         assert np.abs(row @ (t0 + t1) - row).max() <= 1e-10
@@ -368,9 +363,7 @@ class TestSweepTransfers:
     def test_product_sweep_trace_preserving(self, heis3, spec3):
         a = agsp.agsp_linear(heis3, spec3)
         insts = [
-            im.make_instrument(
-                f.embed(f.weight * f.k_local), 0.2, im.Resampler.local_mixed(f.support), support=f.support
-            )
+            im.make_instrument(f.weight * f.k_local, 0.2, "local", support=f.support)
             for f in a.local_factors
         ]
         t0, t1 = im.sweep_transfer_product(insts, 3)
@@ -380,9 +373,7 @@ class TestSweepTransfers:
     def test_mixture_sweep_trace_preserving(self, heis2, spec2):
         a = agsp.agsp_linear(heis2, spec2)
         insts = [
-            im.make_instrument(
-                f.embed(f.weight * f.k_local), 0.2, im.Resampler.global_mixed(), support=f.support
-            )
+            im.make_instrument(f.weight * f.k_local, 0.2, "global", support=f.support)
             for f in a.local_factors
         ]
         t0, t1 = im.sweep_transfer_mixture(insts, 2)
@@ -502,22 +493,27 @@ class TestLocalSweepTransfer:
         out = apply_local_tensor(np.kron(a.conj(), a), (0, 2), 3, xt).reshape(x.shape)
         assert np.abs(out - np.kron(full.conj(), full) @ x).max() <= 1e-12
 
+    def test_instruments_on_their_own_qubits(self):
+        engine = _sweep_engine(pauli.build_heisenberg_chain(6), 0.2, "local")
+        insts = engine.instruments_at(0.2)
+        assert len(insts) == len(engine.terms) == 15
+        for inst, term in zip(insts, engine.terms):
+            assert inst.support == term.support and len(inst.support) == 2
+            assert inst.e0.shape == inst.e1.shape == (4, 4)
+
+    def test_instrument_refuses_unknown_kind_and_wrong_size(self):
+        e0, e1 = im.TermInstrument(_ZX, 0.5).kraus(0.3)
+        with pytest.raises(ParameterError, match="resampler must be one of"):
+            im.Instrument(e0, e1, "custom", (0, 2))
+        with pytest.raises(ParameterError, match="dimension 4 on 1 qubits"):
+            im.Instrument(e0, e1, "local", (0,))
+
     def test_mixture_matches_dense_composition(self, heis2):
         insts = _sweep_instruments(heis2, 0.3, "local")
         succ, fail = dense_sweep_transfer_mixture(insts, 2)
         t0, t1 = im.sweep_transfer_mixture(insts, 2)
         assert np.abs(column_stacked(t0) - succ).max() <= 1e-13
         assert np.abs(column_stacked(t1) - fail).max() <= 1e-13
-
-    @pytest.mark.parametrize("branch", ["e0", "e1"])
-    def test_unpadded_instrument_refused(self, heis3, branch):
-        inst = _sweep_instruments(heis3, 0.3, "local")[0]
-        assert inst.support == (0, 1)
-        ops = {"e0": inst.e0.copy(), "e1": inst.e1.copy()}
-        ops[branch][0, 1] += 0.1  # couples |000> and |001>: acts on qubit 2
-        bad = im.Instrument(ops["e0"], ops["e1"], inst.resampler, support=inst.support)
-        with pytest.raises(ParameterError, match="outside its declared support"):
-            im.sweep_transfer_product([bad], 3)
 
 
 def _pauli_of(sector, idx):
@@ -582,11 +578,12 @@ class TestPauliSector:
             assert commutes == (idx in member)
 
     def test_non_covariant_resampler_leaks(self, heis2):
-        # a Hadamard on qubit 0 maps XX, inside the sector, to ZX, outside it
+        # a Hadamard on qubit 0 after E1 maps XX, inside the sector, to ZX,
+        # outside it; E1^dag E1 is unchanged, so the pair stays complete
         had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        reset = im.Resampler.custom([np.kron(had, np.eye(2))])
         term = im.TermInstrument(heis2.terms[2], 1.0)
-        inst = term.instrument(0.3, reset)
+        e0, e1 = term.kraus(0.3)
+        inst = im.Instrument(e0, np.kron(had, np.eye(2)) @ e1, "identity", term.support)
         t0, _ = im.sweep_transfer_product([inst], 2)
         assert t0.matrix.shape == (16, 16)
         with pytest.raises(ParameterError, match="leaves the Pauli symmetry sector"):
@@ -619,18 +616,6 @@ class TestPauliSector:
         v = sector.vec(rho)
         assert np.abs(sector.unvec(v) - rho).max() <= 1e-13
         assert sector.trace_row @ v == pytest.approx(np.trace(rho).real, abs=1e-13)
-
-
-class TestCustomResampler:
-    def test_completeness_enforced(self):
-        with pytest.raises(ParameterError):
-            im.Resampler.custom([0.5 * np.eye(2)])
-
-    def test_unitary_custom_resampler(self):
-        x = pauli.PauliString("X").to_matrix()
-        res = im.Resampler.custom([x])
-        t = resampler_transfer(res, 1)
-        assert t.trace_preserving
 
 
 class TestMarkovOracleAgreement:

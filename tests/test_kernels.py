@@ -148,7 +148,7 @@ class TestPauliAction:
         a0, b0, a1, b1, c0, d0, c1, d1 = inst.branch_row(eps)
         e0, e1 = inst.kraus(eps)
         for p, e in ((c0 + d0 * hh / nn, e0), (c1 + d1 * hh / nn, e1)):
-            phi = inst.embed(e) @ psi
+            phi = oracles.embed(e, inst.support, string.num_qubits) @ psi
             assert p == pytest.approx(float(np.vdot(phi, phi).real) / nn, abs=1e-13)
         assert (a0, b0, a1, b1) == tuple(c.real for c in inst.coefficients(eps))
 

@@ -13,6 +13,7 @@ from oracles import (
     column_stacked,
     dense_noisy_sweep_success_transfer,
     dense_noisy_term_instrument,
+    embed,
     in_pauli_basis,
     iterative_free_decay_overlaps,
     noisy_kraus,
@@ -223,7 +224,7 @@ class TestGateErrors:
 class TestChannelPerturbation:
     def _clean_instrument(self):
         k = np.diag([0.9, 0.85, 0.3, 0.2]).astype(complex)
-        return im.make_instrument(k, 1.0, im.Resampler.global_mixed())
+        return im.make_instrument(k, 1.0, "global")
 
     def test_zero_delta_identity(self):
         inst = self._clean_instrument()
@@ -240,18 +241,20 @@ class TestChannelPerturbation:
             assert measured == pytest.approx(delta, rel=0.2)
 
     def test_perturbed_local_instrument_declares_no_support(self):
-        # the direction acts on every qubit, so the sweep oracle must see a
-        # full-space instrument rather than refuse a false support
-        k = np.diag([0.9, 0.3, 0.9, 0.3]).astype(complex)  # acts on qubit 1 only
-        inst = im.make_instrument(k, 0.5, im.Resampler.global_mixed(), support=(1,))
+        # the direction acts on the instrument's own qubit, so the perturbed
+        # pair keeps its support and the sweep equals the padded reference
+        k = np.diag([0.9, 0.3]).astype(complex)
+        inst = im.make_instrument(k, 0.5, "global", support=(1,))
         pert = nz.perturb_instrument(inst, nz.ChannelPerturbation(1e-2, seed=2))
-        assert pert.support is None
+        assert pert.support == (1,) and pert.e0.shape == (2, 2)
+        assert np.abs(pert.e0 - inst.e0).max() > 1e-4
         t0, _ = im.sweep_transfer_product([pert], 2)
-        assert np.abs(column_stacked(t0) - np.kron((pert.e0 @ pert.e0).conj(), pert.e0 @ pert.e0)).max() <= 1e-13
+        full = embed(pert.e0 @ pert.e0, (1,), 2)
+        assert np.abs(column_stacked(t0) - np.kron(full.conj(), full)).max() <= 1e-13
 
     def test_norm_guard(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(p, 1.0, im.Resampler.global_mixed())
+        inst = im.make_instrument(p, 1.0, "global")
         with pytest.raises(InvalidNoiseError):
             nz.perturb_instrument(inst, nz.ChannelPerturbation(0.3, seed=1))
 
@@ -281,7 +284,7 @@ class TestBounds:
         k = (q * vals) @ q.conj().T
         pi = q[:, :1] @ q[:, :1].conj().T
         params = agsp.verify_agsp(k, pi)
-        inst = im.make_instrument(k, 1.0, im.Resampler.global_mixed())
+        inst = im.make_instrument(k, 1.0, "global")
         for delta in (1e-3, 1e-2):
             for seed in (0, 1, 2):
                 pert = nz.perturb_instrument(inst, nz.ChannelPerturbation(delta, seed=seed))
@@ -348,7 +351,7 @@ class TestNoisyOracle:
         blocks = [(in_pauli_basis(np.kron(a.conj(), a)), t.support) for a, t in zip(ops, eng.terms)]
         dense = np.eye(64, dtype=complex)
         for v in list(range(6)) + list(range(5, -1, -1)):
-            full = eng.terms[v].embed(ops[v])
+            full = embed(ops[v], eng.terms[v].support, 3)
             dense = np.kron(full.conj(), full) @ dense
         fwd = b @ nz.apply_noisy_sweep(blocks, 3, b.conj().T @ x)
         adj = b @ nz.apply_noisy_sweep(blocks, 3, b.conj().T @ x, adjoint=True)

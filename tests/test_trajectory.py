@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqe import analytics as an, noise as nz, pauli, stopping as st, trajectory as tj
+from dqe import analytics as an, instrument as im, noise as nz, pauli, stopping as st
+from dqe import trajectory as tj
 from dqe.errors import ConfigError, InvalidNoiseError
 
 from oracles import global_run_success_probs, longest_zero_run, markov_expected_absorption
@@ -157,6 +158,42 @@ class TestOracleAgreement:
         stats = tj.run_ensemble(cfg, 2500, engine=engine)
         assert abs(stats.mean_overlap - exact_overlap) <= 3 * stats.stderr_overlap
         assert abs(stats.mean_tau - exact_tau) <= 3 * stats.stderr_tau
+
+    def test_global_mode_local_resampling(self, heis3):
+        # a global instrument acts on every qubit, so "local" resets the whole
+        # register after its failure, in the sampler as in the oracle
+        cfg = _cfg(heis3, schedule=st.EpsilonSchedule.constant(0.3), resampler="local", seed=2)
+        engine = tj.TrajectoryEngine(cfg)
+        (exact,) = an.expected_stopped_general(*engine.sweep_transfers(0.3), np.eye(8) / 8, [3])
+        exact_overlap = float(np.trace(engine.pi0 @ exact.state).real)
+        stats = tj.run_ensemble(cfg, 4000, engine=engine)
+        assert abs(stats.mean_overlap - exact_overlap) <= 3 * stats.stderr_overlap
+        assert abs(stats.mean_tau - exact.tau) <= 3 * stats.stderr_tau
+
+    def test_identity_string_local_failure_is_identity_map(self):
+        # build_maxsat measures its constant offset as the identity string;
+        # its support is empty, so a local reset after it fails touches no
+        # qubit, as in the sampler
+        ham = pauli.build_maxsat(3, [((0, 1), "11"), ((1, 2), "01"), ((0, 2), "00")])
+        cfg = _cfg(
+            ham,
+            agsp_mode="product-sweep",
+            schedule=st.EpsilonSchedule.constant(0.2),
+            resampler="local",
+            rule=st.FirstRunOfZeros(2),
+        )
+        engine = tj.TrajectoryEngine(cfg)
+        t0, t1 = engine.sweep_transfers(0.2)
+        # a global reset there instead gives 0.5749 and 407.9
+        (exact,) = an.expected_stopped_general(t0, t1, np.eye(8) / 8, [2])
+        assert np.trace(engine.pi0 @ exact.state).real == pytest.approx(0.6008, abs=1e-4)
+        assert exact.tau == pytest.approx(395.1, abs=0.1)
+        insts = engine.instruments_at(0.2)
+        assert [inst.support for inst in insts].count(()) == 1
+        kept = [replace(inst, resampler="identity") if inst.support == () else inst for inst in insts]
+        r0, r1 = im.sweep_transfer_product(kept, 3, engine.sector)
+        assert np.abs(t0.matrix - r0.matrix).max() <= 1e-13
+        assert np.abs(t1.matrix - r1.matrix).max() <= 1e-13
 
     def test_mixture_mode(self, heis2):
         cfg = _cfg(
@@ -340,10 +377,14 @@ class TestGlobalEigenpairs:
         kv, kw = engine._kv, engine._kw
         assert np.abs((kv * kw) @ kv.conj().T - engine.k_global).max() <= 1e-12
 
-    # (stop_step, stopped_run_length) of seeds 0..19 when the engine took
-    # K's eigenpairs from a second eigh of K
+    # (stop_step, stopped_run_length) of seeds 0..19.  The (3, "identity")
+    # and (4, "global") rows date from an engine that took K's eigenpairs
+    # from a second eigh of K; the identity row is what "local" gave while
+    # it kept the E1 branch.  A global instrument acts on every qubit, so
+    # "local" now resets the register and gives the "global" records.
     PINNED = {
-        (3, "local"): [3, 16, 8, 6, 5, 4, 3, 12, 7, 10, 5, 31, 4, 60, 42, 34, 3, 3, 42, 4],
+        (3, "identity"): [3, 16, 8, 6, 5, 4, 3, 12, 7, 10, 5, 31, 4, 60, 42, 34, 3, 3, 42, 4],
+        (3, "local"): [3, 8, 5, 15, 24, 4, 3, 9, 6, 8, 20, 13, 4, 29, 19, 4, 3, 3, 7, 4],
         (4, "global"): [3, 8, 17, 41, 20, 4, 3, 9, 6, 32, 20, 3, 4, 34, 13, 4, 3, 3, 8, 4],
     }
 
