@@ -61,7 +61,6 @@ class Agsp:
 
     operator: np.ndarray
     params: AgspParams
-    claimed: bool = True
     # each term's weak measurement at the linear-AGSP weight |alpha_v|/kappa
     local_factors: tuple[TermInstrument, ...] | None = None
     metadata: dict = field(default_factory=dict)
@@ -97,7 +96,6 @@ def agsp_linear(
     return Agsp(
         k,
         params,
-        claimed=True,
         local_factors=tuple(term_instruments(ham, "sum")),
         values=(1.0 - spec.eigenvalues / ham.kappa) / 2.0,
     )
@@ -126,7 +124,7 @@ def agsp_product(
         )
     else:
         params = AgspParams(delta=1.0, gamma=1.0, epsilon=0.0)
-    return Agsp(k, params, claimed=True, local_factors=factors, metadata={"eps": eps})
+    return Agsp(k, params, local_factors=factors, metadata={"eps": eps})
 
 
 def _chebyshev_t(ell: int, y: np.ndarray) -> np.ndarray:
@@ -173,7 +171,7 @@ def agsp_chebyshev(spec: SpectralData, ell: int, num_terms: int | None = None) -
     metadata = {"degree": ell}
     if num_terms is not None:
         metadata["term_count_estimate"] = float((np.e / ell) ** ell * num_terms**ell)
-    return Agsp(k, params, claimed=True, metadata=metadata, values=vals)
+    return Agsp(k, params, metadata=metadata, values=vals)
 
 
 def verify_agsp(k: np.ndarray, pi0: np.ndarray) -> AgspParams:

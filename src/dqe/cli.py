@@ -307,8 +307,9 @@ def cmd_fixed_point(args) -> int:
         scale = args.scale if args.scale is not None else 1.0
     k = scale * a.operator
     rho = instrument.fixed_point_direct(k)
-    channel = instrument.global_channel_transfer(k)
-    rho_iter = instrument.fixed_point_iterate(channel)
+    # the whole channel of the global instrument: its T0 + T1
+    t0, t1 = instrument.sweep_transfer_global(instrument.make_instrument(k, 1.0, "global"))
+    rho_iter = instrument.fixed_point_iterate(instrument.TransferMatrix(t0.matrix + t1.matrix, t0.sector))
     dist = instrument.trace_distance(rho, rho_iter)
     overlap = float(np.trace(spec.ground_projector @ rho).real)
     params = agsp.verify_agsp(k, spec.ground_projector)
@@ -365,6 +366,12 @@ def cmd_compare_resampling(args) -> int:
 
 def cmd_noise_sweep(args) -> int:
     cfg = _experiment_from_args(args, "noise-sweep")
+    # the experiment is a product sweep with global resampling under the
+    # secretary rule at each --runtimes cap; refuse what it would ignore
+    if cfg.agsp_mode != "product-sweep" or cfg.resampler != "global":
+        raise ConfigError("noise-sweep runs the product sweep with the global resampler only")
+    if args.stopping is not None or cfg.stopping_rule != ExperimentConfig.stopping_rule:
+        raise ConfigError("noise-sweep takes its secretary caps from --runtimes, not a stopping rule")
     ham = build_system(cfg.system)
     runtimes = _parse_int_list(args.runtimes)
     eps = _constant_eps(parse_epsilon(cfg.eps, ham), "noise-sweep")

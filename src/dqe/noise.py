@@ -29,14 +29,14 @@ from .circuits import (
 from .errors import InvalidNoiseError, ParameterError
 from .instrument import (
     Instrument,
+    MicroStep,
     PauliSector,
     TermInstrument,
     TransferMatrix,
     apply_on_axes,
-    pauli_coefficients,
-    pauli_matrix,
     pauli_transfer,
     principal_sqrt_complement,
+    sweep_walk,
 )
 from .pauli import PauliString, PauliTerm
 
@@ -351,65 +351,49 @@ def fixed_point_resilience_bound(params, delta: float, dim: int, degeneracy: int
     return 1.0 - (ratio + delta) * (dim / degeneracy - 1.0) - params.epsilon - delta
 
 
-def noisy_sweep_blocks(engine):
-    """(Pauli-transfer block, support) of each term's noisy success branch:
-    its tomographed R_0."""
-    return [(ni.success_transfer, ni.support) for ni in engine.noisy_instruments]
-
-
-def apply_noisy_sweep(blocks, num_qubits: int, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """The noisy all-zeros sweep applied to every column of a 4^n x N stack
-    of Pauli coefficient vectors.
-
-    Each block acts on its support only.  The sweep order is a palindrome
-    and the blocks are real, so the adjoint runs the same loop over the
-    transposed blocks.
-    """
-    if adjoint:
-        blocks = [(t.T, support) for t, support in blocks]
-    m = len(blocks)
-    xt = x.reshape((4,) * num_qubits + (x.shape[1],))
-    for v in list(range(m)) + list(range(m - 1, -1, -1)):
-        xt = apply_on_axes(blocks[v][0], blocks[v][1], xt)
-    return xt.reshape(x.shape)
+def _noisy_steps(engine) -> list[MicroStep]:
+    """The engine's sweep steps with each term's tomographed R_0 and R_1."""
+    return [
+        MicroStep(ni.success_transfer, ni.failure_transfer, ni.support, engine.cfg.resampler)
+        for ni in engine.noisy_instruments
+    ]
 
 
 def noisy_sweep_success_transfer(engine) -> TransferMatrix:
     """Transfer matrix of the noisy all-zeros sweep branch of an engine, on
     the trivial sector."""
-    n = engine.num_qubits
-    sweep = apply_noisy_sweep(noisy_sweep_blocks(engine), n, np.eye(4**n))
-    return TransferMatrix(sweep, sector=PauliSector(n))
+    sector = PauliSector(engine.num_qubits)
+    (sweep,) = sweep_walk([(_noisy_steps(engine), MicroStep.success)], sector.identity_stack())
+    return TransferMatrix(sector.restrict(sweep), sector=sector)
 
 
-def noisy_sweep_delta(engine, kraus: np.ndarray) -> float:
-    """||T_noisy - T_K||_2 for the noisy sweep of an engine and the map
-    rho -> K rho K^dag of a clean success Kraus operator K, without forming
-    either 4^n x 4^n matrix.
+def noisy_sweep_delta(engine) -> float:
+    """||T_noisy - T_K||_2 between the noisy all-zeros sweep of an engine
+    and its clean one, rho -> K rho K^dag with K the clean success Kraus
+    operator, without forming either 4^n x 4^n matrix.
 
-    The largest singular value of x -> noisy(x) - coefficients(K rho_x K^dag)
-    on real Pauli coefficient vectors, by implicitly restarted Lanczos
-    (ARPACK) on the normal operator; tol=0 asks for machine precision and
-    the start vector is pinned, so the value is reproducible.
+    The largest singular value of x -> noisy(x) - clean(x) on real Pauli
+    coefficient vectors, both walked step by step on the support blocks
+    (``instrument.sweep_walk``), by implicitly restarted Lanczos (ARPACK)
+    on the normal operator; tol=0 asks for machine precision and the start
+    vector is pinned, so the value is reproducible.
     """
     from scipy.sparse.linalg import LinearOperator, svds
 
     n = engine.num_qubits
     dim = 4**n
-    blocks = noisy_sweep_blocks(engine)
+    noisy = _noisy_steps(engine)
+    clean = [MicroStep.of(inst, n) for inst in engine.instruments_at(engine.cfg.schedule.base)]
 
-    def apply(x, adjoint):
-        cols = x.reshape(dim, -1)
-        # the map's transpose is rho -> K^dag rho K
-        k = kraus.conj().T if adjoint else kraus
-        rho = np.moveaxis(pauli_matrix(cols, n), -1, 0)
-        clean = pauli_coefficients(np.moveaxis(k @ rho @ k.conj().T, 0, -1))
-        return (apply_noisy_sweep(blocks, n, cols, adjoint) - clean.real.reshape(dim, -1)).reshape(x.shape)
+    def apply(x, branch):
+        xt = x.reshape((4,) * n + (-1,))
+        y_noisy, y_clean = sweep_walk([(noisy, branch), (clean, branch)], xt)
+        return (y_noisy - y_clean).reshape(x.shape)
 
     op = LinearOperator(
         (dim, dim),
-        matvec=lambda x: apply(x, False),
-        rmatvec=lambda x: apply(x, True),
+        matvec=lambda x: apply(x, MicroStep.success),
+        rmatvec=lambda x: apply(x, MicroStep.success_adjoint),
         dtype=np.float64,
     )
     v0 = np.random.default_rng(0).standard_normal(dim)
@@ -486,9 +470,8 @@ def run_resilience_experiment(
         stderrs.append(stats.stderr_overlap)
         energies.append(stats.mean_energy)
     delta = max(nt.delta_measured for nt in engine.noisy_instruments)
-    kraus_clean = engine.sweep_success_kraus(eps)
-    sweep_delta = noisy_sweep_delta(engine, kraus_clean)
-    params = verify_agsp(kraus_clean, engine.pi0)
+    sweep_delta = noisy_sweep_delta(engine)
+    params = verify_agsp(engine.sweep_success_kraus(eps), engine.pi0)
     bound = resilience_bound_asymptotic(params, sweep_delta).value
     series = free_decay_overlaps(engine.spectral, model.p1, max(runtimes))
     baseline = tuple(float(series[t]) for t in runtimes)

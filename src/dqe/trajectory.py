@@ -42,7 +42,7 @@ from .stopping import EpsilonSchedule, RuleTracker, StoppingRule, epsilon_at
 AGSP_MODES = ("linear-global", "chebyshev-global", "product-sweep", "mixture-random")
 WEIGHTINGS = ("max", "sum")
 # RunConfig fields that no engine operator depends on
-_RUN_FIELDS = ("rule", "seed", "max_steps", "record_series", "record_micro")
+_RUN_FIELDS = ("rule", "seed", "max_steps", "record_series")
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,6 @@ class RunConfig:
     seed: int = 0
     max_steps: int = 1_000_000
     record_series: bool = False
-    record_micro: bool = False  # debug channel: per-term outcomes per sweep
     weighting: str = "max"
     cheb_degree: int = 2
     noise: object | None = None  # noise.DepolarizingPerGate, gate-level faults
@@ -92,7 +91,6 @@ class TrajectoryRecord:
     seed: int
     outcomes: np.ndarray | None = None
     series: np.ndarray | None = None
-    micro_outcomes: list | None = None  # per sweep: tuple of per-term bits
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,7 @@ class TrajectoryEngine:
         """This engine's operators under ``cfg``: a shallow copy with cfg replaced.
 
         Only the fields that shape trajectories but no operator (the rule,
-        the seed, max_steps and the record flags) may differ from the config
+        the seed, max_steps and record_series) may differ from the config
         the engine was built for; any other difference raises ConfigError.
         """
         if cfg is self.cfg:
@@ -405,29 +403,22 @@ def _global_measure(ts: _TrajectoryState, engine: TrajectoryEngine, eps: float) 
     return 1
 
 
-def _run_sweep(ts: _TrajectoryState, engine: TrajectoryEngine, eps: float, micro_sink=None) -> int:
+def _run_sweep(ts: _TrajectoryState, engine: TrajectoryEngine, eps: float) -> int:
     """One sweep; the sweep bit is 1 if any micro-measurement failed."""
     if engine.k_global is not None:
-        bit = _global_measure(ts, engine, eps)
-        if micro_sink is not None:
-            micro_sink.append((bit,))
-        return bit
+        return _global_measure(ts, engine, eps)
     resampler = engine.cfg.resampler
     if engine.cfg.agsp_mode == "product-sweep":
         order = engine.sweep_order
     else:
         m = len(engine.terms)
         order = [int(ts.rng.integers(m)) for _ in range(2 * m)]
-    micro = [] if micro_sink is not None else None
     terms = engine.terms
     rows = engine.branch_rows(eps)
     bit = 0
     if engine.gate_errors is None:
         for v in order:
-            out = _measure_term_clean(ts, terms[v], rows[v], resampler)
-            bit |= out
-            if micro is not None:
-                micro.append(out)
+            bit |= _measure_term_clean(ts, terms[v], rows[v], resampler)
     else:
         # P(no error through micro j) = exp(-sum of hazards), so the first
         # micro-measurement at which the clock goes below zero is the first
@@ -442,11 +433,7 @@ def _run_sweep(ts: _TrajectoryState, engine: TrajectoryEngine, eps: float, micro
             else:
                 out = _measure_term_clean(ts, terms[v], rows[v], resampler)
             bit |= out
-            if micro is not None:
-                micro.append(out)
         ts.clock = clock
-    if micro_sink is not None:
-        micro_sink.append(tuple(micro))
     return bit
 
 
@@ -476,10 +463,9 @@ def run_trajectory(
     snap_step = 0
     outcomes = np.empty(cap, dtype=np.uint8) if record_series else None
     series = np.empty((cap, 2)) if record_series else None
-    micro_sink = [] if cfg.record_micro else None
     for t in range(1, cap + 1):
         eps_t = epsilon_at(cfg.schedule, t, t1_last)
-        bit = _run_sweep(ts, engine, eps_t, micro_sink)
+        bit = _run_sweep(ts, engine, eps_t)
         stop = tracker.update(bit)
         if record_series:
             outcomes[t - 1] = bit
@@ -501,7 +487,6 @@ def run_trajectory(
                 seed=cfg.seed,
                 outcomes=outcomes[:t] if record_series else None,
                 series=series[:t] if record_series else None,
-                micro_outcomes=micro_sink,
             )
     energy, overlap = measure_observables(snap_state, engine.h_dense, engine.pi0)
     return TrajectoryRecord(
@@ -513,7 +498,6 @@ def run_trajectory(
         seed=cfg.seed,
         outcomes=outcomes[:cap] if record_series else None,
         series=series[:cap] if record_series else None,
-        micro_outcomes=micro_sink,
     )
 
 
@@ -607,7 +591,3 @@ def _stderr(x: np.ndarray) -> float:
     if x.size < 2:
         return 0.0
     return float(x.std(ddof=1) / np.sqrt(x.size))
-
-
-def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
-    return replace(cfg, seed=seed)

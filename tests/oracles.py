@@ -278,6 +278,16 @@ def column_stacked(t):
     return b @ t.matrix @ b.conj().T
 
 
+def global_channel(e0):
+    """rho -> E0 rho E0^dag + (tr rho - tr E0 rho E0^dag) 1/D, the whole
+    channel of a global instrument at eps = 1, as its T0 + T1 on the
+    trivial sector."""
+    from dqe import instrument as im
+
+    t0, t1 = im.sweep_transfer_global(im.make_instrument(e0, 1.0, "global"))
+    return im.TransferMatrix(t0.matrix + t1.matrix, t0.sector)
+
+
 def dense_sweep_transfer_product(instruments, num_qubits):
     """(T0, T1) of a forward-then-reversed sweep by dense D^2 x D^2 algebra.
 

@@ -13,6 +13,7 @@ from dqe import pauli, stopping as st, trajectory as tj
 from oracles import (
     chow_expected_rank_enumerated,
     column_stacked,
+    global_channel,
     global_run_success_probs,
     markov_expected_absorption,
     trace_row,
@@ -237,7 +238,7 @@ def test_criterion_06_fixed_points():
         k = (k + k.conj().T) / 2.0
         pi = q[:, :n_ground] @ q[:, :n_ground].conj().T
         rho_direct = im.fixed_point_direct(k)
-        rho_iter = im.fixed_point_iterate(im.global_channel_transfer(k), tol=1e-12)
+        rho_iter = im.fixed_point_iterate(global_channel(k), tol=1e-12)
         worst_dist = max(worst_dist, im.trace_distance(rho_direct, rho_iter))
         params = agsp.verify_agsp(k, pi)
         c = 1.0 / float(np.trace(np.linalg.inv(np.eye(d) - k @ k)).real)
@@ -440,7 +441,7 @@ def test_criterion_10_fault_resilience():
     for delta in (1e-3, 1e-2):
         for seed in (0, 1):
             pert = nz.perturb_instrument(inst, nz.ChannelPerturbation(delta, seed=seed))
-            rho = im.fixed_point_iterate(im.global_channel_transfer(pert.e0), tol=1e-12)
+            rho = im.fixed_point_iterate(global_channel(pert.e0), tol=1e-12)
             overlap = float(np.trace(pi @ rho).real)
             delta_eff = 4.0 * float(np.linalg.norm(pert.e0 - inst.e0, 2))
             bound = nz.fixed_point_resilience_bound(params, delta_eff, 8, 1)

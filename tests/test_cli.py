@@ -379,6 +379,26 @@ class TestNoiseSweepCommand:
         assert body[0] == "delta,runtime_cap,mean_overlap,stderr,bound,baseline_overlap"
         assert len(body) == 3
 
+    # the run is always a product sweep with global resampling and secretary
+    # caps from --runtimes, so a flag that would change it is refused
+    @pytest.mark.parametrize(
+        "flags",
+        [["--resampler", "local"], ["--agsp", "mixture"], ["--stopping", "secretary:9"]],
+        ids=["resampler", "agsp", "stopping"],
+    )
+    def test_ignored_flags_refused(self, flags, capsys):
+        argv = ["noise-sweep", "--heisenberg", "2", "--rates", "1e-4", "--runtimes", "20",
+                "--trajectories", "2", "--workers", "1", "-o", "-"]
+        assert run_cli(argv + flags) == 2
+        assert "noise-sweep" in capsys.readouterr().err
+
+    def test_stopping_rule_from_config_file_refused(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        system = {"builder": "heisenberg", "n": 2, "periodic": False}
+        path.write_text(json.dumps({"system": system, "stopping_rule": "secretary:9"}))
+        assert run_cli(["noise-sweep", "--config", str(path), "--runtimes", "20", "--trajectories", "2"]) == 2
+        assert "noise-sweep" in capsys.readouterr().err
+
 
 class TestConfigReplay:
     """A CSV header's config, fed back through --config, replays the run."""
@@ -389,7 +409,7 @@ class TestConfigReplay:
             ["analytics", "--heisenberg", "2", "--n-values", "1..3"],
             ["analytics", "--heisenberg", "2", "--agsp", "linear", "--eps", "0.3"],
             ["noise-sweep", "--heisenberg", "2", "--eps", "0.2", "--rates", "1e-3", "--runtimes", "20,40",
-             "--trajectories", "10", "--seed", "3", "--stopping", "secretary:9", "--workers", "1"],
+             "--trajectories", "10", "--seed", "3", "--weighting", "sum", "--workers", "1"],
         ],
     )
     def test_header_round_trip(self, tmp_path, capsys, argv):

@@ -13,6 +13,7 @@ from oracles import (
     dense_sweep_transfer_mixture,
     dense_sweep_transfer_product,
     embed,
+    global_channel,
     global_run_success_probs,
     markov_expected_absorption,
     trace_row,
@@ -310,7 +311,7 @@ class TestFixedPoint:
         rho = im.fixed_point_direct(k)
         raw = np.array([1 / 0.19, 1 / 0.91])
         assert np.allclose(np.diag(rho).real, raw / raw.sum())
-        channel = im.global_channel_transfer(k)
+        channel = global_channel(k)
         rho_it = im.fixed_point_iterate(channel, tol=1e-12)
         assert im.trace_distance(rho, rho_it) <= 1e-8
         assert im.trace_distance(channel.apply(rho), rho) <= 1e-9
@@ -325,7 +326,7 @@ class TestFixedPoint:
 
     def test_uniqueness_from_random_starts(self, rng):
         k = np.diag([0.8, 0.5, 0.2, 0.6]).astype(complex)
-        channel = im.global_channel_transfer(k)
+        channel = global_channel(k)
         ref = im.fixed_point_iterate(channel, tol=1e-12)
         for _ in range(5):
             rho0 = _rand_density(rng, 4)

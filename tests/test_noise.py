@@ -13,7 +13,9 @@ from oracles import (
     column_stacked,
     dense_noisy_sweep_success_transfer,
     dense_noisy_term_instrument,
+    dense_sweep_transfer_product,
     embed,
+    global_channel,
     in_pauli_basis,
     iterative_free_decay_overlaps,
     noisy_kraus,
@@ -288,7 +290,7 @@ class TestBounds:
         for delta in (1e-3, 1e-2):
             for seed in (0, 1, 2):
                 pert = nz.perturb_instrument(inst, nz.ChannelPerturbation(delta, seed=seed))
-                channel = im.global_channel_transfer(pert.e0)
+                channel = global_channel(pert.e0)
                 rho = im.fixed_point_iterate(channel, tol=1e-12)
                 overlap = float(np.trace(pi @ rho).real)
                 # ||E' - E||_1 <= 4 ||E0' - E0||, a valid rate for the theorem
@@ -336,25 +338,31 @@ class TestNoisyOracle:
         )
         eng = tj.TrajectoryEngine(cfg)
         dense = dense_noisy_sweep_success_transfer(eng)
-        blocks = nz.noisy_sweep_blocks(eng)
         x = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
         # the stack and the sweep's output in the Pauli-transfer basis
         b = pauli_basis(3)
-        fwd = b @ nz.apply_noisy_sweep(blocks, 3, b.conj().T @ x)
-        adj = b @ nz.apply_noisy_sweep(blocks, 3, b.conj().T @ x, adjoint=True)
+
+        def walk(steps, branch):
+            xt = (b.conj().T @ x).reshape((4,) * 3 + (3,))
+            return b @ im.sweep_walk([(steps, branch)], xt)[0].reshape(64, 3)
+
+        steps = nz._noisy_steps(eng)
+        fwd, adj = walk(steps, im.MicroStep.success), walk(steps, im.MicroStep.success_adjoint)
         assert np.abs(fwd - dense @ x).max() <= 1e-13
         assert np.abs(adj - dense.conj().T @ x).max() <= 1e-13
         # depolarizing leaves the sweep self-adjoint; random Kraus operators
-        # on the same supports do not, so the flag is checked there too
+        # on the same supports do not, so the adjoint is checked there too
         ops = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in eng.terms]
         ops = [a / np.linalg.norm(a, 2) for a in ops]
-        blocks = [(in_pauli_basis(np.kron(a.conj(), a)), t.support) for a, t in zip(ops, eng.terms)]
+        steps = [
+            im.MicroStep(in_pauli_basis(np.kron(a.conj(), a)), None, t.support, "global")
+            for a, t in zip(ops, eng.terms)
+        ]
         dense = np.eye(64, dtype=complex)
         for v in list(range(6)) + list(range(5, -1, -1)):
             full = embed(ops[v], eng.terms[v].support, 3)
             dense = np.kron(full.conj(), full) @ dense
-        fwd = b @ nz.apply_noisy_sweep(blocks, 3, b.conj().T @ x)
-        adj = b @ nz.apply_noisy_sweep(blocks, 3, b.conj().T @ x, adjoint=True)
+        fwd, adj = walk(steps, im.MicroStep.success), walk(steps, im.MicroStep.success_adjoint)
         assert np.abs(fwd - dense @ x).max() <= 1e-13
         assert np.abs(adj - dense.conj().T @ x).max() <= 1e-13
         assert np.abs(fwd - adj).max() > 1e-3 * np.abs(fwd).max()
@@ -371,11 +379,11 @@ class TestNoisyOracle:
         eng = tj.TrajectoryEngine(cfg)
         k = eng.sweep_success_kraus(0.4)
         dense = float(np.linalg.norm(dense_noisy_sweep_success_transfer(eng) - np.kron(k.conj(), k), 2))
-        assert nz.noisy_sweep_delta(eng, k) == pytest.approx(dense, rel=1e-10, abs=1e-14)
+        assert nz.noisy_sweep_delta(eng) == pytest.approx(dense, rel=1e-10, abs=1e-14)
 
     def test_matrix_free_delta_non_normal(self, heis3, rng):
-        # random Kraus sets and a non-Hermitian K make the operator non-normal,
-        # so the adjoint passes to ARPACK are checked too
+        # random Kraus sets make the noisy sweep non-normal, so the adjoint
+        # passes to ARPACK are checked too
         cfg = tj.RunConfig(
             heis3,
             schedule=st.EpsilonSchedule.constant(0.4),
@@ -392,9 +400,9 @@ class TestNoisyOracle:
             replace(ni, success_transfer=im.pauli_transfer([contraction(4), contraction(4) / 2]))
             for ni in eng.noisy_instruments
         ]
-        k = contraction(8)
-        dense = float(np.linalg.norm(dense_noisy_sweep_success_transfer(eng) - np.kron(k.conj(), k), 2))
-        assert nz.noisy_sweep_delta(eng, k) == pytest.approx(dense, rel=1e-10)
+        clean, _ = dense_sweep_transfer_product(eng.instruments_at(0.4), 3)
+        dense = float(np.linalg.norm(dense_noisy_sweep_success_transfer(eng) - clean, 2))
+        assert nz.noisy_sweep_delta(eng) == pytest.approx(dense, rel=1e-10)
 
     def test_monte_carlo_matches_noisy_transfer(self, heis3, spec3):
         self._monte_carlo_against_exact(heis3, spec3, 1e-4, 1500)

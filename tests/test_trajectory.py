@@ -311,33 +311,6 @@ class TestTruncation:
             assert rec.stop_step <= 30
 
 
-class TestDebugChannel:
-    def test_micro_outcomes_recorded(self, heis2):
-        cfg = _cfg(
-            heis2,
-            agsp_mode="product-sweep",
-            schedule=st.EpsilonSchedule.constant(0.2),
-            rule=st.FirstRunOfZeros(2),
-            record_micro=True,
-            weighting="max",
-            seed=37,
-        )
-        rec = tj.run_trajectory(tj.TrajectoryEngine(cfg))
-        assert rec.micro_outcomes is not None
-        assert len(rec.micro_outcomes) == rec.stop_step
-        m = heis2.num_terms
-        for sweep in rec.micro_outcomes:
-            assert len(sweep) == 2 * m
-        # the sweep bit is the OR of its per-term outcomes
-        for sweep in rec.micro_outcomes[-2:]:
-            assert max(sweep) == 0  # final run of zeros
-
-    def test_micro_channel_off_by_default(self, heis2):
-        cfg = _cfg(heis2, rule=st.FirstRunOfZeros(1))
-        rec = tj.run_trajectory(tj.TrajectoryEngine(cfg))
-        assert rec.micro_outcomes is None
-
-
 class TestConfigValidation:
     def test_bad_mode(self, heis2):
         with pytest.raises(ConfigError):
@@ -392,7 +365,7 @@ class TestGlobalEigenpairs:
     def test_linear_global_records_pinned(self, n, resampler):
         cfg = _cfg(pauli.build_heisenberg_chain(n), resampler=resampler)
         engine = tj.TrajectoryEngine(cfg)
-        records = [tj.run_trajectory(engine.rebind(tj.with_seed(cfg, s))) for s in range(20)]
+        records = [tj.run_trajectory(engine.rebind(replace(cfg, seed=s))) for s in range(20)]
         assert [(r.stop_step, r.stopped_run_length) for r in records] == [
             (t, 3) for t in self.PINNED[n, resampler]
         ]
@@ -633,8 +606,8 @@ class TestGateErrorEvents:
         assert engine.gate_errors is None
         clean = tj.TrajectoryEngine(replace(_noisy(heis2), noise=None))
         for seed in range(5):
-            a = tj.run_trajectory(engine.rebind(tj.with_seed(engine.cfg, seed)))
-            b = tj.run_trajectory(clean.rebind(tj.with_seed(clean.cfg, seed)))
+            a = tj.run_trajectory(engine.rebind(replace(engine.cfg, seed=seed)))
+            b = tj.run_trajectory(clean.rebind(replace(clean.cfg, seed=seed)))
             assert (a.stop_step, a.final_energy, a.final_overlap) == (
                 b.stop_step, b.final_energy, b.final_overlap
             )
@@ -682,7 +655,7 @@ class TestPinnedRecords:
         engine = tj.TrajectoryEngine(cfg)
         assert engine.state_dtype == (np.float64 if name == "heisenberg-4" else np.complex128)
         for seed, (step, run_len, truncated, energy, overlap) in enumerate(self.PINNED[key]):
-            rec = tj.run_trajectory(engine.rebind(tj.with_seed(cfg, seed)))
+            rec = tj.run_trajectory(engine.rebind(replace(cfg, seed=seed)))
             assert (rec.stop_step, rec.stopped_run_length, rec.truncated) == (
                 step, run_len, truncated
             )
