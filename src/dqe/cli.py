@@ -261,8 +261,23 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
+# the stopping rule and the sweep caps of a trajectory run, as (flag dest, config field)
+_RUN_LIMITS = (("stopping", "stopping_rule"), ("time_cap", "time_cap"), ("max_steps", "max_steps"))
+
+
+def _refuse_run_limits(args, cfg: ExperimentConfig, command: str):
+    """Refuse a stopping rule or a sweep cap for a command that does not
+    read them, given as a flag or as a config-file field other than its
+    default: either would still enter the header and the hash."""
+    for dest, field in _RUN_LIMITS:
+        if getattr(args, dest) is not None or getattr(cfg, field) != getattr(ExperimentConfig, field):
+            raise ConfigError(f"{command} does not read --{dest.replace('_', '-')}")
+
+
 def cmd_analytics(args) -> int:
     cfg = _experiment_from_args(args, "analytics")
+    # the exact oracle has no stopping rule or sweep cap: --n-values sets the run lengths
+    _refuse_run_limits(args, cfg, "analytics")
     rc = make_run_config(cfg)
     eps = _constant_eps(rc.schedule, "analytics")
     engine = trajectory.TrajectoryEngine(rc)
@@ -370,8 +385,7 @@ def cmd_noise_sweep(args) -> int:
     # secretary rule at each --runtimes cap; refuse what it would ignore
     if cfg.agsp_mode != "product-sweep" or cfg.resampler != "global":
         raise ConfigError("noise-sweep runs the product sweep with the global resampler only")
-    if args.stopping is not None or cfg.stopping_rule != ExperimentConfig.stopping_rule:
-        raise ConfigError("noise-sweep takes its secretary caps from --runtimes, not a stopping rule")
+    _refuse_run_limits(args, cfg, "noise-sweep")
     ham = build_system(cfg.system)
     runtimes = _parse_int_list(args.runtimes)
     eps = _constant_eps(parse_epsilon(cfg.eps, ham), "noise-sweep")

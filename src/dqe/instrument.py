@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -415,7 +416,7 @@ def pauli_transfer(kraus) -> np.ndarray:
     # (then columns) with conj(A)'s gives A (x) conj(A) per qubit
     x = (flat.T @ flat.conj()).reshape((2,) * (4 * k)).transpose(_pair_axes(2 * k))
     x = _on_axes(x.reshape((4,) * (2 * k)), _PAIR.conj(), range(k))
-    return _on_axes(x, _PAIR, range(k, 2 * k)).reshape(4**k, 4**k).real
+    return np.ascontiguousarray(_on_axes(x, _PAIR, range(k, 2 * k)).reshape(4**k, 4**k).real)
 
 
 def _gf2_null_space(a: np.ndarray) -> np.ndarray:
@@ -522,17 +523,67 @@ class PauliSector:
 # the trajectory engine, used as the oracle for Monte Carlo runs.  Each
 # micro-step acts on the qubits it touches, as a local Pauli-transfer block
 # on a stack of coefficient vectors (Wood, Biamonte & Cory, QIC 15 (2015)).
+# Consecutive blocks on the same qubits are fused into one, the gate-fusion
+# step of state-vector simulators (Haner & Steiger, SC'17), and each block
+# writes into one of two stacks allocated once per walk.
 # ---------------------------------------------------------------------------
 
+def apply_on_axes(op: np.ndarray, axes, xt: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write a local operator on the listed axes of a stack tensor into
+    ``out`` and return it; ``out`` is a C-contiguous array of ``xt``'s shape
+    that shares no memory with it.
 
-def apply_on_axes(op: np.ndarray, axes, xt: np.ndarray) -> np.ndarray:
-    """A local operator on the listed axes of a stack tensor, as a view in
-    the input's axis order: a chain of calls copies the stack once per call
-    (inside tensordot)."""
+    Axes that form one ascending run are one matmul on the (before, 4^k,
+    after) view; any other axes, of any size and in any order, are one
+    einsum on a view that merges each run of untouched axes.
+    """
+    axes = tuple(axes)
+    shape = xt.shape
+    lo = axes[0] if axes else 0
+    if axes == tuple(range(lo, lo + len(axes))):
+        view = (math.prod(shape[:lo]), op.shape[0], -1)
+        np.matmul(op, xt.reshape(view), out=out.reshape(view))
+        return out
     k = len(axes)
-    local = tuple(xt.shape[a] for a in axes)
-    out = np.tensordot(op.reshape(local * 2), xt, axes=(range(k, 2 * k), axes))
-    return np.moveaxis(out, range(k), axes)
+    # xt's view with each run of untouched axes merged, and one einsum label
+    # per view axis: k + i for the i-th listed axis, 2k + ax for a run
+    dims, labels = [], []
+    for ax, size in enumerate(shape):
+        if ax not in axes and labels and labels[-1] >= 2 * k:
+            dims[-1] *= size
+        else:
+            dims.append(size)
+            labels.append(k + axes.index(ax) if ax in axes else 2 * k + ax)
+    local = tuple(shape[a] for a in axes)
+    out_labels = [lab - k if k <= lab < 2 * k else lab for lab in labels]
+    x, y = xt.reshape(dims), out.reshape(dims)
+    np.einsum(op.reshape(local * 2), list(range(2 * k)), x, labels, out_labels, out=y)
+    return out
+
+
+class Block(NamedTuple):
+    """A real local Pauli-transfer block on ``qubits``.  A block that keeps
+    the identity string gives the identity string of its output the
+    input's coefficient back, which is not a map on ``qubits`` alone."""
+
+    op: np.ndarray
+    qubits: tuple[int, ...]
+    keep_identity: bool = False
+
+
+def apply_blocks(blocks, xt: np.ndarray) -> np.ndarray:
+    """The blocks applied in order to a (4,)*n + (N,) stack.  Each writes
+    into one of two stacks allocated here, in turn, so the input is never
+    written."""
+    dtype = np.result_type(xt, *(b.op for b in blocks))
+    stacks = [np.empty(xt.shape, dtype) for _ in blocks[:2]]
+    for i, b in enumerate(blocks):
+        out = apply_on_axes(b.op, b.qubits, xt, stacks[i % 2])
+        if b.keep_identity:
+            ident = (0,) * (xt.ndim - 1)
+            out[ident] = xt[ident]
+        xt = out
+    return xt
 
 
 class MicroStep:
@@ -540,6 +591,7 @@ class MicroStep:
     ``qubits``: R0 for success and R1 for failure, followed by the
     resampler kind.  "local" then resets ``qubits``; "global" resets the
     register as a rank-one update and reads no R1, which may be None.
+    Each branch gives the step's ``Block``.
     """
 
     def __init__(self, r0: np.ndarray, r1: np.ndarray | None, qubits: tuple[int, ...], resampler: str):
@@ -566,43 +618,50 @@ class MicroStep:
         r1 = None if resampler == "global" else pauli_transfer([inst.e1])
         return cls(pauli_transfer([inst.e0]), r1, qubits, resampler)
 
-    # both branches take and return a stack as its (4,)*n + (N,) tensor
-    def success(self, xt: np.ndarray) -> np.ndarray:
-        return apply_on_axes(self.r0, self.qubits, xt)
+    def success(self) -> Block:
+        return Block(self.r0, self.qubits)
 
-    def success_adjoint(self, xt: np.ndarray) -> np.ndarray:
-        return apply_on_axes(self.r0.T, self.qubits, xt)
+    def success_adjoint(self) -> Block:
+        return Block(self.r0.T, self.qubits)
 
-    def channel(self, xt: np.ndarray) -> np.ndarray:
+    def channel(self) -> Block:
         """Success plus failure branch.  Global resampling adds
         |1/D>>(<<1|X - <<1|Y) to the success branch Y, which in this basis
         gives the identity string the input's coefficient back."""
-        if self.r_full is not None:
-            return apply_on_axes(self.r_full, self.qubits, xt)
-        y = self.success(xt)
-        ident = (0,) * len(xt.shape[:-1])
-        y[ident] = xt[ident]
-        return y
+        if self.r_full is None:
+            return Block(self.r0, self.qubits, keep_identity=True)
+        return Block(self.r_full, self.qubits)
+
+
+def sweep_plan(steps, branch) -> list[Block]:
+    """The forward-then-reversed sweep of ``branch``, a ``MicroStep``
+    method, over the m steps in sweep order, with each run of consecutive
+    blocks on the same qubits fused into one block (the later block times
+    the earlier).  A block that keeps the identity string ends a run.
+
+    A Heisenberg chain's terms on one bond are adjacent, so its 2m steps
+    fuse into one block per bond and direction, and the last bond's two
+    meet at the middle of the palindrome: 7 blocks for 24 steps at n = 5.
+    """
+    m = len(steps)
+    plan = []
+    for v in [*range(m), *range(m - 1, -1, -1)]:
+        b = branch(steps[v])
+        if plan and plan[-1].qubits == b.qubits and not (plan[-1].keep_identity or b.keep_identity):
+            plan[-1] = Block(b.op @ plan[-1].op, b.qubits)
+        else:
+            plan.append(b)
+    return plan
 
 
 def sweep_walk(walks, xt: np.ndarray) -> list[np.ndarray]:
     """Forward-then-reversed sweeps of a (4,)*n + (N,) stack, one per walk
-    (steps, branch): ``branch``, a ``MicroStep`` method, of each of the m
-    steps in sweep order.
+    (steps, branch), each applied as its ``sweep_plan``.
 
     The order is a palindrome and the blocks are real, so the
-    ``success_adjoint`` walk is the adjoint of the ``success`` walk.  The
-    walks advance in lockstep, each dropping its old stack as soon as it
-    has the new one, so the allocator reuses the freed stacks instead of
-    mapping fresh pages: on a 2-core host a Heisenberg-5 sector pair took
-    58 ms this way and 79 ms walking one sweep after the other.
+    ``success_adjoint`` walk is the adjoint of the ``success`` walk.
     """
-    m = len(walks[0][0])
-    out = [xt] * len(walks)
-    for v in list(range(m)) + list(range(m - 1, -1, -1)):
-        for i, (steps, branch) in enumerate(walks):
-            out[i] = branch(steps[v], out[i])
-    return out
+    return [apply_blocks(sweep_plan(steps, branch), xt) for steps, branch in walks]
 
 
 def sweep_transfer_product(instruments, num_qubits: int, sector: PauliSector | None = None):
@@ -630,8 +689,8 @@ def sweep_transfer_mixture(instruments, num_qubits: int, sector: PauliSector | N
     sector = sector if sector is not None else PauliSector(num_qubits)
     eye = sector.identity_stack()
     steps = [MicroStep.of(inst, num_qubits) for inst in instruments]
-    a = sum(sector.restrict(s.success(eye)) for s in steps) / m
-    b = sum(sector.restrict(s.channel(eye)) for s in steps) / m
+    a = sum(sector.restrict(apply_blocks([s.success()], eye)) for s in steps) / m
+    b = sum(sector.restrict(apply_blocks([s.channel()], eye)) for s in steps) / m
     succ = np.linalg.matrix_power(a, 2 * m)
     full = np.linalg.matrix_power(b, 2 * m)
     return TransferMatrix(succ, sector=sector), TransferMatrix(full - succ, sector=sector)
@@ -646,6 +705,6 @@ def sweep_transfer_global(inst: Instrument, sector: PauliSector | None = None):
     sector = sector if sector is not None else PauliSector(n)
     step = MicroStep.of(inst, n)
     eye = sector.identity_stack()
-    t0 = sector.restrict(step.success(eye))
-    t1 = sector.restrict(step.channel(eye)) - t0
+    t0 = sector.restrict(apply_blocks([step.success()], eye))
+    t1 = sector.restrict(apply_blocks([step.channel()], eye)) - t0
     return TransferMatrix(t0, sector=sector), TransferMatrix(t1, sector=sector)

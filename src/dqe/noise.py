@@ -28,14 +28,16 @@ from .circuits import (
 )
 from .errors import InvalidNoiseError, ParameterError
 from .instrument import (
+    Block,
     Instrument,
     MicroStep,
     PauliSector,
     TermInstrument,
     TransferMatrix,
-    apply_on_axes,
+    apply_blocks,
     pauli_transfer,
     principal_sqrt_complement,
+    sweep_plan,
     sweep_walk,
 )
 from .pauli import PauliString, PauliTerm
@@ -133,10 +135,10 @@ def noisy_circuit_branches(circ, model: DepolarizingPerGate):
     the data qubits.
 
     Each gate and its depolarizing channel act as one real local
-    Pauli-transfer matrix on a (4,)*n + (columns,) stack over the data Pauli
-    strings.  The ancilla (the last qubit) enters as |0><0| = (I + Z)/2 and
-    is read out as <b|.|b>: over the output's ancilla digit,
-    R_b = (out[.., I, :] +- out[.., Z, :]) / 2.
+    Pauli-transfer block on a (4,)*n + (columns,) stack over the data Pauli
+    strings (``instrument.apply_blocks``).  The ancilla (the last qubit)
+    enters as |0><0| = (I + Z)/2 and is read out as <b|.|b>: over the
+    output's ancilla digit, R_b = (out[.., I, :] +- out[.., Z, :]) / 2.
     """
     n = circ.num_qubits
     steps = []
@@ -146,16 +148,14 @@ def noisy_circuit_branches(circ, model: DepolarizingPerGate):
         # non-identity strings sigma scales each of them by 1 - p 4^t/(4^t - 1)
         diag = np.full(4**t, 1.0 - p * 4**t / (4**t - 1))
         diag[0] = 1.0
-        steps.append((diag[:, None] * pauli_transfer([_local_gate(g)]), qubits))
+        steps.append(Block(diag[:, None] * pauli_transfer([_local_gate(g)]), qubits))
     cols = 4 ** (n - 1)
     out = np.empty((cols, 2, cols))
     for lo in range(0, cols, _TOMOGRAPHY_COLUMNS):
         idx = np.arange(lo, min(lo + _TOMOGRAPHY_COLUMNS, cols))
         x = np.zeros((cols, 4, len(idx)))
         x[idx, ::3, idx - lo] = 1.0  # data string idx, ancilla I + Z
-        x = x.reshape((4,) * n + (len(idx),))
-        for transfer, qubits in steps:
-            x = apply_on_axes(transfer, qubits, x)
+        x = apply_blocks(steps, x.reshape((4,) * n + (len(idx),)))
         out[:, :, idx] = x.reshape(cols, 4, -1)[:, ::3]
     return (out[:, 0] + out[:, 1]) / 2.0, (out[:, 0] - out[:, 1]) / 2.0
 
@@ -373,10 +373,11 @@ def noisy_sweep_delta(engine) -> float:
     operator, without forming either 4^n x 4^n matrix.
 
     The largest singular value of x -> noisy(x) - clean(x) on real Pauli
-    coefficient vectors, both walked step by step on the support blocks
-    (``instrument.sweep_walk``), by implicitly restarted Lanczos (ARPACK)
-    on the normal operator; tol=0 asks for machine precision and the start
-    vector is pinned, so the value is reproducible.
+    coefficient vectors, both walked on their fused support blocks
+    (``instrument.sweep_plan``, built once per branch), by implicitly
+    restarted Lanczos (ARPACK) on the normal operator; tol=0 asks for
+    machine precision and the start vector is pinned, so the value is
+    reproducible.
     """
     from scipy.sparse.linalg import LinearOperator, svds
 
@@ -384,11 +385,15 @@ def noisy_sweep_delta(engine) -> float:
     dim = 4**n
     noisy = _noisy_steps(engine)
     clean = [MicroStep.of(inst, n) for inst in engine.instruments_at(engine.cfg.schedule.base)]
+    plans = {
+        branch: (sweep_plan(noisy, branch), sweep_plan(clean, branch))
+        for branch in (MicroStep.success, MicroStep.success_adjoint)
+    }
 
     def apply(x, branch):
         xt = x.reshape((4,) * n + (-1,))
-        y_noisy, y_clean = sweep_walk([(noisy, branch), (clean, branch)], xt)
-        return (y_noisy - y_clean).reshape(x.shape)
+        noisy_plan, clean_plan = plans[branch]
+        return (apply_blocks(noisy_plan, xt) - apply_blocks(clean_plan, xt)).reshape(x.shape)
 
     op = LinearOperator(
         (dim, dim),

@@ -239,12 +239,19 @@ def transfer_of_instrument_failure(inst, num_qubits=None):
     return DenseTransfer(t1)
 
 
+def apply_on_axes(op, axes, xt):
+    """A local operator on the listed axes of a stack tensor, by tensordot
+    and moveaxis: the reference for ``instrument.apply_on_axes``."""
+    k = len(axes)
+    local = tuple(xt.shape[a] for a in axes)
+    out = np.tensordot(op.reshape(local * 2), xt, axes=(range(k, 2 * k), axes))
+    return np.moveaxis(out, range(k), axes)
+
+
 def apply_local_tensor(t_loc, support, num_qubits, xt):
     """A k-local column-stacked transfer applied to a D^2 x N stack held as
     its (2,)*2n + (N,) tensor; equals (t_loc padded with the identity) @ x."""
-    from dqe import instrument as im
-
-    return im.apply_on_axes(t_loc, list(support) + [num_qubits + q for q in support], xt)
+    return apply_on_axes(t_loc, list(support) + [num_qubits + q for q in support], xt)
 
 
 def pauli_basis(num_qubits):

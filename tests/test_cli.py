@@ -270,6 +270,32 @@ class TestAnalyticsCommand:
         ]
         assert 0.0 <= defect <= 1e-8
 
+    # the oracle reads no stopping rule and no sweep cap, so a flag or a
+    # config-file field that would only change the header is refused
+    @pytest.mark.parametrize(
+        "flags",
+        [["--stopping", "secretary:9"], ["--time-cap", "5"], ["--max-steps", "5"]],
+        ids=["stopping", "time-cap", "max-steps"],
+    )
+    def test_ignored_flags_refused(self, flags, capsys):
+        argv = ["analytics", "--heisenberg", "2", "--n-values", "1..2", "--seed", "1", "--workers", "1"]
+        assert run_cli(argv + ["-o", "-"]) == 0
+        capsys.readouterr()
+        assert run_cli(argv + flags + ["-o", "-"]) == 2
+        assert "analytics does not read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"stopping_rule": "secretary:9"}, {"time_cap": 5}, {"max_steps": 5}],
+        ids=["stopping", "time-cap", "max-steps"],
+    )
+    def test_ignored_fields_from_config_file_refused(self, field, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        system = {"builder": "heisenberg", "n": 2, "periodic": False}
+        path.write_text(json.dumps({"system": system, **field}))
+        assert run_cli(["analytics", "--config", str(path), "--n-values", "1..2", "-o", "-"]) == 2
+        assert "analytics does not read" in capsys.readouterr().err
+
 
 class TestCompareResampling:
     def test_ordering_and_slopes(self, tmp_path, capsys):
@@ -383,8 +409,9 @@ class TestNoiseSweepCommand:
     # caps from --runtimes, so a flag that would change it is refused
     @pytest.mark.parametrize(
         "flags",
-        [["--resampler", "local"], ["--agsp", "mixture"], ["--stopping", "secretary:9"]],
-        ids=["resampler", "agsp", "stopping"],
+        [["--resampler", "local"], ["--agsp", "mixture"], ["--stopping", "secretary:9"],
+         ["--time-cap", "5"], ["--max-steps", "5"]],
+        ids=["resampler", "agsp", "stopping", "time-cap", "max-steps"],
     )
     def test_ignored_flags_refused(self, flags, capsys):
         argv = ["noise-sweep", "--heisenberg", "2", "--rates", "1e-4", "--runtimes", "20",
@@ -398,6 +425,15 @@ class TestNoiseSweepCommand:
         path.write_text(json.dumps({"system": system, "stopping_rule": "secretary:9"}))
         assert run_cli(["noise-sweep", "--config", str(path), "--runtimes", "20", "--trajectories", "2"]) == 2
         assert "noise-sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [{"time_cap": 5}, {"max_steps": 5}], ids=["time-cap", "max-steps"])
+    def test_sweep_caps_from_config_file_refused(self, field, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        system = {"builder": "heisenberg", "n": 2, "periodic": False}
+        path.write_text(json.dumps({"system": system, **field}))
+        argv = ["noise-sweep", "--config", str(path), "--runtimes", "20", "--trajectories", "2", "--workers", "1"]
+        assert run_cli(argv) == 2
+        assert "noise-sweep does not read" in capsys.readouterr().err
 
 
 class TestConfigReplay:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,6 +8,7 @@ from dqe import _kernels, agsp, analytics as an, circuits as cc, instrument as i
 from dqe import stopping as stp, trajectory as tj
 from dqe.errors import InvalidAgspError, ParameterError, SingularFixedPointError
 
+import oracles
 from oracles import (
     apply_local_tensor,
     column_stacked,
@@ -515,6 +518,95 @@ class TestLocalSweepTransfer:
         t0, t1 = im.sweep_transfer_mixture(insts, 2)
         assert np.abs(column_stacked(t0) - succ).max() <= 1e-13
         assert np.abs(column_stacked(t1) - fail).max() <= 1e-13
+
+
+# ZIX/IYI/YZI on four qubits, XIXI beside ZIXI on the same qubits (the two
+# anticommute, so fusing them in the wrong order shows), and a weight-3 term
+# on (0, 2, 3): supports that are non-adjacent, interleaved and repeated, so
+# runs fuse on both einsum and matmul supports
+_WITNESS = pauli.PauliHamiltonian(
+    4,
+    tuple(
+        pauli.PauliTerm(c, pauli.PauliString(f))
+        for f, c in (("ZIXI", -1.406), ("XIXI", 0.3), ("IYII", 0.932), ("YZII", 0.435), ("XIYZ", 0.6))
+    ),
+)
+
+
+def _reversed_step(step):
+    """The same step with its qubits listed in reverse, its blocks' tensor
+    axes reversed to match."""
+    k = len(step.qubits)
+    order = list(range(k - 1, -1, -1))
+
+    def flip(r):
+        return r.reshape((4,) * 2 * k).transpose(order + [k + a for a in order]).reshape(r.shape)
+
+    rev = im.MicroStep(flip(step.r0), None, step.qubits[::-1], "global")
+    rev.r_full = None if step.r_full is None else flip(step.r_full)
+    return rev
+
+
+class TestFusedWalk:
+    @pytest.mark.parametrize("resampler", ["global", "local", "identity"])
+    def test_product_sweep_matches_dense_reference(self, resampler):
+        insts = _sweep_instruments(_WITNESS, 0.4, resampler)
+        t0, t1 = im.sweep_transfer_product(insts, 4)
+        r0, r1 = dense_sweep_transfer_product(insts, 4)
+        assert np.abs(column_stacked(t0) - r0).max() <= 1e-13
+        assert np.abs(column_stacked(t1) - r1).max() <= 1e-13
+        steps = [im.MicroStep.of(inst, 4) for inst in insts]
+        plan = im.sweep_plan(steps, im.MicroStep.success)
+        assert [b.qubits for b in plan] == [(0, 2), (1,), (0, 1), (0, 2, 3), (0, 1), (1,), (0, 2)]
+        # unsorted qubits walk the same map on the einsum path
+        eye = im.PauliSector(4).identity_stack()
+        reversed_steps = [_reversed_step(s) for s in steps]
+        for branch in (im.MicroStep.success, im.MicroStep.success_adjoint, im.MicroStep.channel):
+            got, want = im.sweep_walk([(reversed_steps, branch), (steps, branch)], eye)
+            assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("resampler", ["global", "local", "identity"])
+    def test_mixture_sweep_matches_dense_reference(self, resampler):
+        insts = _sweep_instruments(_WITNESS, 0.4, resampler)
+        t0, t1 = im.sweep_transfer_mixture(insts, 4)
+        r0, r1 = dense_sweep_transfer_mixture(insts, 4)
+        assert np.abs(column_stacked(t0) - r0).max() <= 1e-13
+        assert np.abs(column_stacked(t1) - r1).max() <= 1e-13
+
+    def test_heisenberg_five_blocks(self):
+        # one block per bond and direction; bond (3, 4)'s two triples meet
+        # at the middle of the palindrome and fuse into one 6-step block
+        bonds = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 3), (1, 2), (0, 1)]
+        ham = pauli.build_heisenberg_chain(5)
+        for resampler in ("local", "identity"):
+            steps = [im.MicroStep.of(i, 5) for i in _sweep_instruments(ham, 0.2, resampler)]
+            for branch in (im.MicroStep.success, im.MicroStep.success_adjoint, im.MicroStep.channel):
+                assert [b.qubits for b in im.sweep_plan(steps, branch)] == bonds
+        steps = [im.MicroStep.of(i, 5) for i in _sweep_instruments(ham, 0.2, "global")]
+        assert len(im.sweep_plan(steps, im.MicroStep.success)) == 7
+        channel = im.sweep_plan(steps, im.MicroStep.channel)
+        assert len(channel) == 24 and all(b.keep_identity for b in channel)
+
+    @pytest.mark.parametrize("size", [4, 2])
+    def test_apply_on_axes_writes_tensordot_result(self, size, rng):
+        n = 4
+        xt = rng.normal(size=(size,) * n + (3,))
+        before = xt.copy()
+        for k in range(4):
+            for axes in itertools.permutations(range(n), k):
+                op = rng.normal(size=(size**k, size**k))
+                out = np.full_like(xt, np.nan)
+                assert im.apply_on_axes(op, axes, xt, out) is out
+                assert np.abs(out - oracles.apply_on_axes(op, axes, xt)).max() <= 1e-12
+        assert np.array_equal(xt, before)
+
+    def test_walk_leaves_input_stack_unchanged(self):
+        insts = _sweep_instruments(_WITNESS, 0.4, "global")
+        steps = [im.MicroStep.of(inst, 4) for inst in insts]
+        eye = im.PauliSector(4).identity_stack()
+        before = eye.copy()
+        im.sweep_walk([(steps, im.MicroStep.channel), (steps, im.MicroStep.success)], eye)
+        assert np.array_equal(eye, before)
 
 
 def _pauli_of(sector, idx):

@@ -10,6 +10,7 @@ from dqe.errors import InvalidNoiseError
 
 from oracles import (
     DenseTransfer,
+    apply_on_axes,
     column_stacked,
     dense_noisy_sweep_success_transfer,
     dense_noisy_term_instrument,
@@ -64,6 +65,24 @@ class TestDepolarizingTomography:
         whole = nz.noisy_circuit_branches(circ, model)
         monkeypatch.setattr(nz, "_TOMOGRAPHY_COLUMNS", 7)
         for got, want in zip(nz.noisy_circuit_branches(circ, model), whole):
+            assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("factors", ["XX", "XIYZ"])
+    def test_stacks_match_tensordot_chain(self, factors, monkeypatch):
+        # the gates write into two alternating stacks; a CNOT from data
+        # qubit 0 to the ancilla acts on non-adjacent axes
+        term = pauli.PauliTerm(0.8, pauli.PauliString(factors))
+        circ = circuits.measurement_circuit(term, 0.3, 0.9)
+        model = nz.DepolarizingPerGate(1e-3, 5e-3)
+        fast = nz.noisy_circuit_branches(circ, model)
+
+        def chain(blocks, xt):
+            for b in blocks:
+                xt = apply_on_axes(b.op, b.qubits, xt)
+            return xt
+
+        monkeypatch.setattr(nz, "apply_blocks", chain)
+        for got, want in zip(fast, nz.noisy_circuit_branches(circ, model)):
             assert np.abs(got - want).max() <= 1e-14
 
     @staticmethod
