@@ -196,7 +196,8 @@ def _select_block(k: np.ndarray, pi0: np.ndarray):
     rank-N projector Pi onto the chosen ones."""
     n_ground = int(round(float(np.trace(pi0).real)))
     w, v = np.linalg.eigh(k)
-    overlaps = np.einsum("ij,jk,ki->i", v.conj().T, pi0, v).real
+    # <v_i|pi0|v_i> as one BLAS product and a row-wise dot
+    overlaps = np.einsum("ij,ij->j", v.conj(), pi0 @ v).real
     order = np.lexsort((-w, -overlaps))
     chosen = order[:n_ground]
     return w, chosen, order[n_ground:], v[:, chosen] @ v[:, chosen].conj().T

@@ -1,7 +1,7 @@
 """Exact closed-form expectations for the stopped process.
 
 Global resampling admits scalar spectral formulas; general resampling works
-through real Pauli-transfer matrices on a symmetry sector.  All W-matrix
+through real transfer matrices on a Pauli sector or on H's populations.  All W-matrix
 expressions are evaluated by LU solves on W = 1 - E1 (1 + E0 + ... +
 E0^{n-1}), with the partial geometric sums formed explicitly: this stays
 regular even when E0 has unit-modulus eigenvalues (Gamma = 1), where the
@@ -204,8 +204,8 @@ def expected_stopped_general(
     exactly.  Each n then takes one LU factorization of W = 1 - S_n; E0^n
     and H_n are applied to vectors only.
 
-    The walk runs in real arithmetic on the transfers' ``PauliSector``; a
-    rho0 outside the sector raises ParameterError.
+    The walk runs in real arithmetic in the transfers' basis (``sector``);
+    a rho0 outside it raises ParameterError.
     """
     ns = list(ns)
     if any(n < 1 for n in ns):

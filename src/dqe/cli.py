@@ -265,11 +265,12 @@ def cmd_ensemble(args) -> int:
 _RUN_LIMITS = (("stopping", "stopping_rule"), ("time_cap", "time_cap"), ("max_steps", "max_steps"))
 
 
-def _refuse_run_limits(args, cfg: ExperimentConfig, command: str):
-    """Refuse a stopping rule or a sweep cap for a command that does not
-    read them, given as a flag or as a config-file field other than its
-    default: either would still enter the header and the hash."""
-    for dest, field in _RUN_LIMITS:
+def _refuse_run_limits(args, cfg: ExperimentConfig, command: str, also=()):
+    """Refuse a stopping rule or a sweep cap, and each of the (flag dest,
+    config field) pairs ``also``, for a command that does not read them,
+    given as a flag or as a config-file field other than its default:
+    either would still enter the header and the hash."""
+    for dest, field in _RUN_LIMITS + tuple(also):
         if getattr(args, dest) is not None or getattr(cfg, field) != getattr(ExperimentConfig, field):
             raise ConfigError(f"{command} does not read --{dest.replace('_', '-')}")
 
@@ -311,7 +312,13 @@ def cmd_analytics(args) -> int:
 
 
 def cmd_fixed_point(args) -> int:
-    cfg = _experiment_from_args(args, "fixed-point")
+    cfg = _experiment_from_args(args, "fixed-point", agsp_default="linear")
+    # the channel is the bare AGSP's, at eps = 1 under the global resampler
+    if cfg.agsp_mode not in ("linear-global", "chebyshev-global"):
+        raise ConfigError("fixed-point runs the linear or the chebyshev AGSP only")
+    _refuse_run_limits(
+        args, cfg, "fixed-point", also=(("eps", "eps"), ("resampler", "resampler"), ("weighting", "weighting"))
+    )
     ham = build_system(cfg.system)
     spec = pauli.diagonalize(ham)
     if cfg.agsp_mode == "chebyshev-global":
@@ -322,8 +329,8 @@ def cmd_fixed_point(args) -> int:
         scale = args.scale if args.scale is not None else 1.0
     k = scale * a.operator
     rho = instrument.fixed_point_direct(k)
-    # the whole channel of the global instrument: its T0 + T1
-    t0, t1 = instrument.sweep_transfer_global(instrument.make_instrument(k, 1.0, "global"))
+    # the whole channel of the global instrument: its T0 + T1 on H's populations
+    t0, t1 = instrument.population_chain(scale * a.values, spec.eigenvectors, "global")
     rho_iter = instrument.fixed_point_iterate(instrument.TransferMatrix(t0.matrix + t1.matrix, t0.sector))
     dist = instrument.trace_distance(rho, rho_iter)
     overlap = float(np.trace(spec.ground_projector @ rho).real)
@@ -341,6 +348,13 @@ def cmd_compare_resampling(args) -> int:
     cfg = _experiment_from_args(args, "compare-resampling")
     if cfg.system.get("builder") != "heisenberg":
         raise ConfigError("compare-resampling sweeps Heisenberg chain sizes")
+    # both columns are exact values of the product sweep, under the global
+    # and the local resampler, at the --n-zeros run length
+    if cfg.agsp_mode != "product-sweep":
+        raise ConfigError("compare-resampling runs the product sweep only")
+    _refuse_run_limits(
+        args, cfg, "compare-resampling", also=(("resampler", "resampler"), ("cheb_degree", "cheb_degree"))
+    )
     sizes = _parse_int_list(args.sizes)
     nz = args.n_zeros
     eps = _constant_eps(parse_epsilon(cfg.eps, build_system(cfg.system)), "compare-resampling")
@@ -488,15 +502,16 @@ _AGSP_CLI = {
 }
 
 
-def _experiment_from_args(args, command: str) -> ExperimentConfig:
+def _experiment_from_args(args, command: str, agsp_default: str = "product") -> ExperimentConfig:
     """The invocation's config; every argument is resolved here.
 
     Each argument takes its flag, else the config file's value, else its
-    default.  A file field may carry the flag's name or the name the CSV
-    header prints (``agsp_mode``, ``stopping_rule``), and a subcommand's own
-    arguments are read from the file's ``extra``, so a header fed back
-    through ``--config`` replays its run.  The subcommand's own arguments
-    are written back onto ``args`` resolved, for the command to read.
+    default (``agsp_default`` for --agsp).  A file field may carry the
+    flag's name or the name the CSV header prints (``agsp_mode``,
+    ``stopping_rule``), and a subcommand's own arguments are read from the
+    file's ``extra``, so a header fed back through ``--config`` replays its
+    run.  The subcommand's own arguments are written back onto ``args``
+    resolved, for the command to read.
     """
     file_cfg = _read_config_file(args)
 
@@ -509,7 +524,7 @@ def _experiment_from_args(args, command: str) -> ExperimentConfig:
                 return file_cfg[key]
         return default
 
-    mode = pick("agsp", "product", field="agsp_mode")
+    mode = pick("agsp", agsp_default, field="agsp_mode")
     agsp_mode = _AGSP_CLI.get(mode, mode)
     if agsp_mode not in _AGSP_CLI.values():
         raise ConfigError(f"agsp must be one of {sorted(_AGSP_CLI)}, got {mode!r}")

@@ -1,9 +1,9 @@
 """Two-outcome weak-measurement instruments, transfer matrices, fixed points.
 
-Every transfer matrix is written in one basis: the normalised Pauli strings
-P/sqrt(D), restricted to a symmetry sector (``PauliSector``).  There a
-Hermiticity-preserving map is a real matrix, and the trace functional is
-sqrt(D) times the identity string's coefficient.
+A sweep's transfer matrix is written on the normalised Pauli strings
+P/sqrt(D), restricted to a symmetry sector (``PauliSector``), where a
+Hermiticity-preserving map is real; a global instrument that is a function
+of H is a chain on the populations of H's eigenvectors (``Populations``).
 """
 
 from __future__ import annotations
@@ -293,13 +293,45 @@ def sweep_success_operator(terms, eps: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """A CP map as a real S x S matrix in the Pauli-transfer basis of ``sector``."""
+    """A CP map as a real S x S matrix in the basis ``sector``."""
 
     matrix: np.ndarray
-    sector: PauliSector
+    sector: PauliSector | Populations
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return self.sector.unvec(self.matrix @ self.sector.vec(rho))
+
+
+class Populations:
+    """The populations p of the eigenvectors V of H, for the states
+    V diag(p) V^dag; ``vec`` refuses a state with coherences between them."""
+
+    def __init__(self, vectors: np.ndarray):
+        self.vectors = vectors
+        self.trace_row = np.ones(vectors.shape[1])
+
+    def vec(self, rho: np.ndarray) -> np.ndarray:
+        m = self.vectors.conj().T @ rho @ self.vectors
+        p = np.diagonal(m).real.copy()
+        np.fill_diagonal(m, 0.0)
+        leak = np.abs(m).max()
+        if leak > _LEAK_TOL:
+            raise ParameterError(f"state has coherences between H's eigenvectors (weight {leak:.2e})")
+        return p
+
+    def unvec(self, p: np.ndarray) -> np.ndarray:
+        return (self.vectors * p) @ self.vectors.conj().T
+
+
+def population_chain(values: np.ndarray, vectors: np.ndarray, resampler: str):
+    """(T0, T1) of the global instrument E0 = V diag(values) V^dag on the
+    populations of V: with q = values^2, T0 = diag(q), and T1 = diag(1 - q)
+    under "identity" or the reset to I/D under "global" and "local" (whose
+    support is every qubit)."""
+    q = np.asarray(values) ** 2
+    t1 = np.diag(1.0 - q) if resampler == "identity" else np.outer(np.full(q.size, 1.0 / q.size), 1.0 - q)
+    basis = Populations(vectors)
+    return TransferMatrix(np.diag(q), basis), TransferMatrix(t1, basis)
 
 
 def _check_transfer_dim(dim: int):
@@ -327,28 +359,19 @@ def fixed_point_direct(k: np.ndarray, margin: float = 1e-8) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def fixed_point_iterate(
-    transfer: TransferMatrix,
-    tol: float = 1e-10,
-    max_iters: int = 200000,
-    rho0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Power-iterate a trace-preserving transfer to its fixed point, until
-    successive states are within trace distance ``tol``."""
-    sector = transfer.sector
-    d = 1 << sector.num_qubits
-    v = sector.vec(np.eye(d) / d if rho0 is None else rho0)
-    for _ in range(max_iters):
-        nv = transfer.matrix @ v
-        resid = 0.5 * float(np.abs(np.linalg.eigvalsh(sector.unvec(nv - v))).sum())
-        v = nv
-        if resid < tol:
-            rho = sector.unvec(v)
-            rho = (rho + rho.conj().T) / 2.0
-            return rho / np.trace(rho).real
-    raise ConvergenceError(
-        f"fixed point not converged after {max_iters} iterations", residual=resid
-    )
+def fixed_point_iterate(chain: TransferMatrix) -> np.ndarray:
+    """Power-iterate a trace-preserving population chain from I/D to its
+    fixed point, until successive populations are within 1e-10 in half
+    their l1 distance, which is the trace distance of the two states."""
+    d = chain.matrix.shape[0]
+    p = np.full(d, 1.0 / d)
+    for _ in range(200000):
+        nxt = chain.matrix @ p
+        resid = 0.5 * float(np.abs(nxt - p).sum())
+        p = nxt
+        if resid < 1e-10:
+            return chain.sector.unvec(p / p.sum())
+    raise ConvergenceError("fixed point not converged after 200000 iterations", residual=resid)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -605,18 +628,11 @@ class MicroStep:
             self.r_full = r0 + r1
 
     @classmethod
-    def of(cls, inst: Instrument, num_qubits: int) -> "MicroStep":
-        """The step of an instrument, from the transfers of its Kraus pair;
-        without a support it acts on every qubit, where "local" is the
-        global reset."""
-        resampler = inst.resampler
-        if inst.support is None:
-            qubits = tuple(range(num_qubits))
-            resampler = "global" if resampler == "local" else resampler
-        else:
-            qubits = inst.support
-        r1 = None if resampler == "global" else pauli_transfer([inst.e1])
-        return cls(pauli_transfer([inst.e0]), r1, qubits, resampler)
+    def of(cls, inst: Instrument) -> "MicroStep":
+        """The step of an instrument on its support, from the transfers of
+        its Kraus pair."""
+        r1 = None if inst.resampler == "global" else pauli_transfer([inst.e1])
+        return cls(pauli_transfer([inst.e0]), r1, inst.support, inst.resampler)
 
     def success(self) -> Block:
         return Block(self.r0, self.qubits)
@@ -675,7 +691,7 @@ def sweep_transfer_product(instruments, num_qubits: int, sector: PauliSector | N
     """
     _check_transfer_dim(1 << num_qubits)
     sector = sector if sector is not None else PauliSector(num_qubits)
-    steps = [MicroStep.of(inst, num_qubits) for inst in instruments]
+    steps = [MicroStep.of(inst) for inst in instruments]
     full, succ = sweep_walk([(steps, MicroStep.channel), (steps, MicroStep.success)], sector.identity_stack())
     t0 = sector.restrict(succ)
     return TransferMatrix(t0, sector=sector), TransferMatrix(sector.restrict(full) - t0, sector=sector)
@@ -688,23 +704,9 @@ def sweep_transfer_mixture(instruments, num_qubits: int, sector: PauliSector | N
     _check_transfer_dim(1 << num_qubits)
     sector = sector if sector is not None else PauliSector(num_qubits)
     eye = sector.identity_stack()
-    steps = [MicroStep.of(inst, num_qubits) for inst in instruments]
+    steps = [MicroStep.of(inst) for inst in instruments]
     a = sum(sector.restrict(apply_blocks([s.success()], eye)) for s in steps) / m
     b = sum(sector.restrict(apply_blocks([s.channel()], eye)) for s in steps) / m
     succ = np.linalg.matrix_power(a, 2 * m)
     full = np.linalg.matrix_power(b, 2 * m)
     return TransferMatrix(succ, sector=sector), TransferMatrix(full - succ, sector=sector)
-
-
-def sweep_transfer_global(inst: Instrument, sector: PauliSector | None = None):
-    """(T0, T1) of a single global instrument applied once per sweep, on
-    ``sector`` as in ``sweep_transfer_product``."""
-    d = inst.dimension
-    _check_transfer_dim(d)
-    n = d.bit_length() - 1
-    sector = sector if sector is not None else PauliSector(n)
-    step = MicroStep.of(inst, n)
-    eye = sector.identity_stack()
-    t0 = sector.restrict(apply_blocks([step.success()], eye))
-    t1 = sector.restrict(apply_blocks([step.channel()], eye)) - t0
-    return TransferMatrix(t0, sector=sector), TransferMatrix(t1, sector=sector)

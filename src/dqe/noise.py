@@ -384,7 +384,7 @@ def noisy_sweep_delta(engine) -> float:
     n = engine.num_qubits
     dim = 4**n
     noisy = _noisy_steps(engine)
-    clean = [MicroStep.of(inst, n) for inst in engine.instruments_at(engine.cfg.schedule.base)]
+    clean = [MicroStep.of(inst) for inst in engine.instruments_at(engine.cfg.schedule.base)]
     plans = {
         branch: (sweep_plan(noisy, branch), sweep_plan(clean, branch))
         for branch in (MicroStep.success, MicroStep.success_adjoint)

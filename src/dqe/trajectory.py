@@ -32,7 +32,7 @@ from .instrument import (
     Instrument,
     PauliSector,
     TermInstrument,
-    make_instrument,
+    population_chain,
     sweep_success_operator,
     term_instruments,
 )
@@ -192,8 +192,6 @@ class TrajectoryEngine:
 
     def instruments_at(self, eps: float) -> list[Instrument]:
         """Instrument list matching the engine's sweep at a fixed eps."""
-        if self.k_global is not None:
-            return [make_instrument(self.k_global, eps, self.cfg.resampler)]
         return [t.instrument(eps, self.cfg.resampler) for t in self.terms]
 
     @cached_property
@@ -203,18 +201,15 @@ class TrajectoryEngine:
         return PauliSector.of(self.cfg.hamiltonian)
 
     def sweep_transfers(self, eps: float):
-        """(T0, T1) transfer pair of one engine sweep at constant eps, real
-        on ``sector``."""
+        """(T0, T1) transfer pair of one engine sweep at constant eps: real
+        on ``sector``, or for a global mode a chain on the populations of
+        H's eigenvectors."""
+        if self.k_global is not None:
+            return population_chain((1.0 - eps) + eps * self._kw, self._kv, self.cfg.resampler)
         # looked up on the module at call time, where perfbench's probe sits
-        from .instrument import (
-            sweep_transfer_global,
-            sweep_transfer_mixture,
-            sweep_transfer_product,
-        )
+        from .instrument import sweep_transfer_mixture, sweep_transfer_product
 
         insts = self.instruments_at(eps)
-        if self.k_global is not None:
-            return sweep_transfer_global(insts[0], self.sector)
         if self.cfg.agsp_mode == "product-sweep":
             return sweep_transfer_product(insts, self.num_qubits, self.sector)
         return sweep_transfer_mixture(insts, self.num_qubits, self.sector)

@@ -280,19 +280,45 @@ def in_pauli_basis(mat):
 def column_stacked(t):
     """A sector transfer R written back in column stacking: B R B^dag, with
     B the sector's columns of ``pauli_basis``; on the trivial sector B is
-    unitary and this is the whole map."""
+    unitary and this is the whole map.  A ``DenseTransfer`` is already
+    column-stacked."""
+    if isinstance(t, DenseTransfer):
+        return t.matrix
     b = pauli_basis(t.sector.num_qubits)[:, t.sector.strings]
     return b @ t.matrix @ b.conj().T
 
 
+def global_pair(inst):
+    """(T0, T1) of a global instrument as its dense column-stacked pair."""
+    return transfer_of_instrument_success(inst), transfer_of_instrument_failure(inst)
+
+
 def global_channel(e0):
     """rho -> E0 rho E0^dag + (tr rho - tr E0 rho E0^dag) 1/D, the whole
-    channel of a global instrument at eps = 1, as its T0 + T1 on the
-    trivial sector."""
-    from dqe import instrument as im
+    channel of a global instrument at eps = 1, as a dense column-stacked
+    transfer."""
+    d = e0.shape[0]
+    t0 = transfer_of_kraus([e0]).matrix
+    reset = np.outer(vec(np.eye(d) / d), trace_row(d).conj())
+    return DenseTransfer(t0 + reset @ (np.eye(d * d) - t0))
 
-    t0, t1 = im.sweep_transfer_global(im.make_instrument(e0, 1.0, "global"))
-    return im.TransferMatrix(t0.matrix + t1.matrix, t0.sector)
+
+def fixed_point_iterate(transfer, tol=1e-10, max_iters=200000, rho0=None):
+    """Power-iterate a trace-preserving column-stacked transfer from rho0
+    (default I/D) until successive states are within trace distance
+    ``tol``, each distance from the eigenvalues of their difference."""
+    basis = transfer.sector
+    d = int(round(np.sqrt(transfer.matrix.shape[0])))
+    v = basis.vec(np.eye(d) / d if rho0 is None else rho0)
+    for _ in range(max_iters):
+        nv = transfer.matrix @ v
+        resid = 0.5 * float(np.abs(np.linalg.eigvalsh(basis.unvec(nv - v))).sum())
+        v = nv
+        if resid < tol:
+            rho = basis.unvec(v)
+            rho = (rho + rho.conj().T) / 2.0
+            return rho / np.trace(rho).real
+    raise AssertionError(f"fixed point not converged after {max_iters} iterations")
 
 
 def dense_sweep_transfer_product(instruments, num_qubits):

@@ -13,7 +13,9 @@ from dqe import pauli, stopping as st, trajectory as tj
 from oracles import (
     chow_expected_rank_enumerated,
     column_stacked,
+    fixed_point_iterate,
     global_channel,
+    global_pair,
     global_run_success_probs,
     markov_expected_absorption,
     trace_row,
@@ -126,7 +128,7 @@ def test_criterion_04_general_resampling_identities():
         rho0 = np.eye(d) / d
         a = agsp.agsp_linear(ham, spec)
         inst = im.make_instrument(a.operator, 0.5, "global")
-        t0g, t1g = im.sweep_transfer_global(inst)
+        t0g, t1g = global_pair(inst)
         for n in (1, 3, 6):
             state = an.expected_state_general(t0g, t1g, rho0, n)
             ref = an.expected_state_global(inst.e0, n)
@@ -238,7 +240,7 @@ def test_criterion_06_fixed_points():
         k = (k + k.conj().T) / 2.0
         pi = q[:, :n_ground] @ q[:, :n_ground].conj().T
         rho_direct = im.fixed_point_direct(k)
-        rho_iter = im.fixed_point_iterate(global_channel(k), tol=1e-12)
+        rho_iter = fixed_point_iterate(global_channel(k), tol=1e-12)
         worst_dist = max(worst_dist, im.trace_distance(rho_direct, rho_iter))
         params = agsp.verify_agsp(k, pi)
         c = 1.0 / float(np.trace(np.linalg.inv(np.eye(d) - k @ k)).real)
@@ -441,7 +443,7 @@ def test_criterion_10_fault_resilience():
     for delta in (1e-3, 1e-2):
         for seed in (0, 1):
             pert = nz.perturb_instrument(inst, nz.ChannelPerturbation(delta, seed=seed))
-            rho = im.fixed_point_iterate(global_channel(pert.e0), tol=1e-12)
+            rho = fixed_point_iterate(global_channel(pert.e0), tol=1e-12)
             overlap = float(np.trace(pi @ rho).real)
             delta_eff = 4.0 * float(np.linalg.norm(pert.e0 - inst.e0, 2))
             bound = nz.fixed_point_resilience_bound(params, delta_eff, 8, 1)

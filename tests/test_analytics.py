@@ -8,6 +8,7 @@ from oracles import (
     DenseTransfer,
     column_stacked,
     dense_stopped_general,
+    global_pair,
     global_run_success_probs,
     markov_expected_absorption,
     trace_row,
@@ -21,7 +22,7 @@ def _weak_global(ham, eps, spectral=None):
     spectral = spectral if spectral is not None else pauli.diagonalize(ham)
     a = agsp.agsp_linear(ham, spectral)
     inst = im.make_instrument(a.operator, eps, "global")
-    t0, t1 = im.sweep_transfer_global(inst)
+    t0, t1 = global_pair(inst)
     return inst, t0, t1, spectral
 
 
@@ -111,7 +112,7 @@ class TestGeneralFormulas:
         g = im.make_instrument(k, 0.6, "global")
         l = im.make_instrument(k, 0.6, "local", support=(0,))
         rho0 = np.eye(2) / 2
-        tg0, tg1 = im.sweep_transfer_global(g)
+        tg0, tg1 = global_pair(g)
         tl0 = transfer_of_instrument_success(l)
         tl1 = transfer_of_instrument_failure(l, 1)
         for n in (1, 4):
@@ -250,16 +251,18 @@ class TestStoppedWalk:
 
     @pytest.mark.parametrize("resampler", ["global", "local", "identity"])
     @pytest.mark.parametrize("mode", ["linear-global", "chebyshev-global"])
-    def test_global_modes_match_dense_reference(self, heis3, mode, resampler):
-        # the engine's sector transfers against the dense column-stacked
-        # pair of its instrument
-        t0, t1, engine = _engine_transfers(heis3, resampler, 0.3, mode)
-        (inst,) = engine.instruments_at(0.3)
-        r0 = transfer_of_instrument_success(inst).matrix
-        r1 = transfer_of_instrument_failure(inst).matrix
-        rho0 = np.eye(8) / 8
-        refs = {n: dense_stopped_general(r0, r1, rho0, n) for n in range(1, 10)}
-        self._check_tables(t0, t1, rho0, refs)
+    def test_global_modes_match_dense_reference(self, heis3, heis4, mode, resampler):
+        # the engine's population chain against the dense column-stacked
+        # pair of its instrument, whose "local" reset has no support and
+        # so resets every qubit
+        for ham in (heis3, heis4):
+            t0, t1, engine = _engine_transfers(ham, resampler, 0.3, mode)
+            inst = im.make_instrument(engine.k_global, 0.3, resampler)
+            r0 = transfer_of_instrument_success(inst).matrix
+            r1 = transfer_of_instrument_failure(inst).matrix
+            rho0 = np.eye(engine.dim) / engine.dim
+            refs = {n: dense_stopped_general(r0, r1, rho0, n) for n in range(1, 10)}
+            self._check_tables(t0, t1, rho0, refs)
 
     def _check_tables(self, t0, t1, rho0, refs):
         for ns in self.TABLES:

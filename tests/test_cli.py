@@ -297,7 +297,44 @@ class TestAnalyticsCommand:
         assert "analytics does not read" in capsys.readouterr().err
 
 
+    def test_global_mode_past_six_qubits(self, capsys):
+        # the population chain has no transfer-matrix cap
+        assert run_cli(["analytics", "--heisenberg", "7", "--agsp", "linear", "--n-values", "1..3", "-o", "-"]) == 0
+        rows = [l for l in capsys.readouterr().out.splitlines() if l and not l.startswith("#")]
+        assert len(rows) == 4
+
+
 class TestCompareResampling:
+    ARGV = ["compare-resampling", "--heisenberg", "2", "--eps", "0.2", "--sizes", "2..3", "--n-zeros", "2"]
+
+    # both columns are product sweeps under fixed resamplers, so a flag
+    # that would only change the header and the hash is refused
+    @pytest.mark.parametrize(
+        "flags",
+        [["--agsp", "linear"], ["--resampler", "identity"], ["--cheb-degree", "5"],
+         ["--stopping", "secretary:9"], ["--time-cap", "5"], ["--max-steps", "5"]],
+        ids=["agsp", "resampler", "cheb-degree", "stopping", "time-cap", "max-steps"],
+    )
+    def test_unread_flags_refused(self, flags, capsys):
+        assert run_cli(self.ARGV + ["--agsp", "product", "--seed", "1", "--workers", "1", "-o", "-"]) == 0
+        capsys.readouterr()
+        assert run_cli(self.ARGV + flags + ["-o", "-"]) == 2
+        assert "compare-resampling" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"agsp_mode": "mixture-random"}, {"resampler": "local"}, {"cheb_degree": 3},
+         {"stopping_rule": "secretary:9"}, {"time_cap": 5}, {"max_steps": 5}],
+        ids=["agsp", "resampler", "cheb-degree", "stopping", "time-cap", "max-steps"],
+    )
+    def test_unread_fields_from_config_file_refused(self, field, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        system = {"builder": "heisenberg", "n": 2, "periodic": False}
+        path.write_text(json.dumps({"system": system, **field}))
+        argv = ["compare-resampling", "--config", str(path), "--sizes", "2..3", "--n-zeros", "2", "-o", "-"]
+        assert run_cli(argv) == 2
+        assert "compare-resampling" in capsys.readouterr().err
+
     def test_ordering_and_slopes(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"
         code = run_cli(
@@ -350,6 +387,47 @@ class TestFixedPointCommand:
         overlap = float(out.split("fixed_point_overlap: ")[1].splitlines()[0])
         bound = float(out.split("overlap_bound: ")[1].splitlines()[0])
         assert overlap >= bound - 1e-9
+
+    def test_unset_agsp_runs_and_hashes_linear(self, capsys):
+        assert run_cli(["fixed-point", "--heisenberg", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "config_hash: b3f991dbb423537e" in out
+        assert run_cli(["fixed-point", "--heisenberg", "3", "--agsp", "linear"]) == 0
+        assert capsys.readouterr().out == out
+
+    # the channel is the bare linear or chebyshev AGSP's under the global
+    # resampler, so a flag that would only change the hash is refused
+    @pytest.mark.parametrize(
+        "flags",
+        [["--agsp", "product"], ["--agsp", "mixture"], ["--eps", "0.3"], ["--resampler", "local"],
+         ["--weighting", "sum"], ["--stopping", "secretary:9"], ["--time-cap", "5"], ["--max-steps", "5"]],
+        ids=["product", "mixture", "eps", "resampler", "weighting", "stopping", "time-cap", "max-steps"],
+    )
+    def test_unread_flags_refused(self, flags, capsys):
+        argv = ["fixed-point", "--heisenberg", "2", "--scale", "0.9", "--seed", "1", "--workers", "1"]
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        assert run_cli(argv + flags) == 2
+        assert "fixed-point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"agsp_mode": "product-sweep"}, {"eps": "0.3"}, {"resampler": "identity"}, {"weighting": "sum"},
+         {"max_steps": 5}],
+        ids=["agsp", "eps", "resampler", "weighting", "max-steps"],
+    )
+    def test_unread_fields_from_config_file_refused(self, field, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        system = {"builder": "heisenberg", "n": 2, "periodic": False}
+        path.write_text(json.dumps({"system": system, **field}))
+        assert run_cli(["fixed-point", "--config", str(path), "--scale", "0.9"]) == 2
+        assert "fixed-point" in capsys.readouterr().err
+
+    def test_past_six_qubits(self, capsys):
+        # the iterated channel is a chain on H's populations, with no cap
+        assert run_cli(["fixed-point", "--heisenberg", "7"]) == 0
+        out = capsys.readouterr().out
+        assert float(out.split("direct_vs_iterate_trace_distance: ")[1].splitlines()[0]) <= 1e-9
 
     def test_linear_needs_subunit_scale(self, capsys):
         # Heisenberg n=2 has Gamma = 1: the closed form needs a scale < 1

@@ -16,6 +16,7 @@ from oracles import (
     dense_sweep_transfer_mixture,
     dense_sweep_transfer_product,
     embed,
+    fixed_point_iterate,
     global_channel,
     global_run_success_probs,
     markov_expected_absorption,
@@ -315,7 +316,7 @@ class TestFixedPoint:
         raw = np.array([1 / 0.19, 1 / 0.91])
         assert np.allclose(np.diag(rho).real, raw / raw.sum())
         channel = global_channel(k)
-        rho_it = im.fixed_point_iterate(channel, tol=1e-12)
+        rho_it = fixed_point_iterate(channel, tol=1e-12)
         assert im.trace_distance(rho, rho_it) <= 1e-8
         assert im.trace_distance(channel.apply(rho), rho) <= 1e-9
 
@@ -330,10 +331,10 @@ class TestFixedPoint:
     def test_uniqueness_from_random_starts(self, rng):
         k = np.diag([0.8, 0.5, 0.2, 0.6]).astype(complex)
         channel = global_channel(k)
-        ref = im.fixed_point_iterate(channel, tol=1e-12)
+        ref = fixed_point_iterate(channel, tol=1e-12)
         for _ in range(5):
             rho0 = _rand_density(rng, 4)
-            rho = im.fixed_point_iterate(channel, tol=1e-12, rho0=rho0)
+            rho = fixed_point_iterate(channel, tol=1e-12, rho0=rho0)
             assert im.trace_distance(rho, ref) <= 1e-7
 
     def test_block_structure(self, rng):
@@ -361,6 +362,45 @@ class TestFixedPoint:
         eps_c = spec2.degeneracy / spec2.dimension
         bound = 1.0 - eps_c / (1.0 - delta_f) * (spec2.dimension / spec2.degeneracy - 1.0)
         assert overlap >= bound - 1e-9
+
+
+class TestPopulationChain:
+    def test_vec_refuses_coherences(self, spec3):
+        basis = im.Populations(spec3.eigenvectors)
+        for rho in (np.eye(8) / 8, spec3.ground_projector / spec3.degeneracy):
+            p = basis.vec(rho)
+            assert np.abs(basis.unvec(p) - rho).max() <= 1e-13
+            assert basis.trace_row @ p == pytest.approx(1.0, abs=1e-13)
+        # |000> is an eigenvector of the chain (fully polarised); |001> is a
+        # superposition of three of them, so it has coherences between them
+        ket = np.zeros((8, 8))
+        ket[0, 0] = 1.0
+        assert sorted(basis.vec(ket)) == pytest.approx([0.0] * 7 + [1.0], abs=1e-13)
+        ket = np.zeros((8, 8))
+        ket[1, 1] = 1.0
+        with pytest.raises(ParameterError, match="coherences between H's eigenvectors"):
+            basis.vec(ket)
+
+    @pytest.mark.parametrize("resampler", im.RESAMPLER_KINDS)
+    def test_chain_acts_as_dense_pair_on_diagonal_states(self, heis3, spec3, resampler, rng):
+        # a support-less "local" instrument resets every qubit, as "global"
+        a = agsp.agsp_linear(heis3, spec3)
+        t0, t1 = im.population_chain(0.7 + 0.3 * a.values, spec3.eigenvectors, resampler)
+        inst = im.make_instrument(a.operator, 0.3, resampler)
+        r0, r1 = transfer_of_instrument_success(inst), transfer_of_instrument_failure(inst)
+        rho = t0.sector.unvec(rng.dirichlet(np.ones(8)))
+        assert np.abs(t0.apply(rho) - r0.apply(rho)).max() <= 1e-13
+        assert np.abs(t1.apply(rho) - r1.apply(rho)).max() <= 1e-13
+        assert np.abs(t0.sector.trace_row @ (t0.matrix + t1.matrix) - 1.0).max() <= 1e-15
+
+    def test_iterate_matches_closed_form(self, heis3, spec3):
+        a = agsp.agsp_linear(heis3, spec3)
+        rho = im.fixed_point_direct(0.9 * a.operator)
+        t0, t1 = im.population_chain(0.9 * a.values, spec3.eigenvectors, "global")
+        rho_it = im.fixed_point_iterate(im.TransferMatrix(t0.matrix + t1.matrix, t0.sector))
+        assert im.trace_distance(rho, rho_it) <= 1e-9
+        ref = fixed_point_iterate(global_channel(0.9 * a.operator), tol=1e-12)
+        assert im.trace_distance(ref, rho_it) <= 1e-9
 
 
 class TestSweepTransfers:
@@ -555,7 +595,7 @@ class TestFusedWalk:
         r0, r1 = dense_sweep_transfer_product(insts, 4)
         assert np.abs(column_stacked(t0) - r0).max() <= 1e-13
         assert np.abs(column_stacked(t1) - r1).max() <= 1e-13
-        steps = [im.MicroStep.of(inst, 4) for inst in insts]
+        steps = [im.MicroStep.of(inst) for inst in insts]
         plan = im.sweep_plan(steps, im.MicroStep.success)
         assert [b.qubits for b in plan] == [(0, 2), (1,), (0, 1), (0, 2, 3), (0, 1), (1,), (0, 2)]
         # unsorted qubits walk the same map on the einsum path
@@ -579,10 +619,10 @@ class TestFusedWalk:
         bonds = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 3), (1, 2), (0, 1)]
         ham = pauli.build_heisenberg_chain(5)
         for resampler in ("local", "identity"):
-            steps = [im.MicroStep.of(i, 5) for i in _sweep_instruments(ham, 0.2, resampler)]
+            steps = [im.MicroStep.of(i) for i in _sweep_instruments(ham, 0.2, resampler)]
             for branch in (im.MicroStep.success, im.MicroStep.success_adjoint, im.MicroStep.channel):
                 assert [b.qubits for b in im.sweep_plan(steps, branch)] == bonds
-        steps = [im.MicroStep.of(i, 5) for i in _sweep_instruments(ham, 0.2, "global")]
+        steps = [im.MicroStep.of(i) for i in _sweep_instruments(ham, 0.2, "global")]
         assert len(im.sweep_plan(steps, im.MicroStep.success)) == 7
         channel = im.sweep_plan(steps, im.MicroStep.channel)
         assert len(channel) == 24 and all(b.keep_identity for b in channel)
@@ -602,7 +642,7 @@ class TestFusedWalk:
 
     def test_walk_leaves_input_stack_unchanged(self):
         insts = _sweep_instruments(_WITNESS, 0.4, "global")
-        steps = [im.MicroStep.of(inst, 4) for inst in insts]
+        steps = [im.MicroStep.of(inst) for inst in insts]
         eye = im.PauliSector(4).identity_stack()
         before = eye.copy()
         im.sweep_walk([(steps, im.MicroStep.channel), (steps, im.MicroStep.success)], eye)

@@ -16,6 +16,7 @@ from oracles import (
     dense_noisy_term_instrument,
     dense_sweep_transfer_product,
     embed,
+    fixed_point_iterate,
     global_channel,
     in_pauli_basis,
     iterative_free_decay_overlaps,
@@ -310,7 +311,7 @@ class TestBounds:
             for seed in (0, 1, 2):
                 pert = nz.perturb_instrument(inst, nz.ChannelPerturbation(delta, seed=seed))
                 channel = global_channel(pert.e0)
-                rho = im.fixed_point_iterate(channel, tol=1e-12)
+                rho = fixed_point_iterate(channel, tol=1e-12)
                 overlap = float(np.trace(pi @ rho).real)
                 # ||E' - E||_1 <= 4 ||E0' - E0||, a valid rate for the theorem
                 delta_eff = 4.0 * float(np.linalg.norm(pert.e0 - inst.e0, 2))
