@@ -1,14 +1,16 @@
 """Exact closed-form expectations for the stopped process.
 
 Global resampling admits scalar spectral formulas; general resampling works
-through real transfer matrices on a Pauli sector or on H's populations.  All W-matrix
-expressions are evaluated by LU solves on W = 1 - E1 (1 + E0 + ... +
+through real transfer matrices on a Pauli sector or on H's populations.  All
+W-matrix expressions are evaluated by solves on W = 1 - E1 (1 + E0 + ... +
 E0^{n-1}), with the partial geometric sums formed explicitly: this stays
 regular even when E0 has unit-modulus eigenvalues (Gamma = 1), where the
-equivalent (1 - E0 - E1 + E1 E0^n) form is singular.  A table over run lengths is one walk that adds a sweep per
-product.  ``geometric_sums`` forms the same sums by index doubling, for
-checks that want a single large n.  Explicit inverses and the resolvent
-forms live only in tests as an independent second path.
+equivalent (1 - E0 - E1 + E1 E0^n) form is singular.  Each W is inverted
+once with numpy's LAPACK, which also gives its exact 1-norm condition, and
+every solve takes one step of iterative refinement.  A table over run
+lengths is one walk that adds a sweep per product.  ``geometric_sums``
+forms the same sums by index doubling, for checks that want a single large
+n.  The resolvent forms live only in tests as an independent second path.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IllConditionedError, ParameterError
 from .instrument import TransferMatrix
@@ -95,15 +96,26 @@ def tau_upper_bound(params, dim: int, degeneracy: int, n: int) -> float:
 
 
 class _LuSolver:
-    """LU factorization with a reciprocal-condition guard and one refinement."""
+    """W inverted once, with a reciprocal-condition guard and one step of
+    iterative refinement per solve.
+
+    numpy's LAPACK keeps the oracle on one BLAS runtime: scipy's dense
+    linear algebra bundles its own OpenBLAS, whose thread pool contends
+    with numpy's.  With the inverse at hand, ``rcond`` =
+    1/(||W||_1 ||W^-1||_1) is exact, and an inverse-based solve with one
+    refinement step is as accurate as an LU solve at these condition
+    numbers (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992).
+    """
 
     def __init__(self, mat: np.ndarray, label: str):
         self.mat = mat
         self.label = label
-        self.lu, self.piv = scipy.linalg.lu_factor(mat)
-        gecon = scipy.linalg.get_lapack_funcs("gecon", (mat,))
-        anorm = np.linalg.norm(mat, 1)
-        rcond, _ = gecon(self.lu, anorm, norm="1")
+        try:
+            self.inv = np.linalg.inv(mat)
+        except np.linalg.LinAlgError:  # exactly singular
+            rcond = 0.0
+        else:
+            rcond = 1.0 / (np.linalg.norm(mat, 1) * np.linalg.norm(self.inv, 1))
         if not np.isfinite(rcond) or rcond < _RCOND_FLOOR:
             raise IllConditionedError(
                 f"{self.label} matrix is numerically singular (rcond={rcond:.2e})",
@@ -112,8 +124,8 @@ class _LuSolver:
         self.rcond = float(rcond)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = scipy.linalg.lu_solve((self.lu, self.piv), rhs)
-        x += scipy.linalg.lu_solve((self.lu, self.piv), rhs - self.mat @ x)
+        x = self.inv @ rhs
+        x += self.inv @ (rhs - self.mat @ x)
         return x
 
 
@@ -167,13 +179,15 @@ class Stopped(NamedTuple):
 
     ``state`` is divided by its trace; ``trace_defect`` = |tr - 1| before
     that division is an a-posteriori error estimate, since the exact trace
-    is 1 whenever T0 + T1 preserves the trace.
+    is 1 whenever T0 + T1 preserves the trace.  ``rcond`` is W's exact
+    reciprocal 1-norm condition number, which falls about as 1/E(tau).
     """
 
     n: int
     state: np.ndarray
     tau: float
     trace_defect: float
+    rcond: float
 
 
 def _powers_apply(t0: np.ndarray, x: np.ndarray, n: int):
@@ -201,7 +215,7 @@ def expected_stopped_general(
     One walk over the sorted distinct n holds F_m = E1 E0^m and
     S_m = E1 G_m: a step of one sweep is S += F, F = F E0 (one product),
     none after the largest n, so a table entry equals the one-n call
-    exactly.  Each n then takes one LU factorization of W = 1 - S_n; E0^n
+    exactly.  Each n then takes one inversion of W = 1 - S_n; E0^n
     and H_n are applied to vectors only.
 
     The walk runs in real arithmetic in the transfers' basis (``sector``);
@@ -232,7 +246,8 @@ def expected_stopped_general(
         rho = sector.unvec(t0n_x)
         rho = (rho + rho.conj().T) / 2.0
         trace = float(np.trace(rho).real)
-        done[n] = Stopped(n, rho / trace, float(n + (row @ t0n_y).real), abs(trace - 1.0))
+        tau = float(n + (row @ t0n_y).real)
+        done[n] = Stopped(n, rho / trace, tau, abs(trace - 1.0), solver.rcond)
     return [done[n] for n in ns]
 
 

@@ -232,10 +232,12 @@ def cmd_ensemble(args) -> int:
         f"truncated {stats.truncated_count}",
     ]
     rule = rc.rule
+    # a global mode's oracle is a chain on H's populations, with no transfer cap
+    sweep_mode = rc.agsp_mode in ("product-sweep", "mixture-random")
     if (
         isinstance(rule, stopping.FirstRunOfZeros)
         and rc.noise is None
-        and rc.hamiltonian.num_qubits <= instrument.TRANSFER_LIMIT_QUBITS
+        and (not sweep_mode or rc.hamiltonian.num_qubits <= instrument.TRANSFER_LIMIT_QUBITS)
         and rc.schedule.kind == "constant"
     ):
         if engine is None:
@@ -249,6 +251,7 @@ def cmd_ensemble(args) -> int:
         footer.append(f"oracle_overlap {ex_ov!r} z {z_ov!r}")
         footer.append(f"oracle_tau {ex_tau!r} z {z_tau!r}")
         footer.append(f"exact_trace_defect {exact.trace_defect!r}")
+        footer.append(f"exact_rcond {exact.rcond!r}")
     write_csv(
         args.output,
         cfg,
@@ -289,11 +292,11 @@ def cmd_analytics(args) -> int:
     if rc.agsp_mode in ("product-sweep", "linear-global", "chebyshev-global"):
         kraus = engine.sweep_success_kraus(eps)
         params = agsp.verify_agsp(kraus, engine.pi0)
-    rows, defect = [], 0.0
-    for n, state, tau, trace_defect in analytics.expected_stopped_general(
+    rows, defect, rcond = [], 0.0, float("inf")
+    for n, state, tau, trace_defect, w_rcond in analytics.expected_stopped_general(
         t0, t1, rho0, _parse_int_list(args.n_values)
     ):
-        defect = max(defect, trace_defect)
+        defect, rcond = max(defect, trace_defect), min(rcond, w_rcond)
         overlap = float(np.trace(engine.pi0 @ state).real)
         if params is not None:
             lb = analytics.overlap_lower_bound(params, spec.dimension, spec.degeneracy, n).value
@@ -306,7 +309,7 @@ def cmd_analytics(args) -> int:
         cfg,
         ("n", "exact_overlap", "exact_tau", "overlap_lower_bound", "tau_upper_bound"),
         rows,
-        [f"exact_trace_defect_max {defect!r}"],
+        [f"exact_trace_defect_max {defect!r}", f"exact_rcond_min {rcond!r}"],
     )
     return 0
 

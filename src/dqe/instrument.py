@@ -8,9 +8,10 @@ of H is a chain on the populations of H's eigenvectors (``Populations``).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -383,8 +384,8 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 # The Pauli-transfer basis.  A map written on the normalised Pauli strings
 # P/sqrt(D) is real when it preserves Hermiticity (Greenbaum,
 # arXiv:1509.02921).  A string is indexed base 4, digits I, X, Y, Z = 0..3
-# with qubit 0 most significant, so a stack of coefficient vectors is a
-# (4,)*n + (N,) tensor with axis q for qubit q.
+# with qubit 0 most significant, so the coefficients of a stack of matrices
+# form a (4,)*n + (N,) tensor with axis q for qubit q.
 # ---------------------------------------------------------------------------
 
 _SIGMA = np.array(
@@ -465,6 +466,11 @@ def _gf2_null_space(a: np.ndarray) -> np.ndarray:
     return np.array(basis, dtype=np.uint8).reshape(-1, cols)
 
 
+def _check_leak(leak: float, what: str):
+    if leak > _LEAK_TOL:
+        raise ParameterError(f"{what} leaves the Pauli symmetry sector (weight {leak:.2e} outside it)")
+
+
 class PauliSector:
     """The fixed space of the twirl rho -> |G|^-1 sum_g g rho g^dag over a
     group G of Pauli symmetries, in the Pauli-transfer basis.
@@ -491,6 +497,7 @@ class PauliSector:
         self.strings = np.flatnonzero(self.member)
         self.trace_row = np.zeros(self.strings.size)
         self.trace_row[0] = np.sqrt(float(1 << n))
+        self._orders = {}
 
     @classmethod
     def of(cls, ham: PauliHamiltonian) -> "PauliSector":
@@ -507,18 +514,12 @@ class PauliSector:
     def dimension(self) -> int:
         return int(self.strings.size)
 
-    def _check_leak(self, leak: float, what: str):
-        if leak > _LEAK_TOL:
-            raise ParameterError(
-                f"{what} leaves the Pauli symmetry sector (weight {leak:.2e} outside it)"
-            )
-
     def vec(self, rho: np.ndarray) -> np.ndarray:
         """Real coefficients of a Hermitian rho on the sector's strings;
         a rho with weight outside the sector raises ParameterError."""
         c = pauli_coefficients(rho).reshape(-1)
         outside = c[~self.member]
-        self._check_leak(max(np.abs(c.imag).max(), np.abs(outside).max(initial=0.0)), "state")
+        _check_leak(max(np.abs(c.imag).max(), np.abs(outside).max(initial=0.0)), "state")
         return c.real[self.strings]
 
     def unvec(self, v: np.ndarray) -> np.ndarray:
@@ -526,62 +527,95 @@ class PauliSector:
         full[self.strings] = v
         return pauli_matrix(full, self.num_qubits)
 
-    def identity_stack(self) -> np.ndarray:
-        """The sector's basis columns as a (4,)*n + (S,) tensor."""
-        x = np.zeros((4**self.num_qubits, self.dimension))
-        x[self.strings, np.arange(self.dimension)] = 1.0
-        return x.reshape((4,) * self.num_qubits + (self.dimension,))
+    def block_order(self, qubits: tuple[int, ...]) -> "BlockOrder":
+        """The ``BlockOrder`` of a block on ``qubits``, built on first use
+        and kept with the sector."""
+        order = self._orders.get(qubits)
+        if order is None:
+            order = self._orders[qubits] = BlockOrder(self, qubits)
+        return order
 
-    def restrict(self, xt: np.ndarray) -> np.ndarray:
-        """The S x S block of a (4,)*n + (S,) stack of sector columns,
-        refusing a stack with weight outside the sector."""
-        x = xt.reshape(4**self.num_qubits, -1)
-        if self.dimension < x.shape[0]:
-            self._check_leak(float(np.abs(x[~self.member]).max()), "sweep channel")
-        return x[self.strings]
+
+@cache
+def trivial_sector(num_qubits: int) -> PauliSector:
+    """The trivial group's sector, every string, as one instance per
+    register size: the walks on it (the noisy sweep, its distance and the
+    noise tomography) then build each ``BlockOrder`` once per process."""
+    return PauliSector(num_qubits)
+
+
+class BlockOrder:
+    """The sector's rows ordered for a block on ``qubits`` (listed in the
+    order of the block's tensor factors).
+
+    A sector string is an inside string on ``qubits`` and an outside string
+    on the rest.  Their commutation patterns with the generators cancel, so
+    the outside string fixes the syndrome class of the inside one, and the
+    rows with one outside string hold exactly one class of inside strings.
+    A block that commutes with the twirl is block diagonal over these
+    classes.  The rows are sorted by (class, outside qubits before the
+    block's first, inside string, the other outside qubits), which makes
+    the stack a (C, G, m, A*N) tensor: C classes of m inside strings, G
+    leading and A trailing outside patterns each.  On the trivial sector
+    and an ascending run of qubits this is the sector's own order, so that
+    block needs no gather.  ``rows`` and ``pos`` map sorted rows to sector
+    rows and back; both are None when the order is the sector's own.
+    """
+
+    def __init__(self, sector: PauliSector, qubits: tuple[int, ...]):
+        n, k = sector.num_qubits, len(qubits)
+        gens = sector.generators
+        # syndrome of every inside string: bit j set when it anticommutes with
+        # generator j restricted to the block's qubits
+        digits = (np.arange(4**k)[:, None] >> (2 * np.arange(k - 1, -1, -1))) & 3
+        x, z = (digits == 1) | (digits == 2), digits >= 2
+        q = list(qubits)
+        odd = (x.astype(np.int64) @ gens[:, [n + i for i in q]].T + z.astype(np.int64) @ gens[:, q].T) & 1
+        self.syndrome = odd @ (1 << np.arange(gens.shape[0], dtype=np.int64))
+        shifts = 2 * (n - 1 - np.arange(n))
+        string_digits = (sector.strings[:, None] >> shifts) & 3
+        inside = string_digits[:, q] @ (4 ** np.arange(k - 1, -1, -1, dtype=np.int64))
+        first = min(qubits, default=0)
+        outside = [i for i in range(n) if i not in qubits]
+        lead = [i for i in outside if i < first]
+        trail = [i for i in outside if i > first]
+        lead_key = string_digits[:, lead] @ (1 << shifts[lead])
+        trail_key = string_digits[:, trail] @ (1 << shifts[trail])
+        cls = self.syndrome[inside]
+        rows = np.lexsort((trail_key, inside, lead_key, cls))
+        s = sector.dimension
+        c = np.unique(cls).size
+        g = np.unique(cls * 4**n + lead_key).size // c
+        m = int(np.count_nonzero(self.syndrome == cls[0]))
+        self.shape = (c, g, m, s // (c * g * m))
+        self.members = inside[rows].reshape(self.shape)[:, 0, :, 0]
+        if np.array_equal(rows, np.arange(s)):
+            self.rows = self.pos = None
+        else:
+            self.rows, self.pos = rows, np.argsort(rows)
+
+    def split(self, op: np.ndarray) -> np.ndarray:
+        """The (C, 1, m, m) per-class sub-blocks of a block's operator,
+        refusing one whose entries between classes exceed 1e-12: it would
+        move weight out of the sector.  One class of every inside string
+        (the trivial sector's) is the operator itself."""
+        if self.members.shape[1] == op.shape[0]:
+            return op[None, None]
+        cross = self.syndrome[:, None] != self.syndrome[None, :]
+        _check_leak(float(np.abs(op[cross]).max(initial=0.0)), "sweep channel")
+        mem = self.members
+        return op[mem[:, :, None], mem[:, None, :]][:, None]
 
 
 # ---------------------------------------------------------------------------
 # Per-sweep channel transfers: the exact density-matrix view of one sweep of
 # the trajectory engine, used as the oracle for Monte Carlo runs.  Each
 # micro-step acts on the qubits it touches, as a local Pauli-transfer block
-# on a stack of coefficient vectors (Wood, Biamonte & Cory, QIC 15 (2015)).
-# Consecutive blocks on the same qubits are fused into one, the gate-fusion
-# step of state-vector simulators (Haner & Steiger, SC'17), and each block
-# writes into one of two stacks allocated once per walk.
+# on an S x N stack of sector coefficient vectors (Wood, Biamonte & Cory,
+# QIC 15 (2015)).  Consecutive blocks on the same qubits are fused into one,
+# the gate-fusion step of state-vector simulators (Haner & Steiger, SC'17),
+# and each block writes into one of two stacks allocated once per walk.
 # ---------------------------------------------------------------------------
-
-def apply_on_axes(op: np.ndarray, axes, xt: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write a local operator on the listed axes of a stack tensor into
-    ``out`` and return it; ``out`` is a C-contiguous array of ``xt``'s shape
-    that shares no memory with it.
-
-    Axes that form one ascending run are one matmul on the (before, 4^k,
-    after) view; any other axes, of any size and in any order, are one
-    einsum on a view that merges each run of untouched axes.
-    """
-    axes = tuple(axes)
-    shape = xt.shape
-    lo = axes[0] if axes else 0
-    if axes == tuple(range(lo, lo + len(axes))):
-        view = (math.prod(shape[:lo]), op.shape[0], -1)
-        np.matmul(op, xt.reshape(view), out=out.reshape(view))
-        return out
-    k = len(axes)
-    # xt's view with each run of untouched axes merged, and one einsum label
-    # per view axis: k + i for the i-th listed axis, 2k + ax for a run
-    dims, labels = [], []
-    for ax, size in enumerate(shape):
-        if ax not in axes and labels and labels[-1] >= 2 * k:
-            dims[-1] *= size
-        else:
-            dims.append(size)
-            labels.append(k + axes.index(ax) if ax in axes else 2 * k + ax)
-    local = tuple(shape[a] for a in axes)
-    out_labels = [lab - k if k <= lab < 2 * k else lab for lab in labels]
-    x, y = xt.reshape(dims), out.reshape(dims)
-    np.einsum(op.reshape(local * 2), list(range(2 * k)), x, labels, out_labels, out=y)
-    return out
 
 
 class Block(NamedTuple):
@@ -594,19 +628,52 @@ class Block(NamedTuple):
     keep_identity: bool = False
 
 
-def apply_blocks(blocks, xt: np.ndarray) -> np.ndarray:
-    """The blocks applied in order to a (4,)*n + (N,) stack.  Each writes
-    into one of two stacks allocated here, in turn, so the input is never
-    written."""
-    dtype = np.result_type(xt, *(b.op for b in blocks))
-    stacks = [np.empty(xt.shape, dtype) for _ in blocks[:2]]
-    for i, b in enumerate(blocks):
-        out = apply_on_axes(b.op, b.qubits, xt, stacks[i % 2])
+def _regather(held: BlockOrder | None, order: BlockOrder | None):
+    """Rows of a stack held in ``held``'s order that give ``order``'s (None
+    is the sector's own), or None when the two agree."""
+    have = None if held is None else held.rows
+    want = None if order is None else order.rows
+    if held is order or have is None and want is None:
+        return None
+    if have is None:
+        return want
+    return held.pos if want is None else held.pos[want]
+
+
+def apply_blocks(blocks, x: np.ndarray, sector: PauliSector) -> np.ndarray:
+    """The blocks applied in order to an S x N stack of sector columns,
+    whose rows follow ``sector.strings``.
+
+    Each block is one gather into its ``BlockOrder`` (none when the stack
+    already is in it) and one batched matmul of its per-class sub-blocks;
+    one gather after the last block restores the sector's order.  Each
+    writes into one of two stacks allocated here, so the input is never
+    written.  A block with weight between classes raises ParameterError.
+    """
+    dtype = np.result_type(x, *(b.op for b in blocks))
+    stacks = [np.empty(x.shape, dtype) for _ in range(2)]
+
+    def spare(held):
+        return stacks[1] if held is stacks[0] else stacks[0]
+
+    cur, held, cols = x, None, x.shape[1]
+    for b in blocks:
+        order = sector.block_order(b.qubits)
+        sub = order.split(b.op)
+        idx = _regather(held, order)
+        if idx is not None:
+            cur = np.take(cur, idx, axis=0, out=spare(cur), mode="clip")
+        c, g, m, a = order.shape
+        out = spare(cur)
+        np.matmul(sub, cur.reshape(c, g, m, a * cols), out=out.reshape(c, g, m, a * cols))
         if b.keep_identity:
-            ident = (0,) * (xt.ndim - 1)
-            out[ident] = xt[ident]
-        xt = out
-    return xt
+            ident = 0 if order.pos is None else order.pos[0]
+            out[ident] = cur[ident]
+        cur, held = out, order
+    idx = _regather(held, None)
+    if idx is not None:
+        cur = np.take(cur, idx, axis=0, out=spare(cur), mode="clip")
+    return cur
 
 
 class MicroStep:
@@ -670,14 +737,29 @@ def sweep_plan(steps, branch) -> list[Block]:
     return plan
 
 
-def sweep_walk(walks, xt: np.ndarray) -> list[np.ndarray]:
-    """Forward-then-reversed sweeps of a (4,)*n + (N,) stack, one per walk
-    (steps, branch), each applied as its ``sweep_plan``.
+def micro_steps(instruments) -> list[MicroStep]:
+    """One ``MicroStep`` per instrument, with the Pauli transfers of each
+    distinct local Kraus pair built once and shared: the terms of a
+    Heisenberg chain's bonds have three pairs between them."""
+    built, steps = {}, []
+    for inst in instruments:
+        key = (inst.resampler, inst.e0.shape, inst.e0.tobytes(), inst.e1.tobytes())
+        if key not in built:
+            built[key] = MicroStep.of(inst)
+        step = copy.copy(built[key])
+        step.qubits = inst.support
+        steps.append(step)
+    return steps
+
+
+def sweep_walk(walks, x: np.ndarray, sector: PauliSector) -> list[np.ndarray]:
+    """Forward-then-reversed sweeps of an S x N stack of sector columns,
+    one per walk (steps, branch), each applied as its ``sweep_plan``.
 
     The order is a palindrome and the blocks are real, so the
     ``success_adjoint`` walk is the adjoint of the ``success`` walk.
     """
-    return [apply_blocks(sweep_plan(steps, branch), xt) for steps, branch in walks]
+    return [apply_blocks(sweep_plan(steps, branch), x, sector) for steps, branch in walks]
 
 
 def sweep_transfer_product(instruments, num_qubits: int, sector: PauliSector | None = None):
@@ -690,11 +772,11 @@ def sweep_transfer_product(instruments, num_qubits: int, sector: PauliSector | N
     A sweep that leaves the sector raises ParameterError.
     """
     _check_transfer_dim(1 << num_qubits)
-    sector = sector if sector is not None else PauliSector(num_qubits)
-    steps = [MicroStep.of(inst) for inst in instruments]
-    full, succ = sweep_walk([(steps, MicroStep.channel), (steps, MicroStep.success)], sector.identity_stack())
-    t0 = sector.restrict(succ)
-    return TransferMatrix(t0, sector=sector), TransferMatrix(sector.restrict(full) - t0, sector=sector)
+    sector = sector if sector is not None else trivial_sector(num_qubits)
+    steps = micro_steps(instruments)
+    walks = [(steps, MicroStep.channel), (steps, MicroStep.success)]
+    full, t0 = sweep_walk(walks, np.eye(sector.dimension), sector)
+    return TransferMatrix(t0, sector=sector), TransferMatrix(full - t0, sector=sector)
 
 
 def sweep_transfer_mixture(instruments, num_qubits: int, sector: PauliSector | None = None):
@@ -702,11 +784,11 @@ def sweep_transfer_mixture(instruments, num_qubits: int, sector: PauliSector | N
     on ``sector`` as in ``sweep_transfer_product``."""
     m = len(instruments)
     _check_transfer_dim(1 << num_qubits)
-    sector = sector if sector is not None else PauliSector(num_qubits)
-    eye = sector.identity_stack()
-    steps = [MicroStep.of(inst) for inst in instruments]
-    a = sum(sector.restrict(apply_blocks([s.success()], eye)) for s in steps) / m
-    b = sum(sector.restrict(apply_blocks([s.channel()], eye)) for s in steps) / m
+    sector = sector if sector is not None else trivial_sector(num_qubits)
+    eye = np.eye(sector.dimension)
+    steps = micro_steps(instruments)
+    a = sum(apply_blocks([s.success()], eye, sector) for s in steps) / m
+    b = sum(apply_blocks([s.channel()], eye, sector) for s in steps) / m
     succ = np.linalg.matrix_power(a, 2 * m)
     full = np.linalg.matrix_power(b, 2 * m)
     return TransferMatrix(succ, sector=sector), TransferMatrix(full - succ, sector=sector)

@@ -31,14 +31,15 @@ from .instrument import (
     Block,
     Instrument,
     MicroStep,
-    PauliSector,
     TermInstrument,
     TransferMatrix,
     apply_blocks,
+    micro_steps,
     pauli_transfer,
     principal_sqrt_complement,
     sweep_plan,
     sweep_walk,
+    trivial_sector,
 )
 from .pauli import PauliString, PauliTerm
 
@@ -135,10 +136,10 @@ def noisy_circuit_branches(circ, model: DepolarizingPerGate):
     the data qubits.
 
     Each gate and its depolarizing channel act as one real local
-    Pauli-transfer block on a (4,)*n + (columns,) stack over the data Pauli
-    strings (``instrument.apply_blocks``).  The ancilla (the last qubit)
-    enters as |0><0| = (I + Z)/2 and is read out as <b|.|b>: over the
-    output's ancilla digit, R_b = (out[.., I, :] +- out[.., Z, :]) / 2.
+    Pauli-transfer block on a 4^n x columns stack over every Pauli string
+    (``instrument.apply_blocks`` on the trivial sector).  The ancilla (the
+    last qubit) enters as |0><0| = (I + Z)/2 and is read out as <b|.|b>:
+    over the output's ancilla digit, R_b = (out[.., I, :] +- out[.., Z, :]) / 2.
     """
     n = circ.num_qubits
     steps = []
@@ -150,12 +151,13 @@ def noisy_circuit_branches(circ, model: DepolarizingPerGate):
         diag[0] = 1.0
         steps.append(Block(diag[:, None] * pauli_transfer([_local_gate(g)]), qubits))
     cols = 4 ** (n - 1)
+    sector = trivial_sector(n)
     out = np.empty((cols, 2, cols))
     for lo in range(0, cols, _TOMOGRAPHY_COLUMNS):
         idx = np.arange(lo, min(lo + _TOMOGRAPHY_COLUMNS, cols))
         x = np.zeros((cols, 4, len(idx)))
         x[idx, ::3, idx - lo] = 1.0  # data string idx, ancilla I + Z
-        x = apply_blocks(steps, x.reshape((4,) * n + (len(idx),)))
+        x = apply_blocks(steps, x.reshape(4 * cols, len(idx)), sector)
         out[:, :, idx] = x.reshape(cols, 4, -1)[:, ::3]
     return (out[:, 0] + out[:, 1]) / 2.0, (out[:, 0] - out[:, 1]) / 2.0
 
@@ -362,9 +364,9 @@ def _noisy_steps(engine) -> list[MicroStep]:
 def noisy_sweep_success_transfer(engine) -> TransferMatrix:
     """Transfer matrix of the noisy all-zeros sweep branch of an engine, on
     the trivial sector."""
-    sector = PauliSector(engine.num_qubits)
-    (sweep,) = sweep_walk([(_noisy_steps(engine), MicroStep.success)], sector.identity_stack())
-    return TransferMatrix(sector.restrict(sweep), sector=sector)
+    sector = trivial_sector(engine.num_qubits)
+    (sweep,) = sweep_walk([(_noisy_steps(engine), MicroStep.success)], np.eye(sector.dimension), sector)
+    return TransferMatrix(sweep, sector=sector)
 
 
 def noisy_sweep_delta(engine) -> float:
@@ -381,19 +383,19 @@ def noisy_sweep_delta(engine) -> float:
     """
     from scipy.sparse.linalg import LinearOperator, svds
 
-    n = engine.num_qubits
-    dim = 4**n
+    sector = trivial_sector(engine.num_qubits)
+    dim = sector.dimension
     noisy = _noisy_steps(engine)
-    clean = [MicroStep.of(inst) for inst in engine.instruments_at(engine.cfg.schedule.base)]
+    clean = micro_steps(engine.instruments_at(engine.cfg.schedule.base))
     plans = {
         branch: (sweep_plan(noisy, branch), sweep_plan(clean, branch))
         for branch in (MicroStep.success, MicroStep.success_adjoint)
     }
 
     def apply(x, branch):
-        xt = x.reshape((4,) * n + (-1,))
+        xt = x.reshape(dim, -1)
         noisy_plan, clean_plan = plans[branch]
-        return (apply_blocks(noisy_plan, xt) - apply_blocks(clean_plan, xt)).reshape(x.shape)
+        return (apply_blocks(noisy_plan, xt, sector) - apply_blocks(clean_plan, xt, sector)).reshape(x.shape)
 
     op = LinearOperator(
         (dim, dim),

@@ -241,11 +241,51 @@ def transfer_of_instrument_failure(inst, num_qubits=None):
 
 def apply_on_axes(op, axes, xt):
     """A local operator on the listed axes of a stack tensor, by tensordot
-    and moveaxis: the reference for ``instrument.apply_on_axes``."""
+    and moveaxis: the reference for ``instrument.apply_blocks``."""
     k = len(axes)
     local = tuple(xt.shape[a] for a in axes)
     out = np.tensordot(op.reshape(local * 2), xt, axes=(range(k, 2 * k), axes))
     return np.moveaxis(out, range(k), axes)
+
+
+def full_row_walk(blocks, sector):
+    """The blocks applied in order to the sector's columns held on all 4^n
+    rows of a (4,)*n + (S,) stack, one ``apply_on_axes`` each, and the
+    sector's S rows read back: the reference for the walk on the sector's
+    rows.  Weight above 1e-12 on a row outside the sector raises
+    ValueError."""
+    n, s = sector.num_qubits, sector.dimension
+    x = np.zeros((4**n, s))
+    x[sector.strings, np.arange(s)] = 1.0
+    xt = x.reshape((4,) * n + (s,))
+    ident = (0,) * n
+    for b in blocks:
+        out = apply_on_axes(b.op, b.qubits, xt)
+        if b.keep_identity:
+            out[ident] = xt[ident]
+        xt = out
+    x = xt.reshape(4**n, s)
+    leak = np.abs(x[~sector.member]).max(initial=0.0)
+    if leak > 1e-12:
+        raise ValueError(f"weight {leak:.2e} outside the sector")
+    return x[sector.strings]
+
+
+def full_row_sweep_transfers(instruments, sector, mixture=False):
+    """(T0, T1) of a product (or mixture) sweep on ``sector`` from
+    ``full_row_walk``, with a step per instrument and no shared transfers."""
+    from dqe import instrument as im
+
+    steps = [im.MicroStep.of(inst) for inst in instruments]
+    if mixture:
+        m = len(steps)
+        a = sum(full_row_walk([s.success()], sector) for s in steps) / m
+        b = sum(full_row_walk([s.channel()], sector) for s in steps) / m
+        t0, full = np.linalg.matrix_power(a, 2 * m), np.linalg.matrix_power(b, 2 * m)
+    else:
+        t0 = full_row_walk(im.sweep_plan(steps, im.MicroStep.success), sector)
+        full = full_row_walk(im.sweep_plan(steps, im.MicroStep.channel), sector)
+    return t0, full - t0
 
 
 def apply_local_tensor(t_loc, support, num_qubits, xt):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -194,6 +197,49 @@ class TestGeneralFormulas:
         rho0 = np.eye(16) / 16
         with pytest.raises(IllConditionedError):
             an.expected_tau_general(t0, t1, rho0, 300)
+
+
+def _walked_w(t0, t1, n):
+    """W = 1 - sum_{j<n} T1 T0^j, summed in the walk's order."""
+    s, f = 0.0, t1
+    for _ in range(n):
+        s, f = s + f, f @ t0
+    return np.eye(t0.shape[0]) - s
+
+
+class TestConditioning:
+    def test_rcond_is_exact_one_norm_value(self, heis3):
+        t0, t1, _ = _engine_transfers(heis3, "local", 0.3)
+        for res in an.expected_stopped_general(t0, t1, np.eye(8) / 8, [1, 4, 9]):
+            w = _walked_w(t0.matrix, t1.matrix, res.n)
+            assert res.rcond == pytest.approx(1.0 / np.linalg.cond(w, 1), rel=1e-12)
+
+    def test_refusal_carries_the_condition_number(self, heis4, spec4):
+        t0, t1, _ = _local_sweep(heis4, 0.02, spec4)
+        with pytest.raises(IllConditionedError) as err:
+            an.expected_tau_general(t0, t1, np.eye(16) / 16, 300)
+        cond = np.linalg.cond(_walked_w(t0.matrix, t1.matrix, 300), 1)
+        assert err.value.condition == pytest.approx(cond, rel=1e-12)
+        assert 1.0 / err.value.condition < an._RCOND_FLOOR
+
+
+def test_no_module_imports_scipy_linalg():
+    # numpy 2.4 and scipy 1.17 each bundle an OpenBLAS with its own thread
+    # pool.  On 2 cores, four rounds of (numpy 256x256 GEMM, scipy
+    # lu_factor + lu_solve) took 32 ms median, 64 ms q3 and 584 ms max over
+    # 200 rounds, against 4.7 ms median with OPENBLAS_NUM_THREADS=1 (numpy
+    # alone 1.6 ms, scipy alone 2.7 ms): the two pools contend.  dqe's dense
+    # algebra therefore stays on numpy's LAPACK.
+    for path in sorted(Path(an.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            bad = [m for m in names if m == "scipy.linalg" or m.startswith("scipy.linalg.")]
+            assert not bad, f"{path.name}:{node.lineno} imports {bad[0]}"
 
 
 class TestGeometricSums:

@@ -241,6 +241,25 @@ class TestEnsembleOracle:
         assert len(builds) == 1
 
 
+    def test_global_mode_footer_past_six_qubits(self, capsys):
+        # a global mode's oracle is the uncapped population chain, so the
+        # footer is printed past the local modes' transfer cap
+        flags = ["--heisenberg", "7", "--agsp", "linear", "--eps", "0.9", "-o", "-"]
+        ens = ["ensemble", "--stopping", "run-of-zeros:2", "--trajectories", "2", "--workers", "1"]
+        assert run_cli(ens + flags) == 0
+        footer = {l.split()[0]: float(l.split()[1]) for l in capsys.readouterr().out.splitlines()
+                  if l.startswith(("oracle_", "exact_"))}
+        assert run_cli(["analytics", "--n-values", "2"] + flags) == 0
+        lines = capsys.readouterr().out.splitlines()
+        n, overlap, tau = (float(x) for x in lines[4].split(",")[:3])
+        (rcond,) = [float(l.split()[2]) for l in lines if l.startswith("# exact_rcond_min ")]
+        assert n == 2
+        assert footer["oracle_overlap"] == pytest.approx(overlap, rel=1e-12, abs=0)
+        assert footer["oracle_tau"] == pytest.approx(tau, rel=1e-12, abs=0)
+        assert footer["exact_rcond"] == pytest.approx(rcond, rel=1e-12, abs=0)
+        assert 0.0 < rcond <= 1.0
+
+
 class TestAnalyticsCommand:
     def test_rows_and_bounds(self, tmp_path, capsys):
         out = tmp_path / "an.csv"

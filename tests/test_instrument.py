@@ -598,11 +598,11 @@ class TestFusedWalk:
         steps = [im.MicroStep.of(inst) for inst in insts]
         plan = im.sweep_plan(steps, im.MicroStep.success)
         assert [b.qubits for b in plan] == [(0, 2), (1,), (0, 1), (0, 2, 3), (0, 1), (1,), (0, 2)]
-        # unsorted qubits walk the same map on the einsum path
-        eye = im.PauliSector(4).identity_stack()
+        # unsorted qubits walk the same map in another row order
+        sector = im.PauliSector(4)
         reversed_steps = [_reversed_step(s) for s in steps]
         for branch in (im.MicroStep.success, im.MicroStep.success_adjoint, im.MicroStep.channel):
-            got, want = im.sweep_walk([(reversed_steps, branch), (steps, branch)], eye)
+            got, want = im.sweep_walk([(reversed_steps, branch), (steps, branch)], np.eye(256), sector)
             assert np.abs(got - want).max() <= 1e-13
 
     @pytest.mark.parametrize("resampler", ["global", "local", "identity"])
@@ -627,26 +627,89 @@ class TestFusedWalk:
         channel = im.sweep_plan(steps, im.MicroStep.channel)
         assert len(channel) == 24 and all(b.keep_identity for b in channel)
 
-    @pytest.mark.parametrize("size", [4, 2])
-    def test_apply_on_axes_writes_tensordot_result(self, size, rng):
+    def test_apply_blocks_matches_tensordot(self, rng):
+        # every ordered support of up to 3 of 4 qubits (41 of them, the
+        # empty one included), contiguous or not, on the trivial sector
         n = 4
-        xt = rng.normal(size=(size,) * n + (3,))
-        before = xt.copy()
+        sector = im.PauliSector(n)
+        x = rng.normal(size=(4**n, 3))
+        before = x.copy()
         for k in range(4):
             for axes in itertools.permutations(range(n), k):
-                op = rng.normal(size=(size**k, size**k))
-                out = np.full_like(xt, np.nan)
-                assert im.apply_on_axes(op, axes, xt, out) is out
-                assert np.abs(out - oracles.apply_on_axes(op, axes, xt)).max() <= 1e-12
-        assert np.array_equal(xt, before)
+                op = rng.normal(size=(4**k, 4**k))
+                got = im.apply_blocks([im.Block(op, axes)], x, sector)
+                want = oracles.apply_on_axes(op, axes, x.reshape((4,) * n + (3,)))
+                assert np.abs(got - want.reshape(x.shape)).max() <= 1e-12
+        assert np.array_equal(x, before)
 
     def test_walk_leaves_input_stack_unchanged(self):
         insts = _sweep_instruments(_WITNESS, 0.4, "global")
         steps = [im.MicroStep.of(inst) for inst in insts]
-        eye = im.PauliSector(4).identity_stack()
+        eye = np.eye(256)
         before = eye.copy()
-        im.sweep_walk([(steps, im.MicroStep.channel), (steps, im.MicroStep.success)], eye)
+        im.sweep_walk([(steps, im.MicroStep.channel), (steps, im.MicroStep.success)], eye, im.PauliSector(4))
         assert np.array_equal(eye, before)
+
+
+_MAXSAT = pauli.build_maxsat(4, [((0, 1), "01"), ((1, 3), "11"), ((2, 3), "10"), ((0, 2, 3), "001")])
+
+
+class TestSectorRowWalk:
+    # the walk on the sector's S rows against the walk on all 4^n rows
+    @pytest.mark.parametrize("mixture", [False, True], ids=["product", "mixture"])
+    @pytest.mark.parametrize("resampler", ["global", "local", "identity"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_heisenberg_matches_full_row_walk(self, n, resampler, mixture):
+        ham = pauli.build_heisenberg_chain(n)
+        sector = im.PauliSector.of(ham)
+        insts = _sweep_instruments(ham, 0.3, resampler)
+        sweep = im.sweep_transfer_mixture if mixture else im.sweep_transfer_product
+        t0, t1 = sweep(insts, n, sector)
+        r0, r1 = oracles.full_row_sweep_transfers(insts, sector, mixture)
+        assert np.abs(t0.matrix - r0).max() <= 1e-13
+        assert np.abs(t1.matrix - r1).max() <= 1e-13
+
+    @pytest.mark.parametrize("resampler", ["global", "local", "identity"])
+    def test_diagonal_maxsat_sector(self, resampler):
+        # a diagonal sector keeps the 2^n Z strings: one class of a clause's
+        # inside strings per outside pattern, on non-adjacent supports too
+        sector = im.PauliSector.of(_MAXSAT)
+        assert sector.dimension == 16
+        insts = _sweep_instruments(_MAXSAT, 0.4, resampler)
+        t0, t1 = im.sweep_transfer_product(insts, 4, sector)
+        r0, r1 = oracles.full_row_sweep_transfers(insts, sector)
+        assert np.abs(t0.matrix - r0).max() <= 1e-13
+        assert np.abs(t1.matrix - r1).max() <= 1e-13
+        order = sector.block_order((0, 2, 3))
+        assert order.shape == (1, 1, 8, 2)
+
+    def test_heisenberg_bond_is_four_classes(self):
+        sector = im.PauliSector.of(pauli.build_heisenberg_chain(5))
+        order = sector.block_order((1, 2))
+        c, g, m, a = order.shape
+        assert (c, m) == (4, 4) and c * g * m * a == sector.dimension == 256
+        # each class's members share one commutation pattern
+        assert all(len(set(order.syndrome[row])) == 1 for row in order.members)
+
+    def test_trivial_sector_ascending_run_needs_no_gather(self):
+        sector = im.PauliSector(5)
+        assert sector.block_order((1, 2)).rows is None
+        assert sector.block_order((0, 2)).rows is not None
+        assert sector.block_order((2, 1)).rows is not None
+
+    def test_shared_steps_are_bit_identical(self, monkeypatch):
+        ham = pauli.build_heisenberg_chain(5)
+        sector = im.PauliSector.of(ham)
+        insts = _sweep_instruments(ham, 0.2, "local")
+        shared = im.micro_steps(insts)
+        assert len({id(s.r0) for s in shared}) == 3
+        assert [s.qubits for s in shared] == [i.support for i in insts]
+        sweeps = (im.sweep_transfer_product, im.sweep_transfer_mixture)
+        got = [sweep(insts, 5, sector) for sweep in sweeps]
+        monkeypatch.setattr(im, "micro_steps", lambda insts: [im.MicroStep.of(i) for i in insts])
+        for (t0, t1), sweep in zip(got, sweeps):
+            r0, r1 = sweep(insts, 5, sector)
+            assert np.array_equal(t0.matrix, r0.matrix) and np.array_equal(t1.matrix, r1.matrix)
 
 
 def _pauli_of(sector, idx):

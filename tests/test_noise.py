@@ -77,10 +77,11 @@ class TestDepolarizingTomography:
         model = nz.DepolarizingPerGate(1e-3, 5e-3)
         fast = nz.noisy_circuit_branches(circ, model)
 
-        def chain(blocks, xt):
+        def chain(blocks, x, sector):
+            xt = x.reshape((4,) * sector.num_qubits + x.shape[1:])
             for b in blocks:
                 xt = apply_on_axes(b.op, b.qubits, xt)
-            return xt
+            return xt.reshape(x.shape)
 
         monkeypatch.setattr(nz, "apply_blocks", chain)
         for got, want in zip(fast, nz.noisy_circuit_branches(circ, model)):
@@ -363,8 +364,7 @@ class TestNoisyOracle:
         b = pauli_basis(3)
 
         def walk(steps, branch):
-            xt = (b.conj().T @ x).reshape((4,) * 3 + (3,))
-            return b @ im.sweep_walk([(steps, branch)], xt)[0].reshape(64, 3)
+            return b @ im.sweep_walk([(steps, branch)], b.conj().T @ x, im.PauliSector(3))[0]
 
         steps = nz._noisy_steps(eng)
         fwd, adj = walk(steps, im.MicroStep.success), walk(steps, im.MicroStep.success_adjoint)
