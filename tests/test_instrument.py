@@ -627,14 +627,16 @@ class TestFusedWalk:
         channel = im.sweep_plan(steps, im.MicroStep.channel)
         assert len(channel) == 24 and all(b.keep_identity for b in channel)
 
-    def test_apply_blocks_matches_tensordot(self, rng):
-        # every ordered support of up to 3 of 4 qubits (41 of them, the
-        # empty one included), contiguous or not, on the trivial sector
-        n = 4
+    @pytest.mark.parametrize("n", [4, 2])
+    def test_apply_on_axes_writes_tensordot_result(self, n, rng):
+        # apply_blocks on every ordered support of up to 3 of n qubits on
+        # the trivial sector, contiguous or not, the empty one included:
+        # 41 supports of 4 qubits, and of 2 qubits blocks that cover the
+        # register, with no outside qubit, in both orders
         sector = im.PauliSector(n)
         x = rng.normal(size=(4**n, 3))
         before = x.copy()
-        for k in range(4):
+        for k in range(min(n, 3) + 1):
             for axes in itertools.permutations(range(n), k):
                 op = rng.normal(size=(4**k, 4**k))
                 got = im.apply_blocks([im.Block(op, axes)], x, sector)
