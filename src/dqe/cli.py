@@ -264,24 +264,8 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
-# the stopping rule and the sweep caps of a trajectory run, as (flag dest, config field)
-_RUN_LIMITS = (("stopping", "stopping_rule"), ("time_cap", "time_cap"), ("max_steps", "max_steps"))
-
-
-def _refuse_run_limits(args, cfg: ExperimentConfig, command: str, also=()):
-    """Refuse a stopping rule or a sweep cap, and each of the (flag dest,
-    config field) pairs ``also``, for a command that does not read them,
-    given as a flag or as a config-file field other than its default:
-    either would still enter the header and the hash."""
-    for dest, field in _RUN_LIMITS + tuple(also):
-        if getattr(args, dest) is not None or getattr(cfg, field) != getattr(ExperimentConfig, field):
-            raise ConfigError(f"{command} does not read --{dest.replace('_', '-')}")
-
-
 def cmd_analytics(args) -> int:
     cfg = _experiment_from_args(args, "analytics")
-    # the exact oracle has no stopping rule or sweep cap: --n-values sets the run lengths
-    _refuse_run_limits(args, cfg, "analytics")
     rc = make_run_config(cfg)
     eps = _constant_eps(rc.schedule, "analytics")
     engine = trajectory.TrajectoryEngine(rc)
@@ -319,9 +303,6 @@ def cmd_fixed_point(args) -> int:
     # the channel is the bare AGSP's, at eps = 1 under the global resampler
     if cfg.agsp_mode not in ("linear-global", "chebyshev-global"):
         raise ConfigError("fixed-point runs the linear or the chebyshev AGSP only")
-    _refuse_run_limits(
-        args, cfg, "fixed-point", also=(("eps", "eps"), ("resampler", "resampler"), ("weighting", "weighting"))
-    )
     ham = build_system(cfg.system)
     spec = pauli.diagonalize(ham)
     if cfg.agsp_mode == "chebyshev-global":
@@ -349,15 +330,12 @@ def cmd_fixed_point(args) -> int:
 
 def cmd_compare_resampling(args) -> int:
     cfg = _experiment_from_args(args, "compare-resampling")
-    if cfg.system.get("builder") != "heisenberg":
-        raise ConfigError("compare-resampling sweeps Heisenberg chain sizes")
+    if cfg.system.get("builder") != "heisenberg" or cfg.system.get("periodic"):
+        raise ConfigError("compare-resampling sweeps open Heisenberg chain sizes")
     # both columns are exact values of the product sweep, under the global
     # and the local resampler, at the --n-zeros run length
     if cfg.agsp_mode != "product-sweep":
         raise ConfigError("compare-resampling runs the product sweep only")
-    _refuse_run_limits(
-        args, cfg, "compare-resampling", also=(("resampler", "resampler"), ("cheb_degree", "cheb_degree"))
-    )
     sizes = _parse_int_list(args.sizes)
     nz = args.n_zeros
     eps = _constant_eps(parse_epsilon(cfg.eps, build_system(cfg.system)), "compare-resampling")
@@ -397,12 +375,8 @@ def cmd_compare_resampling(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
+    # a product sweep with global resampling under the secretary rule at each --runtimes cap
     cfg = _experiment_from_args(args, "noise-sweep")
-    # the experiment is a product sweep with global resampling under the
-    # secretary rule at each --runtimes cap; refuse what it would ignore
-    if cfg.agsp_mode != "product-sweep" or cfg.resampler != "global":
-        raise ConfigError("noise-sweep runs the product sweep with the global resampler only")
-    _refuse_run_limits(args, cfg, "noise-sweep")
     ham = build_system(cfg.system)
     runtimes = _parse_int_list(args.runtimes)
     eps = _constant_eps(parse_epsilon(cfg.eps, ham), "noise-sweep")
@@ -435,8 +409,7 @@ def cmd_noise_sweep(args) -> int:
 def cmd_circuit(args) -> int:
     cfg = _experiment_from_args(args, "circuit")
     ham = build_system(cfg.system)
-    eps_schedule = parse_epsilon(cfg.eps, ham)
-    eps = eps_schedule.base
+    eps = _constant_eps(parse_epsilon(cfg.eps, ham), "circuit")
     weights = instrument.term_weights(ham, cfg.weighting)
     from .circuits import export_qasm, full_sweep_circuit, measurement_circuit
 
@@ -504,6 +477,24 @@ _AGSP_CLI = {
     "mixture": "mixture-random",
 }
 
+# the model flags, each with the config field it sets (None: not in the
+# config) and its add_argument keywords.  A subcommand registers those it
+# reads; the others keep their defaults, and are refused as flags (main)
+# and as config-file fields (_experiment_from_args), since they would only
+# enter the hash.
+_MODEL_FLAGS = {
+    "agsp": ("agsp_mode", {"choices": sorted(_AGSP_CLI)}),
+    "eps": ("eps", {"help": "float | decaying:FLOAT | auto"}),
+    "resampler": ("resampler", {"choices": instrument.RESAMPLER_KINDS}),
+    "stopping": ("stopping_rule", {"help": "run-of-zeros:N | secretary:T | expected-rank:T"}),
+    "time-cap": ("time_cap", {"type": int}),
+    "max-steps": ("max_steps", {"type": int}),
+    "weighting": ("weighting", {"choices": ("max", "sum")}),
+    "cheb-degree": ("cheb_degree", {"type": int}),
+    "trajectories": ("trajectories", {"type": int}),
+    "output": (None, {"help": "output file ('-' = stdout)"}),
+}
+
 
 def _experiment_from_args(args, command: str, agsp_default: str = "product") -> ExperimentConfig:
     """The invocation's config; every argument is resolved here.
@@ -514,7 +505,8 @@ def _experiment_from_args(args, command: str, agsp_default: str = "product") -> 
     ``stopping_rule``), and a subcommand's own arguments are read from the
     file's ``extra``, so a header fed back through ``--config`` replays its
     run.  The subcommand's own arguments are written back onto ``args``
-    resolved, for the command to read.
+    resolved, for the command to read.  A file field of a model flag the
+    subcommand does not register is refused unless it holds the default.
     """
     file_cfg = _read_config_file(args)
 
@@ -538,7 +530,7 @@ def _experiment_from_args(args, command: str, agsp_default: str = "product") -> 
         if getattr(args, name) is None:
             setattr(args, name, file_extra.get(name, defaults.get(name)))
     extra = {k: getattr(args, k) for k in own if getattr(args, k) is not None}
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         command=command,
         system=_system_from_args(args, file_cfg),
         agsp_mode=agsp_mode,
@@ -554,6 +546,11 @@ def _experiment_from_args(args, command: str, agsp_default: str = "product") -> 
         workers=int(pick("workers", os.cpu_count() or 1)),
         extra=extra or None,
     )
+    for flag, (field, _) in _MODEL_FLAGS.items():
+        unread = field and flag.replace("-", "_") not in args
+        if unread and getattr(cfg, field) != getattr(ExperimentConfig, field):
+            raise ConfigError(f"{command} does not read --{flag}")
+    return cfg
 
 
 def _parse_int_list(text) -> list[int]:
@@ -572,7 +569,9 @@ def _parse_int_list(text) -> list[int]:
     return out
 
 
-def _add_common(p: argparse.ArgumentParser, trajectories=False):
+def _add_common(p: argparse.ArgumentParser, *reads):
+    """The system flags, --config, --seed and --workers, and the model flags
+    ``reads`` (keys of _MODEL_FLAGS) the subcommand reads."""
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--heisenberg", type=int, metavar="N", help="Heisenberg chain of N qubits")
     p.add_argument("--periodic", action="store_true")
@@ -581,19 +580,11 @@ def _add_common(p: argparse.ArgumentParser, trajectories=False):
         "--maxsat-clause", action="append", metavar="VARS:BITS", help="e.g. 0,1:11 (repeatable)"
     )
     p.add_argument("--hamiltonian", metavar="FILE", help="Hamiltonian JSON file")
-    p.add_argument("--agsp", choices=sorted(_AGSP_CLI), default=None)
-    p.add_argument("--eps", default=None, help="float | decaying:FLOAT | auto")
-    p.add_argument("--resampler", choices=instrument.RESAMPLER_KINDS, default=None)
-    p.add_argument("--stopping", default=None, help="run-of-zeros:N | secretary:T | expected-rank:T")
-    p.add_argument("--time-cap", dest="time_cap", type=int, default=None)
-    p.add_argument("--weighting", choices=("max", "sum"), default=None)
-    p.add_argument("--cheb-degree", dest="cheb_degree", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--output", "-o", default=None, help="output file ('-' = stdout)")
-    if trajectories:
-        p.add_argument("--trajectories", type=int, default=None)
+    for flag in reads:
+        short = ("-o",) if flag == "output" else ()
+        p.add_argument(f"--{flag}", *short, default=None, **_MODEL_FLAGS[flag][1])
     return p
 
 
@@ -602,7 +593,7 @@ def _add_common(p: argparse.ArgumentParser, trajectories=False):
 # parse to None when not given; their defaults are the subcommand's
 # ``own_defaults``, which _experiment_from_args applies after the config
 # file's extra.
-_COMMON_DESTS = frozenset(vars(_add_common(argparse.ArgumentParser(), trajectories=True).parse_args([])))
+_COMMON_DESTS = frozenset(vars(_add_common(argparse.ArgumentParser(), *_MODEL_FLAGS).parse_args([])))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -616,41 +607,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("run", help="single trajectory with per-step series")
-    _add_common(p)
+    _add_common(p, *(flag for flag in _MODEL_FLAGS if flag != "trajectories"))
     p.add_argument("--noise-p1", type=float, default=None)
     p.add_argument("--noise-p2", type=float, default=None)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("ensemble", help="trajectory ensemble with oracle z-scores")
-    _add_common(p, trajectories=True)
+    _add_common(p, *_MODEL_FLAGS)
     p.add_argument("--noise-p1", type=float, default=None)
     p.add_argument("--noise-p2", type=float, default=None)
     p.set_defaults(fn=cmd_ensemble)
 
     p = sub.add_parser("analytics", help="exact overlap / run-time vs run length")
-    _add_common(p)
+    _add_common(p, "agsp", "eps", "resampler", "weighting", "cheb-degree", "output")
     p.add_argument("--n-values", help="run lengths, e.g. 1..8 or 2,4,6 (default 1..8)")
     p.set_defaults(fn=cmd_analytics, own_defaults={"n_values": "1..8"})
 
     p = sub.add_parser("fixed-point", help="closed-form vs iterated fixed point")
-    _add_common(p)
+    _add_common(p, "agsp", "cheb-degree")
     p.add_argument("--scale", type=float, default=None, help="scale factor on the AGSP")
     p.set_defaults(fn=cmd_fixed_point)
 
     p = sub.add_parser("compare-resampling", help="exact E(tau): local vs global")
-    _add_common(p)
+    _add_common(p, "agsp", "eps", "weighting", "output")
     p.add_argument("--sizes", help="chain sizes (default 2..5)")
     p.add_argument("--n-zeros", dest="n_zeros", type=int, help="run length (default 8)")
     p.set_defaults(fn=cmd_compare_resampling, own_defaults={"sizes": "2..5", "n_zeros": 8})
 
     p = sub.add_parser("noise-sweep", help="overlap vs run-time cap under gate noise")
-    _add_common(p, trajectories=True)
+    _add_common(p, "eps", "weighting", "trajectories", "output")
     p.add_argument("--rates", help="comma-separated depolarizing rates (default 1e-4)")
     p.add_argument("--runtimes", help="run-time caps (default 100,200,400)")
     p.set_defaults(fn=cmd_noise_sweep, own_defaults={"rates": "1e-4", "runtimes": "100,200,400"})
 
     p = sub.add_parser("circuit", help="QASM export of measurement circuits")
-    _add_common(p)
+    _add_common(p, "eps", "weighting", "output")
     p.add_argument("--term-index", type=int, help="term to export (default 0)")
     p.add_argument("--full-sweep", action="store_true", default=None)
     p.set_defaults(fn=cmd_circuit, own_defaults={"term_index": 0, "full_sweep": False})
@@ -659,9 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
     try:
+        if unread:
+            raise ConfigError(f"{args.cmd} does not read {unread[0].split('=', 1)[0]}")
         code = args.fn(args)
         sys.stdout.flush()
         return code

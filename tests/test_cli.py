@@ -326,13 +326,13 @@ class TestAnalyticsCommand:
 class TestCompareResampling:
     ARGV = ["compare-resampling", "--heisenberg", "2", "--eps", "0.2", "--sizes", "2..3", "--n-zeros", "2"]
 
-    # both columns are product sweeps under fixed resamplers, so a flag
-    # that would only change the header and the hash is refused
+    # both columns are product sweeps of open chains under fixed resamplers,
+    # so a flag that would only change the header and the hash is refused
     @pytest.mark.parametrize(
         "flags",
         [["--agsp", "linear"], ["--resampler", "identity"], ["--cheb-degree", "5"],
-         ["--stopping", "secretary:9"], ["--time-cap", "5"], ["--max-steps", "5"]],
-        ids=["agsp", "resampler", "cheb-degree", "stopping", "time-cap", "max-steps"],
+         ["--stopping", "secretary:9"], ["--time-cap", "5"], ["--max-steps", "5"], ["--periodic"]],
+        ids=["agsp", "resampler", "cheb-degree", "stopping", "time-cap", "max-steps", "periodic"],
     )
     def test_unread_flags_refused(self, flags, capsys):
         assert run_cli(self.ARGV + ["--agsp", "product", "--seed", "1", "--workers", "1", "-o", "-"]) == 0
@@ -343,8 +343,9 @@ class TestCompareResampling:
     @pytest.mark.parametrize(
         "field",
         [{"agsp_mode": "mixture-random"}, {"resampler": "local"}, {"cheb_degree": 3},
-         {"stopping_rule": "secretary:9"}, {"time_cap": 5}, {"max_steps": 5}],
-        ids=["agsp", "resampler", "cheb-degree", "stopping", "time-cap", "max-steps"],
+         {"stopping_rule": "secretary:9"}, {"time_cap": 5}, {"max_steps": 5},
+         {"system": {"builder": "heisenberg", "n": 2, "periodic": True}}],
+        ids=["agsp", "resampler", "cheb-degree", "stopping", "time-cap", "max-steps", "periodic"],
     )
     def test_unread_fields_from_config_file_refused(self, field, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -380,8 +381,9 @@ class TestEpsSpecs:
             ["noise-sweep", "--heisenberg", "2", "--rates", "1e-4", "--runtimes", "20",
              "--trajectories", "2", "--workers", "1"],
             ["compare-resampling", "--heisenberg", "2", "--sizes", "2..3", "--n-zeros", "2"],
+            ["circuit", "--heisenberg", "2"],
         ],
-        ids=["noise-sweep", "compare-resampling"],
+        ids=["noise-sweep", "compare-resampling", "circuit"],
     )
     def test_auto_resolved_and_decaying_refused(self, argv, capsys):
         assert run_cli(argv + ["--eps", "auto", "-o", "-"]) == 0
@@ -531,6 +533,64 @@ class TestNoiseSweepCommand:
         argv = ["noise-sweep", "--config", str(path), "--runtimes", "20", "--trajectories", "2", "--workers", "1"]
         assert run_cli(argv) == 2
         assert "noise-sweep does not read" in capsys.readouterr().err
+
+
+class TestModelFlags:
+    """Each subcommand takes exactly the model flags it reads; any other is
+    refused, as a flag and as a config-file field, since it would only
+    change the hash."""
+
+    READS = {
+        "spectrum": set(),
+        "run": {"agsp", "eps", "resampler", "stopping", "time-cap", "max-steps", "weighting",
+                "cheb-degree", "output"},
+        "ensemble": {"agsp", "eps", "resampler", "stopping", "time-cap", "max-steps", "weighting",
+                     "cheb-degree", "trajectories", "output"},
+        "analytics": {"agsp", "eps", "resampler", "weighting", "cheb-degree", "output"},
+        "fixed-point": {"agsp", "cheb-degree"},
+        "compare-resampling": {"agsp", "eps", "weighting", "output"},
+        "noise-sweep": {"eps", "weighting", "trajectories", "output"},
+        "circuit": {"eps", "weighting", "output"},
+    }
+    # small runs of each command
+    BASE = {
+        "spectrum": [],
+        "run": [],
+        "ensemble": ["--trajectories", "2"],
+        "analytics": ["--n-values", "1..2"],
+        "fixed-point": ["--scale", "0.9"],
+        "compare-resampling": ["--sizes", "2..3", "--n-zeros", "2"],
+        "noise-sweep": ["--rates", "1e-4", "--runtimes", "20", "--trajectories", "2"],
+        "circuit": [],
+    }
+    # a value off the default that every reading command runs with
+    # (compare-resampling runs the product sweep only)
+    VALUES = {"agsp": "linear", "eps": "0.3", "resampler": "local", "stopping": "run-of-zeros:2",
+              "time-cap": 50, "max-steps": 50, "weighting": "sum", "cheb-degree": 3, "trajectories": 2,
+              "output": "-"}
+    FIELDS = {"agsp": "agsp_mode", "stopping": "stopping_rule"}
+
+    @pytest.mark.parametrize(
+        "flag,via",
+        [(flag, via) for flag in VALUES for via in ("flag", "file") if (flag, via) != ("output", "file")],
+    )
+    def test_accepted_exactly_where_read(self, flag, via, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        wrong = []
+        for cmd, reads in self.READS.items():
+            value = "product" if (cmd, flag) == ("compare-resampling", "agsp") else self.VALUES[flag]
+            argv = [cmd, "--heisenberg", "2", "--workers", "1", *self.BASE[cmd]]
+            if via == "flag":
+                argv += ["-o" if flag == "output" else f"--{flag}", str(value)]
+            else:
+                path.write_text(json.dumps({self.FIELDS.get(flag, flag.replace("-", "_")): value}))
+                argv += ["--config", str(path)]
+            code = run_cli(argv)
+            err = capsys.readouterr().err
+            ok = code == 0 if flag in reads else code == 2 and f"{cmd} does not read" in err
+            if not ok:
+                wrong.append((cmd, code, err.strip()))
+        assert wrong == []
 
 
 class TestConfigReplay:
