@@ -7,9 +7,9 @@ state and returns the two inner products that fix both branch weights, and
 gate-error event applies a small dense operator to a subset of qubits
 (``apply_local``, ``local_quadform``); the local resampler reads the
 support marginals (``local_probs``) and moves one slice
-(``project_replace``); the secretary rule scans outcome streams.  Every
-kernel that changes the state writes it in place, so a trajectory's state
-is one buffer from start to end.  Each is a plain numpy function.
+(``project_replace``).  Every kernel that changes the state writes it in
+place, so a trajectory's state is one buffer from start to end.  Each is a
+plain numpy function.
 """
 
 from __future__ import annotations
@@ -72,33 +72,3 @@ def project_replace(psi, idx, a_old, a_new, scale):
     kept *= scale
     psi[:] = 0.0
     psi[idx[:, a_new]] = kept
-
-
-def secretary_scan(lengths, obs, horizon, coins):
-    """Step-accurate secretary policy over a stream of zero-run lengths.
-
-    Run i contributes ``lengths[i]`` zero-steps then one 1-step.  Stopping is
-    allowed at zero-steps with index > obs and <= horizon; the policy stops
-    the moment the current run strictly exceeds every completed run, with a
-    fair coin (coins[i] < 0.5 stops) when it exactly ties the record.
-    Returns the index of the run stopped in, or -1.
-    """
-    step = 0
-    best = -1
-    for i in range(lengths.shape[0]):
-        run = int(lengths[i])
-        for z in range(1, run + 1):
-            step += 1
-            if step > horizon:
-                return -1
-            if step > obs:
-                if z > best:
-                    return i
-                if z == best and coins[i] < 0.5:
-                    return i
-        step += 1
-        if step > horizon:
-            return -1
-        if run > best:
-            best = run
-    return -1

@@ -3,9 +3,11 @@
 An AGSP is a Hermitian K whose spectrum splits into a block >= sqrt(Gamma)
 on (a projector near) the ground space and a block <= sqrt(Delta) on its
 complement; epsilon is the operator-norm distance of that projector from
-the true ground projector.  Constructions here: the linear rescaling of H,
-the ordered product of local weak factors and the Chebyshev spectral
-filter.
+the true ground projector.  Constructions here: the linear rescaling of H
+and the Chebyshev spectral filter.  The ordered product of local weak
+factors is the product sweep's success operator
+(``instrument.sweep_success_operator``); its claimed parameters are a test
+reference, ``agsp_product`` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInstanceError, ParameterError
-from .instrument import TermInstrument, sweep_success_operator, term_instruments
 from .pauli import PauliHamiltonian, SpectralData, to_dense
 
 _HERM_TOL = 1e-12
@@ -61,8 +62,6 @@ class Agsp:
 
     operator: np.ndarray
     params: AgspParams
-    # each term's weak measurement at the linear-AGSP weight |alpha_v|/kappa
-    local_factors: tuple[TermInstrument, ...] | None = None
     metadata: dict = field(default_factory=dict)
     # for K = f(H): f at each eigenvalue of the SpectralData it was built
     # from, so K = V diag(values) V^dag with V that data's eigenvectors
@@ -93,38 +92,7 @@ def agsp_linear(
         sqrt_gamma=(1.0 - spec.lambda0 / ham.kappa) / 2.0,
         epsilon=0.0,
     )
-    return Agsp(
-        k,
-        params,
-        local_factors=tuple(term_instruments(ham, "sum")),
-        values=(1.0 - spec.eigenvalues / ham.kappa) / 2.0,
-    )
-
-
-def agsp_product(
-    ham: PauliHamiltonian, eps: float, spec: SpectralData | None = None
-) -> Agsp:
-    """Ordered forward-then-reversed product of the 2m weak local factors.
-
-    K' = F_1...F_m F_m...F_1 with F_i = (1-eps)1 + eps*kappa_i*k_i, which is
-    Hermitian PSD by construction.  Claimed parameters are the leading-order
-    corollary forms; the O(eps^2) corrections are what verify_agsp measures.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ParameterError(f"eps must be in (0, 1), got {eps}")
-    factors = tuple(term_instruments(ham, "sum"))
-    k = sweep_success_operator(factors, eps)
-    m = ham.num_terms
-    if spec is not None:
-        pref = (1.0 - eps) ** (2 * m - 1)
-        params = AgspParams(
-            delta=pref * (1.0 - eps * spec.lambda1 / ham.kappa),
-            gamma=pref * (1.0 - eps * spec.lambda0 / ham.kappa),
-            epsilon=0.0,
-        )
-    else:
-        params = AgspParams(delta=1.0, gamma=1.0, epsilon=0.0)
-    return Agsp(k, params, local_factors=factors, metadata={"eps": eps})
+    return Agsp(k, params, values=(1.0 - spec.eigenvalues / ham.kappa) / 2.0)
 
 
 def _chebyshev_t(ell: int, y: np.ndarray) -> np.ndarray:

@@ -26,38 +26,6 @@ _TINY = 1e-300
 _RCOND_FLOOR = 1e-13
 
 
-def _k_eigs(k: np.ndarray):
-    k = (k + k.conj().T) / 2.0
-    return np.linalg.eigh(k)
-
-
-def expected_state_global(k: np.ndarray, n: int) -> np.ndarray:
-    """E(rho_n) = K^{2n} / tr(K^{2n}) for the globally resampled process.
-
-    Evaluated through eigenvalues in log-space, so large n cannot underflow
-    the trace: weights exp(2n log|w_i|) are normalized against the largest.
-    """
-    if n < 0:
-        raise ParameterError("n must be >= 0")
-    w, v = _k_eigs(k)
-    d = k.shape[0]
-    if n == 0:
-        return np.eye(d) / d
-    absw = np.abs(w)
-    if absw.max() <= _TINY:
-        raise ParameterError("K = 0 has no conditioned stopped state")
-    with np.errstate(divide="ignore"):
-        loga = 2.0 * n * np.log(absw)
-    weights = np.exp(loga - loga.max())
-    rho = (v * weights) @ v.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    return rho / np.trace(rho).real
-
-
-def expected_overlap_global(k: np.ndarray, pi0: np.ndarray, n: int) -> float:
-    return float(np.trace(pi0 @ expected_state_global(k, n)).real)
-
-
 def expected_tau_global(k: np.ndarray, n: int) -> float:
     """E(tau_n) = tr(sum_{j<n} K^{2j}) / tr(K^{2n}).
 
@@ -68,7 +36,7 @@ def expected_tau_global(k: np.ndarray, n: int) -> float:
         raise ParameterError("n must be >= 0")
     if n == 0:
         return 0.0
-    w, _ = _k_eigs(k)
+    w, _ = np.linalg.eigh((k + k.conj().T) / 2.0)
     w2 = w**2
     # inside the window the n-term sum is exact to ~n*1e-12 relative, while
     # the quotient form would lose digits to cancellation
@@ -265,35 +233,6 @@ def expected_tau_general(
     return expected_stopped_general(t0, t1, rho0, [n])[0].tau
 
 
-def expected_state_schedule(success_transfers, failure_transfers, rho0: np.ndarray) -> np.ndarray:
-    """Expected stopped state under a per-position schedule of sweep channels.
-
-    Position j of every attempt (j sweeps since the last failure) applies
-    the channels (T0_j, T1_j); the process stops after n = len(lists)
-    consecutive successes.  Summing over failed attempts gives
-    E|rho_n>> = A_n (1 - sum_j T1_{j+1} A_j)^{-1} |rho0>> with
-    A_j = T0_j ... T0_1, which reduces to the W form when the schedule is
-    constant.  The state is divided by its trace, and the walk runs on the
-    transfers' sector, as in ``expected_stopped_general``.
-    """
-    n = len(success_transfers)
-    if n < 1 or len(failure_transfers) != n:
-        raise ParameterError("schedule needs matching non-empty transfer lists")
-    sector = success_transfers[0].sector
-    t0s = [t.matrix for t in success_transfers]
-    t1s = [t.matrix for t in failure_transfers]
-    d2 = t0s[0].shape[0]
-    a = np.eye(d2)
-    f = np.zeros((d2, d2))
-    for j in range(n):
-        f += t1s[j] @ a
-        a = t0s[j] @ a
-    x = _LuSolver(np.eye(d2) - f, "schedule W").solve(sector.vec(rho0))
-    rho = sector.unvec(a @ x)
-    rho = (rho + rho.conj().T) / 2.0
-    return rho / np.trace(rho).real
-
-
 class BoundResult(NamedTuple):
     value: float
     vacuous: bool
@@ -305,19 +244,6 @@ def overlap_lower_bound(params, dim: int, degeneracy: int, n: int) -> BoundResul
         return BoundResult(0.0, True)
     raw = 1.0 - params.epsilon - (dim / degeneracy) * (params.delta / params.gamma) ** n
     return BoundResult(min(max(raw, 0.0), 1.0), False)
-
-
-def depth_estimate(params, dim: int, degeneracy: int, target_error: float) -> int:
-    """Smallest n with (D/N)(Delta/Gamma)^n <= target_error."""
-    if params.gamma <= params.delta:
-        raise ParameterError("Gamma <= Delta: no finite depth reaches the target")
-    ratio = dim / degeneracy
-    if target_error >= ratio:
-        return 0
-    if params.delta <= 0.0:
-        return 1
-    n = np.log(ratio / target_error) / np.log(params.gamma / params.delta)
-    return int(np.ceil(n - 1e-12))
 
 
 def fixed_point_overlap_bound(params, dim: int, degeneracy: int) -> float:

@@ -4,7 +4,8 @@ One ancilla (the last qubit of the local register) is rotated conditionally
 on the parity of the term's support qubits via a CNOT ladder, then measured.
 Outcome 0 applies E0 = (1-eps(1-kappa))Pi + (1-eps)(1-Pi) to the data
 register, outcome 1 the complementary PSD square root, exactly matching the
-instrument module; tests enforce this equivalence to 1e-10.
+instrument module; tests enforce this equivalence to 1e-10 through the dense
+circuit simulation and dilation unitary of tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ParameterError
 from .instrument import dilation_angles
 from .pauli import PauliHamiltonian, PauliTerm
 
@@ -66,35 +67,6 @@ class Circuit:
     @property
     def ancilla(self) -> int:
         return self.num_qubits - 1
-
-
-@dataclass(frozen=True)
-class DilationUnitary:
-    """Block form of the measurement unitary over (ancilla) x (Pi sector)."""
-
-    matrix: np.ndarray  # 4x4, basis |a>|sector> with sector 0 = range(Pi)
-    theta: float
-    phi: float
-
-
-def dilation_unitary(kappa_v: float, eps: float) -> DilationUnitary:
-    """U = R_phi (x) Pi + R_theta (x) (1 - Pi) reduced to its 2x2 blocks.
-
-    (theta, phi) are the dilation angles at weight kappa_v; the |0>-row
-    blocks are the E0 eigenvalues on (Pi, 1-Pi) and the |1>-row blocks E1's.
-    """
-    theta, phi = dilation_angles(eps, kappa_v)
-    cp, sp = math.cos(phi), math.sin(phi)
-    ct, st = math.cos(theta), math.sin(theta)
-    mat = np.array(
-        [
-            [cp, 0.0, -sp, 0.0],
-            [0.0, ct, 0.0, -st],
-            [sp, 0.0, cp, 0.0],
-            [0.0, st, 0.0, ct],
-        ]
-    )
-    return DilationUnitary(mat, theta, phi)
 
 
 def measurement_circuit(term: PauliTerm, eps: float, weight: float = 1.0) -> Circuit:
@@ -149,7 +121,7 @@ def measurement_circuit(term: PauliTerm, eps: float, weight: float = 1.0) -> Cir
 
 
 # ---------------------------------------------------------------------------
-# Dense simulation (qubit 0 = most significant bit, ancilla = last qubit)
+# Gate unitaries (qubit 0 = most significant bit, ancilla = last qubit)
 # ---------------------------------------------------------------------------
 
 
@@ -187,36 +159,6 @@ def gate_unitary(gate: Gate, num_qubits: int) -> np.ndarray:
     if isinstance(gate, AncillaRotation):
         return _embed_1q(_rotation(gate.angle), num_qubits - 1, num_qubits)
     raise ParameterError(f"gate {gate!r} has no unitary")
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Unitary of the gate list (measurements and resets excluded)."""
-    u = np.eye(1 << circuit.num_qubits, dtype=np.complex128)
-    for g in circuit.gates:
-        if isinstance(g, (MeasureAncilla, ResetAncilla)):
-            continue
-        u = gate_unitary(g, circuit.num_qubits) @ u
-    return u
-
-
-def simulate_measurement(circuit: Circuit, psi_data: np.ndarray):
-    """Ancilla statistics of the circuit on a data state.
-
-    Returns (p0, post0, p1, post1): outcome probabilities and normalized
-    post-measurement data states (post is None for a zero-probability
-    branch).  The ancilla starts in |0> and is the least significant bit.
-    """
-    u = circuit_unitary(circuit)
-    full = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
-    full[0::2] = psi_data  # data (x) |0>_ancilla
-    out = u @ full
-    branch0 = out[0::2]
-    branch1 = out[1::2]
-    p0 = float(np.vdot(branch0, branch0).real)
-    p1 = float(np.vdot(branch1, branch1).real)
-    post0 = branch0 / np.sqrt(p0) if p0 > 1e-30 else None
-    post1 = branch1 / np.sqrt(p1) if p1 > 1e-30 else None
-    return p0, post0, p1, post1
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +227,7 @@ def full_sweep_circuit(ham: PauliHamiltonian, eps: float, weights=None) -> Circu
 
 
 # ---------------------------------------------------------------------------
-# QASM-2 export / re-import
+# QASM-2 export (its parser, for the round trip, is in tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 _QASM_HEADER = """\
@@ -327,63 +269,3 @@ def export_qasm(circuit: Circuit) -> str:
         elif isinstance(g, ResetAncilla):
             buf.write(f"reset q[{anc}];\n")
     return buf.getvalue()
-
-
-@dataclass(frozen=True)
-class ParsedQasm:
-    num_qubits: int
-    ops: tuple[tuple, ...]  # (name, qubits, angle)
-
-
-def parse_qasm(text: str) -> ParsedQasm:
-    """Parse the exported subset back for round-trip verification."""
-    num_qubits = None
-    ops = []
-    for raw in text.splitlines():
-        line = raw.split("//")[0].strip()
-        if not line or line.startswith(("OPENQASM", "include", "creg")):
-            continue
-        if line.startswith("qreg"):
-            num_qubits = int(line[line.index("[") + 1 : line.index("]")])
-            continue
-        if not line.endswith(";"):
-            raise ConfigError(f"unterminated QASM line: {raw!r}")
-        line = line[:-1]
-        if line.startswith("measure"):
-            ops.append(("measure", (int(line[line.index("[") + 1 : line.index("]")]),), None))
-            continue
-        name, _, args = line.partition(" ")
-        angle = None
-        if name.startswith("ry("):
-            angle = float(name[3:-1]) / 2.0
-            name = "ry"
-        qubits = tuple(
-            int(tok[tok.index("[") + 1 : tok.index("]")]) for tok in args.split(",")
-        )
-        ops.append((name, qubits, angle))
-    if num_qubits is None:
-        raise ConfigError("missing qreg declaration")
-    return ParsedQasm(num_qubits, tuple(ops))
-
-
-def parsed_unitary(parsed: ParsedQasm) -> np.ndarray:
-    """Unitary of a parsed gate list (measure/reset excluded)."""
-    n = parsed.num_qubits
-    u = np.eye(1 << n, dtype=np.complex128)
-    for name, qubits, angle in parsed.ops:
-        if name in ("measure", "reset"):
-            continue
-        if name == "h":
-            g = _embed_1q(_H, qubits[0], n)
-        elif name == "s":
-            g = _embed_1q(_S, qubits[0], n)
-        elif name == "sdg":
-            g = _embed_1q(_S.conj().T, qubits[0], n)
-        elif name == "ry":
-            g = _embed_1q(_rotation(angle), qubits[0], n)
-        elif name == "cx":
-            g = _cnot_matrix(qubits[0], qubits[1], n)
-        else:
-            raise ConfigError(f"unsupported QASM gate {name!r}")
-        u = g @ u
-    return u

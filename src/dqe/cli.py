@@ -519,6 +519,12 @@ def _experiment_from_args(args, command: str, agsp_default: str = "product") -> 
                 return file_cfg[key]
         return default
 
+    def pick_int(name, default):
+        value = pick(name, default)
+        if value is None or type(value) is int:
+            return value
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
     mode = pick("agsp", agsp_default, field="agsp_mode")
     agsp_mode = _AGSP_CLI.get(mode, mode)
     if agsp_mode not in _AGSP_CLI.values():
@@ -537,13 +543,13 @@ def _experiment_from_args(args, command: str, agsp_default: str = "product") -> 
         eps=str(pick("eps", "0.2")),
         resampler=pick("resampler", "global"),
         stopping_rule=pick("stopping", "run-of-zeros:4", field="stopping_rule"),
-        time_cap=pick("time_cap", None),
-        trajectories=int(pick("trajectories", 1000)),
-        seed=int(pick("seed", 0)),
+        time_cap=pick_int("time_cap", None),
+        trajectories=pick_int("trajectories", 1000),
+        seed=pick_int("seed", 0),
         weighting=pick("weighting", "max"),
-        cheb_degree=int(pick("cheb_degree", 2)),
-        max_steps=int(pick("max_steps", 1_000_000)),
-        workers=int(pick("workers", os.cpu_count() or 1)),
+        cheb_degree=pick_int("cheb_degree", 2),
+        max_steps=pick_int("max_steps", 1_000_000),
+        workers=pick_int("workers", os.cpu_count() or 1),
         extra=extra or None,
     )
     for flag, (field, _) in _MODEL_FLAGS.items():

@@ -23,10 +23,6 @@ class DegenerateInstanceError(DqeError):
     """Instance lacks the structure an operation needs (kappa = 0, gapless spectrum)."""
 
 
-class InvalidAgspError(DqeError):
-    """Operator fails the preconditions for building an instrument from it."""
-
-
 class InvalidNoiseError(DqeError):
     """Noise model produces an instrument violating completeness or norm bounds."""
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
-    InvalidAgspError,
     ParameterError,
     ResourceLimitError,
     SingularFixedPointError,
@@ -60,39 +59,6 @@ class Instrument:
     @property
     def dimension(self) -> int:
         return self.e0.shape[0]
-
-
-def principal_sqrt_complement(e0: np.ndarray) -> np.ndarray:
-    """Principal square root of 1 - E0^dag E0.
-
-    Eigenvalues below 1e-13 are treated as exact zeros: the square root
-    would otherwise inflate eigh roundoff to the 1e-8 scale and spoil the
-    circuit-equivalence tolerance.
-    """
-    g = np.eye(e0.shape[0]) - e0.conj().T @ e0
-    g = (g + g.conj().T) / 2.0
-    w, v = np.linalg.eigh(g)
-    if w.min() < -1e-9:
-        raise InvalidAgspError(f"1 - E0^dag E0 has eigenvalue {w.min():.3e} < 0; scale the AGSP")
-    w = np.where(w < 1e-13, 0.0, w)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def make_instrument(op: np.ndarray, eps: float, resampler: str, support=None) -> Instrument:
-    """Weak measurement E0 = (1-eps)1 + eps*op with E1 completing it.
-
-    ``op`` is the (pre-weighted) Hermitian AGSP piece on ``support``: the
-    global K with no support, or a local factor kappa_v k_v on the term's
-    qubits.  eps = 1 recovers the bare AGSP Kraus pair, eps = 0 the trivial
-    instrument.
-    """
-    _check_eps(eps)
-    d = op.shape[0]
-    e0 = (1.0 - eps) * np.eye(d) + eps * op
-    if np.linalg.norm(e0, ord=2) > 1.0 + 1e-12:
-        raise InvalidAgspError("||E0|| > 1: AGSP piece must be pre-scaled below unit norm")
-    e1 = principal_sqrt_complement(e0)
-    return Instrument(e0, e1, resampler, tuple(support) if support is not None else None)
 
 
 def _check_eps(eps: float):

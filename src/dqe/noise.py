@@ -1,15 +1,16 @@
-"""Fault injection and the fault-resilience bounds.
+"""Fault injection and the fault-resilience bound.
 
-Two noise models: per-gate depolarizing applied inside the measurement
-circuit, and a direct Kraus-operator perturbation of a clean instrument with
-a transfer-norm budget.  Per-gate depolarizing is a mixture of Pauli errors
-whose probabilities do not depend on the state, so it enters twice, as the
-same channel: the sampler draws Pauli error events (``GateErrors``) and the
-oracle reads the branch transfers of a process tomography in the
-Pauli-transfer basis (``noisy_term_instrument``).  Transfers are real
-Pauli-transfer matrices (``instrument.PauliSector``'s basis); the basis is
-orthonormal in Hilbert-Schmidt space, so their operator-norm distances are
-those of any other orthonormal basis.
+The noise model is per-gate depolarizing applied inside the measurement
+circuit; a direct Kraus-operator perturbation of a clean instrument, with
+its fixed-point bound, is a test reference in tests/oracles.py.  Per-gate
+depolarizing is a mixture of Pauli errors whose probabilities do not depend
+on the state, so it enters twice, as the same channel: the sampler draws
+Pauli error events (``GateErrors``) and the oracle reads the branch
+transfers of a process tomography in the Pauli-transfer basis
+(``noisy_term_instrument``).  Transfers are real Pauli-transfer matrices
+(``instrument.PauliSector``'s basis); the basis is orthonormal in
+Hilbert-Schmidt space, so their operator-norm distances are those of any
+other orthonormal basis.
 """
 
 from __future__ import annotations
@@ -29,14 +30,12 @@ from .circuits import (
 from .errors import InvalidNoiseError, ParameterError
 from .instrument import (
     Block,
-    Instrument,
     MicroStep,
     TermInstrument,
     TransferMatrix,
     apply_blocks,
     micro_steps,
     pauli_transfer,
-    principal_sqrt_complement,
     sweep_plan,
     sweep_walk,
     trivial_sector,
@@ -54,18 +53,6 @@ class DepolarizingPerGate:
     def __post_init__(self):
         if not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.p2 <= 1.0):
             raise ParameterError("depolarizing rates must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class ChannelPerturbation:
-    """E0' = E0 + delta * direction, direction unit-normalized in transfer norm."""
-
-    delta: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.delta < 0.0:
-            raise ParameterError("delta must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -288,47 +275,7 @@ class GateErrors:
 
 
 # ---------------------------------------------------------------------------
-# Direct channel perturbation
-# ---------------------------------------------------------------------------
-
-
-def _random_hermitian_direction(dim: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + g.conj().T) / 2.0
-
-
-def perturb_instrument(inst: Instrument, model: ChannelPerturbation) -> Instrument:
-    """Shift E0 by delta along a transfer-norm-normalized Kraus direction.
-
-    E1 is recomputed as the principal complement root, so the perturbed
-    instrument satisfies completeness exactly; the perturbation must keep
-    ||E0'|| <= 1 or the noise model is rejected.  The direction acts on the
-    instrument's own qubits, so the perturbed instrument keeps its support.
-    """
-    e0 = inst.e0
-    d = e0.shape[0]
-    g = _random_hermitian_direction(d, model.seed)
-    # rho -> g rho E0^dag + E0 rho g^dag, the derivative along g, by polarization
-    d1 = pauli_transfer([e0 + g]) - pauli_transfer([e0]) - pauli_transfer([g])
-    scale = np.linalg.norm(d1, 2)
-    if scale < 1e-30:
-        raise InvalidNoiseError("degenerate perturbation direction")
-    g = g / scale
-    e0p = e0 + model.delta * g
-    if np.linalg.norm(e0p, 2) > 1.0:
-        raise InvalidNoiseError("perturbation pushes ||E0|| above 1; reduce delta")
-    e1p = principal_sqrt_complement(e0p)
-    return Instrument(e0p, e1p, inst.resampler, inst.support)
-
-
-def transfer_delta(inst_a: Instrument, inst_b: Instrument) -> float:
-    """Operator-norm distance between the success-branch transfer matrices."""
-    return float(np.linalg.norm(pauli_transfer([inst_a.e0]) - pauli_transfer([inst_b.e0]), 2))
-
-
-# ---------------------------------------------------------------------------
-# Resilience bounds
+# Resilience bound
 # ---------------------------------------------------------------------------
 
 
@@ -345,12 +292,6 @@ def resilience_bound_asymptotic(params, delta: float):
         return BoundResult(0.0, True)
     value = 1.0 - params.epsilon - 2.0 * delta / (gap - 2.0 * delta)
     return BoundResult(min(max(value, 0.0), 1.0), False)
-
-
-def fixed_point_resilience_bound(params, delta: float, dim: int, degeneracy: int) -> float:
-    """1 - ((1-Gamma)/(1-Delta) + delta)(D/N - 1) - eps - delta."""
-    ratio = (1.0 - params.gamma) / (1.0 - params.delta) if params.delta < 1.0 else 0.0
-    return 1.0 - (ratio + delta) * (dim / degeneracy - 1.0) - params.epsilon - delta
 
 
 def _noisy_steps(engine) -> list[MicroStep]:

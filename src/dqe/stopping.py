@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InternalOrderingError, ParameterError
 
 
@@ -254,36 +252,3 @@ def suggest_epsilon(ham) -> float:
     if m < 1:
         raise ParameterError("Hamiltonian has no terms")
     return 1.0 / (4 * m + 4)
-
-
-# ---------------------------------------------------------------------------
-# Synthetic-stream helpers (secretary property experiments)
-# ---------------------------------------------------------------------------
-
-
-def run_lengths_within(lengths: np.ndarray, horizon: int) -> np.ndarray:
-    """Truncate a run-length stream at a step horizon (run + trailing 1 each)."""
-    out = []
-    step = 0
-    for run in lengths:
-        run = int(run)
-        if step + run >= horizon:
-            out.append(horizon - step)
-            break
-        out.append(run)
-        step += run + 1
-        if step >= horizon:
-            break
-    return np.asarray(out, dtype=np.int64)
-
-
-def secretary_select(lengths: np.ndarray, horizon: int, coins: np.ndarray) -> int:
-    """Index of the run the secretary policy stops in, or -1 (kernel-backed)."""
-    from . import _kernels
-
-    obs = int(horizon / math.e)
-    return int(
-        _kernels.secretary_scan(
-            np.ascontiguousarray(lengths, dtype=np.int64), obs, horizon, coins
-        )
-    )

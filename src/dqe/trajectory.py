@@ -241,18 +241,11 @@ def _per_circuit(terms, build) -> list:
     return out
 
 
-def measure_observables(state, h_dense, pi0):
-    """<psi|H|psi> and <psi|Pi0|psi> for a normalized pure state, or the
-    trace forms when given a density matrix."""
-    state = np.asarray(state)
-    if state.ndim == 2:
-        return (
-            float(np.trace(h_dense @ state).real),
-            float(np.trace(pi0 @ state).real),
-        )
+def measure_observables(psi, h_dense, pi0):
+    """<psi|H|psi> and <psi|Pi0|psi> for a normalized pure state."""
     return (
-        float(np.vdot(state, h_dense @ state).real),
-        float(np.vdot(state, pi0 @ state).real),
+        float(np.vdot(psi, h_dense @ psi).real),
+        float(np.vdot(psi, pi0 @ psi).real),
     )
 
 

@@ -3,6 +3,10 @@
 These deliberately avoid the code paths they validate: the Markov chain
 oracle solves a linear system over run-length states, the rank oracle
 enumerates permutations, and the violation counter walks raw bitstrings.
+The dense constructions that ``dqe`` builds in closed form (an instrument's
+E1 by eigendecomposition, the product AGSP as a matrix, the dilation
+unitary, the measurement circuit's unitary and its QASM round trip) live
+here too, as second paths the tests compare the program against.
 """
 
 import itertools
@@ -10,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from dqe.errors import ConfigError, DqeError, InvalidNoiseError, ParameterError
 
 
 def axpb_pauli(psi, out, perm, phase, a, b):
@@ -591,3 +597,385 @@ def iterative_free_decay_overlaps(spectral, p1, steps):
             rho = apply_depolarizing(rho, words[q], p1)
         series[t] = float(np.trace(spectral.ground_projector @ rho).real)
     return series
+
+
+# ---------------------------------------------------------------------------
+# Instruments by eigendecomposition: the second path to the closed form of
+# ``dqe.instrument.TermInstrument.coefficients``
+# ---------------------------------------------------------------------------
+
+
+class InvalidAgspError(DqeError):
+    """Operator fails the preconditions for building an instrument from it."""
+
+
+def principal_sqrt_complement(e0):
+    """Principal square root of 1 - E0^dag E0.
+
+    Eigenvalues below 1e-13 are treated as exact zeros: the square root
+    would otherwise inflate eigh roundoff to the 1e-8 scale and spoil the
+    circuit-equivalence tolerance.
+    """
+    g = np.eye(e0.shape[0]) - e0.conj().T @ e0
+    g = (g + g.conj().T) / 2.0
+    w, v = np.linalg.eigh(g)
+    if w.min() < -1e-9:
+        raise InvalidAgspError(f"1 - E0^dag E0 has eigenvalue {w.min():.3e} < 0; scale the AGSP")
+    w = np.where(w < 1e-13, 0.0, w)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def make_instrument(op, eps, resampler, support=None):
+    """Weak measurement E0 = (1-eps)1 + eps*op with E1 completing it.
+
+    ``op`` is the (pre-weighted) Hermitian AGSP piece on ``support``: the
+    global K with no support, or a local factor kappa_v k_v on the term's
+    qubits.  eps = 1 recovers the bare AGSP Kraus pair, eps = 0 the trivial
+    instrument.
+    """
+    from dqe.instrument import Instrument
+
+    if not 0.0 <= eps <= 1.0:
+        raise ParameterError(f"eps must be in [0, 1], got {eps}")
+    d = op.shape[0]
+    e0 = (1.0 - eps) * np.eye(d) + eps * op
+    if np.linalg.norm(e0, ord=2) > 1.0 + 1e-12:
+        raise InvalidAgspError("||E0|| > 1: AGSP piece must be pre-scaled below unit norm")
+    e1 = principal_sqrt_complement(e0)
+    return Instrument(e0, e1, resampler, tuple(support) if support is not None else None)
+
+
+def agsp_product(ham, eps, spec=None):
+    """Ordered forward-then-reversed product of the 2m weak local factors.
+
+    K' = F_1...F_m F_m...F_1 with F_i = (1-eps)1 + eps*kappa_i*k_i, which is
+    Hermitian PSD by construction.  Claimed parameters are the leading-order
+    corollary forms; the O(eps^2) corrections are what verify_agsp measures.
+    """
+    from dqe.agsp import Agsp, AgspParams
+    from dqe.instrument import sweep_success_operator, term_instruments
+
+    if not 0.0 < eps < 1.0:
+        raise ParameterError(f"eps must be in (0, 1), got {eps}")
+    k = sweep_success_operator(term_instruments(ham, "sum"), eps)
+    m = ham.num_terms
+    if spec is not None:
+        pref = (1.0 - eps) ** (2 * m - 1)
+        params = AgspParams(
+            delta=pref * (1.0 - eps * spec.lambda1 / ham.kappa),
+            gamma=pref * (1.0 - eps * spec.lambda0 / ham.kappa),
+            epsilon=0.0,
+        )
+    else:
+        params = AgspParams(delta=1.0, gamma=1.0, epsilon=0.0)
+    return Agsp(k, params, metadata={"eps": eps})
+
+
+# ---------------------------------------------------------------------------
+# Stopped states that ``dqe.analytics`` has no command for
+# ---------------------------------------------------------------------------
+
+
+def expected_state_global(k, n):
+    """E(rho_n) = K^{2n} / tr(K^{2n}) for the globally resampled process.
+
+    Evaluated through eigenvalues in log-space, so large n cannot underflow
+    the trace: weights exp(2n log|w_i|) are normalized against the largest.
+    """
+    if n < 0:
+        raise ParameterError("n must be >= 0")
+    w, v = np.linalg.eigh((k + k.conj().T) / 2.0)
+    d = k.shape[0]
+    if n == 0:
+        return np.eye(d) / d
+    absw = np.abs(w)
+    if absw.max() <= 1e-300:
+        raise ParameterError("K = 0 has no conditioned stopped state")
+    with np.errstate(divide="ignore"):
+        loga = 2.0 * n * np.log(absw)
+    weights = np.exp(loga - loga.max())
+    rho = (v * weights) @ v.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    return rho / np.trace(rho).real
+
+
+def expected_state_schedule(success_transfers, failure_transfers, rho0):
+    """Expected stopped state under a per-position schedule of sweep channels.
+
+    Position j of every attempt (j sweeps since the last failure) applies
+    the channels (T0_j, T1_j); the process stops after n = len(lists)
+    consecutive successes.  Summing over failed attempts gives
+    E|rho_n>> = A_n (1 - sum_j T1_{j+1} A_j)^{-1} |rho0>> with
+    A_j = T0_j ... T0_1, which reduces to the W form when the schedule is
+    constant.  The state is divided by its trace, and the walk runs on the
+    transfers' sector, as in ``dqe.analytics.expected_stopped_general``.
+    """
+    from dqe.analytics import _LuSolver
+
+    n = len(success_transfers)
+    if n < 1 or len(failure_transfers) != n:
+        raise ParameterError("schedule needs matching non-empty transfer lists")
+    sector = success_transfers[0].sector
+    t0s = [t.matrix for t in success_transfers]
+    t1s = [t.matrix for t in failure_transfers]
+    d2 = t0s[0].shape[0]
+    a = np.eye(d2)
+    f = np.zeros((d2, d2))
+    for j in range(n):
+        f += t1s[j] @ a
+        a = t0s[j] @ a
+    x = _LuSolver(np.eye(d2) - f, "schedule W").solve(sector.vec(rho0))
+    rho = sector.unvec(a @ x)
+    rho = (rho + rho.conj().T) / 2.0
+    return rho / np.trace(rho).real
+
+
+# ---------------------------------------------------------------------------
+# Direct channel perturbation of a clean instrument, and its resilience bound
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ChannelPerturbation:
+    """E0' = E0 + delta * direction, direction unit-normalized in transfer norm."""
+
+    delta: float
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.delta < 0.0:
+            raise ParameterError("delta must be >= 0")
+
+
+def _random_hermitian_direction(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (g + g.conj().T) / 2.0
+
+
+def perturb_instrument(inst, model):
+    """Shift E0 by delta along a transfer-norm-normalized Kraus direction.
+
+    E1 is recomputed as the principal complement root, so the perturbed
+    instrument satisfies completeness exactly; the perturbation must keep
+    ||E0'|| <= 1 or the noise model is rejected.  The direction acts on the
+    instrument's own qubits, so the perturbed instrument keeps its support.
+    """
+    from dqe.instrument import Instrument, pauli_transfer
+
+    e0 = inst.e0
+    d = e0.shape[0]
+    g = _random_hermitian_direction(d, model.seed)
+    # rho -> g rho E0^dag + E0 rho g^dag, the derivative along g, by polarization
+    d1 = pauli_transfer([e0 + g]) - pauli_transfer([e0]) - pauli_transfer([g])
+    scale = np.linalg.norm(d1, 2)
+    if scale < 1e-30:
+        raise InvalidNoiseError("degenerate perturbation direction")
+    g = g / scale
+    e0p = e0 + model.delta * g
+    if np.linalg.norm(e0p, 2) > 1.0:
+        raise InvalidNoiseError("perturbation pushes ||E0|| above 1; reduce delta")
+    e1p = principal_sqrt_complement(e0p)
+    return Instrument(e0p, e1p, inst.resampler, inst.support)
+
+
+def transfer_delta(inst_a, inst_b):
+    """Operator-norm distance between the success-branch transfer matrices."""
+    from dqe.instrument import pauli_transfer
+
+    return float(np.linalg.norm(pauli_transfer([inst_a.e0]) - pauli_transfer([inst_b.e0]), 2))
+
+
+def fixed_point_resilience_bound(params, delta, dim, degeneracy):
+    """1 - ((1-Gamma)/(1-Delta) + delta)(D/N - 1) - eps - delta."""
+    ratio = (1.0 - params.gamma) / (1.0 - params.delta) if params.delta < 1.0 else 0.0
+    return 1.0 - (ratio + delta) * (dim / degeneracy - 1.0) - params.epsilon - delta
+
+
+# ---------------------------------------------------------------------------
+# The secretary rule on synthetic run-length streams
+# ---------------------------------------------------------------------------
+
+
+def secretary_scan(lengths, obs, horizon, coins):
+    """Step-accurate secretary policy over a stream of zero-run lengths.
+
+    Run i contributes ``lengths[i]`` zero-steps then one 1-step.  Stopping is
+    allowed at zero-steps with index > obs and <= horizon; the policy stops
+    the moment the current run strictly exceeds every completed run, with a
+    fair coin (coins[i] < 0.5 stops) when it exactly ties the record.
+    Returns the index of the run stopped in, or -1.
+    """
+    step = 0
+    best = -1
+    for i in range(lengths.shape[0]):
+        run = int(lengths[i])
+        for z in range(1, run + 1):
+            step += 1
+            if step > horizon:
+                return -1
+            if step > obs:
+                if z > best:
+                    return i
+                if z == best and coins[i] < 0.5:
+                    return i
+        step += 1
+        if step > horizon:
+            return -1
+        if run > best:
+            best = run
+    return -1
+
+
+def run_lengths_within(lengths, horizon):
+    """Truncate a run-length stream at a step horizon (run + trailing 1 each)."""
+    out = []
+    step = 0
+    for run in lengths:
+        run = int(run)
+        if step + run >= horizon:
+            out.append(horizon - step)
+            break
+        out.append(run)
+        step += run + 1
+        if step >= horizon:
+            break
+    return np.asarray(out, dtype=np.int64)
+
+
+def secretary_select(lengths, horizon, coins):
+    """Index of the run the secretary policy stops in, or -1."""
+    obs = int(horizon / math.e)
+    return int(secretary_scan(np.ascontiguousarray(lengths, dtype=np.int64), obs, horizon, coins))
+
+
+# ---------------------------------------------------------------------------
+# Dense simulation of the measurement circuits of ``dqe.circuits`` (qubit 0
+# most significant, the ancilla the last qubit), and their QASM round trip
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DilationUnitary:
+    """Block form of the measurement unitary over (ancilla) x (Pi sector)."""
+
+    matrix: np.ndarray  # 4x4, basis |a>|sector> with sector 0 = range(Pi)
+    theta: float
+    phi: float
+
+
+def dilation_unitary(kappa_v, eps):
+    """U = R_phi (x) Pi + R_theta (x) (1 - Pi) reduced to its 2x2 blocks.
+
+    (theta, phi) are the dilation angles at weight kappa_v; the |0>-row
+    blocks are the E0 eigenvalues on (Pi, 1-Pi) and the |1>-row blocks E1's.
+    """
+    from dqe.instrument import dilation_angles
+
+    theta, phi = dilation_angles(eps, kappa_v)
+    cp, sp = math.cos(phi), math.sin(phi)
+    ct, st = math.cos(theta), math.sin(theta)
+    mat = np.array(
+        [
+            [cp, 0.0, -sp, 0.0],
+            [0.0, ct, 0.0, -st],
+            [sp, 0.0, cp, 0.0],
+            [0.0, st, 0.0, ct],
+        ]
+    )
+    return DilationUnitary(mat, theta, phi)
+
+
+def circuit_unitary(circuit):
+    """Unitary of the gate list (measurements and resets excluded)."""
+    from dqe.circuits import MeasureAncilla, ResetAncilla, gate_unitary
+
+    u = np.eye(1 << circuit.num_qubits, dtype=np.complex128)
+    for g in circuit.gates:
+        if isinstance(g, (MeasureAncilla, ResetAncilla)):
+            continue
+        u = gate_unitary(g, circuit.num_qubits) @ u
+    return u
+
+
+def simulate_measurement(circuit, psi_data):
+    """Ancilla statistics of the circuit on a data state.
+
+    Returns (p0, post0, p1, post1): outcome probabilities and normalized
+    post-measurement data states (post is None for a zero-probability
+    branch).  The ancilla starts in |0> and is the least significant bit.
+    """
+    u = circuit_unitary(circuit)
+    full = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
+    full[0::2] = psi_data  # data (x) |0>_ancilla
+    out = u @ full
+    branch0 = out[0::2]
+    branch1 = out[1::2]
+    p0 = float(np.vdot(branch0, branch0).real)
+    p1 = float(np.vdot(branch1, branch1).real)
+    post0 = branch0 / np.sqrt(p0) if p0 > 1e-30 else None
+    post1 = branch1 / np.sqrt(p1) if p1 > 1e-30 else None
+    return p0, post0, p1, post1
+
+
+@dataclass(frozen=True)
+class ParsedQasm:
+    num_qubits: int
+    ops: tuple  # (name, qubits, angle)
+
+
+def parse_qasm(text):
+    """Parse the subset ``dqe.circuits.export_qasm`` writes, for round-trip
+    verification."""
+    num_qubits = None
+    ops = []
+    for raw in text.splitlines():
+        line = raw.split("//")[0].strip()
+        if not line or line.startswith(("OPENQASM", "include", "creg")):
+            continue
+        if line.startswith("qreg"):
+            num_qubits = int(line[line.index("[") + 1 : line.index("]")])
+            continue
+        if not line.endswith(";"):
+            raise ConfigError(f"unterminated QASM line: {raw!r}")
+        line = line[:-1]
+        if line.startswith("measure"):
+            ops.append(("measure", (int(line[line.index("[") + 1 : line.index("]")]),), None))
+            continue
+        name, _, args = line.partition(" ")
+        angle = None
+        if name.startswith("ry("):
+            angle = float(name[3:-1]) / 2.0
+            name = "ry"
+        qubits = tuple(
+            int(tok[tok.index("[") + 1 : tok.index("]")]) for tok in args.split(",")
+        )
+        ops.append((name, qubits, angle))
+    if num_qubits is None:
+        raise ConfigError("missing qreg declaration")
+    return ParsedQasm(num_qubits, tuple(ops))
+
+
+def parsed_unitary(parsed):
+    """Unitary of a parsed gate list (measure/reset excluded)."""
+    from dqe.circuits import _H, _S, _cnot_matrix, _embed_1q, _rotation
+
+    n = parsed.num_qubits
+    u = np.eye(1 << n, dtype=np.complex128)
+    for name, qubits, angle in parsed.ops:
+        if name in ("measure", "reset"):
+            continue
+        if name == "h":
+            g = _embed_1q(_H, qubits[0], n)
+        elif name == "s":
+            g = _embed_1q(_S, qubits[0], n)
+        elif name == "sdg":
+            g = _embed_1q(_S.conj().T, qubits[0], n)
+        elif name == "ry":
+            g = _embed_1q(_rotation(angle), qubits[0], n)
+        elif name == "cx":
+            g = _cnot_matrix(qubits[0], qubits[1], n)
+        else:
+            raise ConfigError(f"unsupported QASM gate {name!r}")
+        u = g @ u
+    return u

@@ -10,6 +10,7 @@ import pytest
 from dqe import agsp, analytics as an, circuits as cc, instrument as im, noise as nz
 from dqe import pauli, stopping as st, trajectory as tj
 
+import oracles
 from oracles import (
     chow_expected_rank_enumerated,
     column_stacked,
@@ -72,7 +73,8 @@ def test_criterion_02_stopped_state_oracle():
         engine = tj.TrajectoryEngine(cfg)
         e0 = engine.sweep_success_kraus(eps)
         stats = tj.run_ensemble(cfg, trials, engine=engine)
-        exact_ov = an.expected_overlap_global(e0, engine.pi0, n_stop)
+        state = oracles.expected_state_global(e0, n_stop)
+        exact_ov = float(np.trace(engine.pi0 @ state).real)
         exact_tau = an.expected_tau_global(e0, n_stop)
         z_ov = abs(stats.mean_overlap - exact_ov) / max(stats.stderr_overlap, 1e-30)
         z_tau = abs(stats.mean_tau - exact_tau) / max(stats.stderr_tau, 1e-30)
@@ -81,7 +83,8 @@ def test_criterion_02_stopped_state_oracle():
         params = agsp.verify_agsp(e0, engine.pi0)
         spec = engine.spectral
         for n in range(1, 9):
-            exact_n = an.expected_overlap_global(e0, engine.pi0, n)
+            state = oracles.expected_state_global(e0, n)
+            exact_n = float(np.trace(engine.pi0 @ state).real)
             bound = an.overlap_lower_bound(params, spec.dimension, spec.degeneracy, n)
             ok = ok and exact_n >= bound.value - 1e-9
         details.append(f"n={size}: z_ov={z_ov:.2f} z_tau={z_tau:.2f}")
@@ -93,7 +96,8 @@ def test_criterion_02_stopped_state_oracle():
     p = agsp.verify_agsp(k, spec2.ground_projector)
     assert p.delta / p.gamma == pytest.approx(1.0 / 9.0, abs=1e-12)
     for n in range(1, 9):
-        exact_n = an.expected_overlap_global(k, spec2.ground_projector, n)
+        state = oracles.expected_state_global(k, n)
+        exact_n = float(np.trace(spec2.ground_projector @ state).real)
         bound = 1.0 - 4.0 * (1.0 / 9.0) ** n
         all_ok = all_ok and exact_n >= bound - 1e-9
     assert _report(2, all_ok, "; ".join(details))
@@ -127,11 +131,11 @@ def test_criterion_04_general_resampling_identities():
         d = ham.dimension
         rho0 = np.eye(d) / d
         a = agsp.agsp_linear(ham, spec)
-        inst = im.make_instrument(a.operator, 0.5, "global")
+        inst = oracles.make_instrument(a.operator, 0.5, "global")
         t0g, t1g = global_pair(inst)
         for n in (1, 3, 6):
             state = an.expected_state_general(t0g, t1g, rho0, n)
-            ref = an.expected_state_global(inst.e0, n)
+            ref = oracles.expected_state_global(inst.e0, n)
             worst_reduce = max(worst_reduce, float(np.abs(state - ref).max()))
             tau = an.expected_tau_general(t0g, t1g, rho0, n)
             tau_ref = an.expected_tau_global(inst.e0, n)
@@ -139,8 +143,8 @@ def test_criterion_04_general_resampling_identities():
         # local resampling: normalization of the expected stopped state
         amax = max(abs(t.coefficient) for t in ham.terms)
         insts = [
-            im.make_instrument((abs(t.coefficient) / amax) * f.k_local, 0.2, "local", support=f.support)
-            for t, f in zip(ham.terms, a.local_factors)
+            oracles.make_instrument((abs(t.coefficient) / amax) * f.k_local, 0.2, "local", support=f.support)
+            for t, f in zip(ham.terms, im.term_instruments(ham, "sum"))
         ]
         t0l, t1l = im.sweep_transfer_product(insts, size)
         for n in (1, 4):
@@ -277,8 +281,8 @@ def test_criterion_07_optimal_stopping():
         est = int(horizon / 10) + 60
         lengths = (rng.geometric(1.0 - p0, size=est) - 1).astype(np.int64)
         coins = rng.random(est)
-        stop = st.secretary_select(lengths, horizon, coins)
-        trunc = st.run_lengths_within(lengths, horizon)
+        stop = oracles.secretary_select(lengths, horizon, coins)
+        trunc = oracles.run_lengths_within(lengths, horizon)
         runs_seen.append(len(trunc))
         if stop >= 0 and stop < len(trunc) and trunc[stop] == trunc.max():
             hits += 1
@@ -338,7 +342,7 @@ def test_criterion_08_decaying_schedule(heis2):
         t1s = [t1 for _, t1 in transfers[:n]]
         rho0 = np.eye(4) / 4
         exact = float(
-            np.trace(engine.pi0 @ an.expected_state_schedule(t0s, t1s, rho0)).real
+            np.trace(engine.pi0 @ oracles.expected_state_schedule(t0s, t1s, rho0)).real
         )
         exacts.append(exact)
         assert abs(stats.mean_overlap - exact) <= 3 * stats.stderr_overlap
@@ -371,11 +375,11 @@ def test_criterion_09_circuit_consistency(heis4):
                 circ = cc.measurement_circuit(term, eps, weight)
                 piloc = im.TermInstrument(term, weight).k_local
                 d = piloc.shape[0]
-                inst = im.make_instrument(weight * piloc, eps, "identity")
+                inst = oracles.make_instrument(weight * piloc, eps, "identity")
                 for _ in range(8):
                     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
                     psi /= np.linalg.norm(psi)
-                    p0, post0, p1, post1 = cc.simulate_measurement(circ, psi)
+                    p0, post0, p1, post1 = oracles.simulate_measurement(circ, psi)
                     e0psi = inst.e0 @ psi
                     q0 = float(np.vdot(e0psi, e0psi).real)
                     e1psi = inst.e1 @ psi
@@ -392,7 +396,7 @@ def test_criterion_09_circuit_consistency(heis4):
     worst_unitarity = 0.0
     for eps in np.linspace(0.0, 1.0, 10):
         for kv in np.linspace(0.0, 1.0, 10):
-            u = cc.dilation_unitary(kv, eps).matrix
+            u = oracles.dilation_unitary(kv, eps).matrix
             worst_unitarity = max(worst_unitarity, float(np.abs(u @ u.T - np.eye(4)).max()))
     ok = worst_stats <= 1e-10 and worst_unitarity <= 1e-12
     assert _report(
@@ -438,15 +442,15 @@ def test_criterion_10_fault_resilience():
     k = (k + k.conj().T) / 2.0
     pi = q[:, :1] @ q[:, :1].conj().T
     params = agsp.verify_agsp(k, pi)
-    inst = im.make_instrument(k, 1.0, "global")
+    inst = oracles.make_instrument(k, 1.0, "global")
     fp_ok = True
     for delta in (1e-3, 1e-2):
         for seed in (0, 1):
-            pert = nz.perturb_instrument(inst, nz.ChannelPerturbation(delta, seed=seed))
+            pert = oracles.perturb_instrument(inst, oracles.ChannelPerturbation(delta, seed=seed))
             rho = fixed_point_iterate(global_channel(pert.e0), tol=1e-12)
             overlap = float(np.trace(pi @ rho).real)
             delta_eff = 4.0 * float(np.linalg.norm(pert.e0 - inst.e0, 2))
-            bound = nz.fixed_point_resilience_bound(params, delta_eff, 8, 1)
+            bound = oracles.fixed_point_resilience_bound(params, delta_eff, 8, 1)
             fp_ok &= overlap >= bound - 1e-9
     ok = flat and baseline_ok and bool(fp_ok)
     assert _report(

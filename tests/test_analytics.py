@@ -7,6 +7,7 @@ import pytest
 from dqe import agsp, analytics as an, instrument as im, pauli, stopping, trajectory
 from dqe.errors import IllConditionedError, ParameterError
 
+import oracles
 from oracles import (
     DenseTransfer,
     column_stacked,
@@ -24,22 +25,22 @@ from oracles import (
 def _weak_global(ham, eps, spectral=None):
     spectral = spectral if spectral is not None else pauli.diagonalize(ham)
     a = agsp.agsp_linear(ham, spectral)
-    inst = im.make_instrument(a.operator, eps, "global")
+    inst = oracles.make_instrument(a.operator, eps, "global")
     t0, t1 = global_pair(inst)
     return inst, t0, t1, spectral
 
 
 def _local_sweep(ham, eps, spectral=None, weighting="max"):
     spectral = spectral if spectral is not None else pauli.diagonalize(ham)
-    a = agsp.agsp_linear(ham, spectral)
+    factors = im.term_instruments(ham, "sum")
     if weighting == "max":
         amax = max(abs(t.coefficient) for t in ham.terms)
         weights = [abs(t.coefficient) / amax for t in ham.terms]
     else:
-        weights = [f.weight for f in a.local_factors]
+        weights = [f.weight for f in factors]
     insts = [
-        im.make_instrument(w * f.k_local, eps, "local", support=f.support)
-        for w, f in zip(weights, a.local_factors)
+        oracles.make_instrument(w * f.k_local, eps, "local", support=f.support)
+        for w, f in zip(weights, factors)
     ]
     t0, t1 = im.sweep_transfer_product(insts, ham.num_qubits)
     return t0, t1, spectral
@@ -49,17 +50,17 @@ class TestGlobalFormulas:
     def test_projector_state(self):
         pi = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
         for n in (1, 3, 10):
-            rho = an.expected_state_global(pi, n)
+            rho = oracles.expected_state_global(pi, n)
             assert np.abs(rho - pi / 2).max() <= 1e-12
 
     def test_diag_example(self):
         k = np.diag([1.0, 0.5]).astype(complex)
-        rho = an.expected_state_global(k, 2)
+        rho = oracles.expected_state_global(k, 2)
         assert np.allclose(np.diag(rho).real, [1 / 1.0625, 0.0625 / 1.0625])
 
     def test_log_space_large_n(self):
         k = np.diag([0.9, 0.3]).astype(complex)
-        rho = an.expected_state_global(k, 2000)  # would underflow in linear space
+        rho = oracles.expected_state_global(k, 2000)  # would underflow in linear space
         assert np.allclose(np.diag(rho).real, [1.0, 0.0], atol=1e-12)
         assert np.trace(rho).real == pytest.approx(1.0)
 
@@ -102,7 +103,7 @@ class TestGeneralFormulas:
             rho0 = np.eye(d) / d
             for n in (1, 2, 6):
                 state_g = an.expected_state_general(t0, t1, rho0, n)
-                state_ref = an.expected_state_global(inst.e0, n)
+                state_ref = oracles.expected_state_global(inst.e0, n)
                 assert np.abs(state_g - state_ref).max() <= 1e-8
                 tau_g = an.expected_tau_general(t0, t1, rho0, n)
                 tau_ref = an.expected_tau_global(inst.e0, n)
@@ -112,8 +113,8 @@ class TestGeneralFormulas:
         spec = pauli.diagonalize(ham_z)
         a = agsp.agsp_linear(ham_z, spec)
         k = 0.8 * a.operator  # keep ||E0|| < 1 so tau is regular
-        g = im.make_instrument(k, 0.6, "global")
-        l = im.make_instrument(k, 0.6, "local", support=(0,))
+        g = oracles.make_instrument(k, 0.6, "global")
+        l = oracles.make_instrument(k, 0.6, "local", support=(0,))
         rho0 = np.eye(2) / 2
         tg0, tg1 = global_pair(g)
         tl0 = transfer_of_instrument_success(l)
@@ -184,7 +185,7 @@ class TestGeneralFormulas:
         # projector AGSP + identity resampling absorbs: the theorem's
         # condition tr(E0 o R(rho)) > 0 fails and must raise
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(p, 1.0, "identity")
+        inst = oracles.make_instrument(p, 1.0, "identity")
         t0 = transfer_of_instrument_success(inst)
         t1 = transfer_of_instrument_failure(inst, 1)
         rho0 = np.eye(2) / 2
@@ -303,7 +304,7 @@ class TestStoppedWalk:
         # so resets every qubit
         for ham in (heis3, heis4):
             t0, t1, engine = _engine_transfers(ham, resampler, 0.3, mode)
-            inst = im.make_instrument(engine.k_global, 0.3, resampler)
+            inst = oracles.make_instrument(engine.k_global, 0.3, resampler)
             r0 = transfer_of_instrument_success(inst).matrix
             r1 = transfer_of_instrument_failure(inst).matrix
             rho0 = np.eye(engine.dim) / engine.dim
@@ -350,7 +351,7 @@ class TestStoppedWalk:
         assert overlaps[4:] == pytest.approx(expected, abs=1e-6)
         assert table[-1].trace_defect > 1e-6
         # the schedule oracle divides by its trace too
-        sched = an.expected_state_schedule([t0] * 9, [t1] * 9, np.eye(8) / 8)
+        sched = oracles.expected_state_schedule([t0] * 9, [t1] * 9, np.eye(8) / 8)
         assert float(np.trace(engine.pi0 @ sched).real) == pytest.approx(expected[-1], abs=1e-6)
 
 
@@ -360,23 +361,22 @@ class TestScheduleOracle:
         rho0 = np.eye(4) / 4
         n = 4
         ref = an.expected_state_general(t0, t1, rho0, n)
-        sched = an.expected_state_schedule([t0] * n, [t1] * n, rho0)
+        sched = oracles.expected_state_schedule([t0] * n, [t1] * n, rho0)
         assert np.abs(ref - sched).max() <= 1e-10
 
-    def test_schedule_state_normalized(self, heis2, spec2):
-        a = agsp.agsp_linear(heis2, spec2)
+    def test_schedule_state_normalized(self, heis2):
         rho0 = np.eye(4) / 4
         t0s, t1s = [], []
         for j in range(1, 5):
             eps_j = 0.0625 / j
             insts = [
-                im.make_instrument(f.weight * f.k_local, eps_j, "global", support=f.support)
-                for f in a.local_factors
+                oracles.make_instrument(f.weight * f.k_local, eps_j, "global", support=f.support)
+                for f in im.term_instruments(heis2, "sum")
             ]
             t0, t1 = im.sweep_transfer_product(insts, 2)
             t0s.append(t0)
             t1s.append(t1)
-        rho = an.expected_state_schedule(t0s, t1s, rho0)
+        rho = oracles.expected_state_schedule(t0s, t1s, rho0)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
 
     def test_criterion_08_exact_values_kept(self, heis2):
@@ -391,7 +391,7 @@ class TestScheduleOracle:
         expected = {2: 0.43670124563598933, 4: 0.5112643631745406,
                     6: 0.5575030853710854, 8: 0.5905489039685324}
         for n, value in expected.items():
-            rho = an.expected_state_schedule(
+            rho = oracles.expected_state_schedule(
                 [t0 for t0, _ in transfers[:n]], [t1 for _, t1 in transfers[:n]], np.eye(4) / 4
             )
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
@@ -416,24 +416,10 @@ class TestBounds:
                 inst, _, _, _ = _weak_global(ham, eps, spec)
                 params = agsp.verify_agsp(inst.e0, spec.ground_projector)
                 for n in range(1, 9):
-                    exact = an.expected_overlap_global(inst.e0, spec.ground_projector, n)
+                    state = oracles.expected_state_global(inst.e0, n)
+                    exact = float(np.trace(spec.ground_projector @ state).real)
                     bound = an.overlap_lower_bound(params, spec.dimension, spec.degeneracy, n)
                     assert exact >= bound.value - 1e-9
-
-    def test_depth_estimate(self):
-        params = agsp.AgspParams(delta=1.0 / 9.0, gamma=1.0, epsilon=0.0)
-        assert an.depth_estimate(params, 4, 1, 1e-3) == 4
-        assert an.depth_estimate(params, 4, 1, 5.0) == 0
-        with pytest.raises(ParameterError):
-            an.depth_estimate(agsp.AgspParams(0.5, 0.5, 0.0), 4, 1, 1e-3)
-
-    def test_depth_grows_linearly_in_qubits(self):
-        params = agsp.AgspParams(delta=1.0 / 9.0, gamma=1.0, epsilon=0.0)
-        depths = [an.depth_estimate(params, 2**n, 1, 1e-6) for n in (4, 8, 12)]
-        assert depths[0] <= depths[1] <= depths[2]
-        # log D growth: 8 extra qubits add 8 log(2)/log(9) to the exact value,
-        # so the integer depths differ by that within ceil rounding
-        assert abs(depths[2] - depths[0] - 8 * np.log(2) / np.log(9)) <= 1.0
 
     def test_fixed_point_bound_remarks(self):
         one = agsp.AgspParams(delta=0.3, gamma=1.0, epsilon=0.0)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dqe import circuits as cc, instrument as im, pauli
 from dqe.errors import ConfigError, ParameterError
 
+import oracles
 from oracles import brute_force_chromatic
 from test_instrument import pauli_hamiltonians
 
@@ -16,12 +17,12 @@ def _check_term_against_instrument(term, eps, weight, rng, samples=12):
     circ = cc.measurement_circuit(term, eps, weight)
     piloc = im.TermInstrument(term, weight).k_local
     d = piloc.shape[0]
-    inst = im.make_instrument(weight * piloc, eps, "identity")
+    inst = oracles.make_instrument(weight * piloc, eps, "identity")
     worst = 0.0
     for _ in range(samples):
         psi = rng.normal(size=d) + 1j * rng.normal(size=d)
         psi /= np.linalg.norm(psi)
-        p0, post0, p1, post1 = cc.simulate_measurement(circ, psi)
+        p0, post0, p1, post1 = oracles.simulate_measurement(circ, psi)
         e0psi = inst.e0 @ psi
         q0 = float(np.vdot(e0psi, e0psi).real)
         e1psi = inst.e1 @ psi
@@ -36,28 +37,28 @@ def _check_term_against_instrument(term, eps, weight, rng, samples=12):
 
 class TestDilation:
     def test_angles(self):
-        d = cc.dilation_unitary(0.5, 0.2)
+        d = oracles.dilation_unitary(0.5, 0.2)
         assert d.theta == pytest.approx(np.arccos(0.8))
         assert d.phi == pytest.approx(np.arccos(0.9))
 
     def test_kappa_one_simplifies(self):
-        assert cc.dilation_unitary(1.0, 0.37).phi == pytest.approx(0.0)
+        assert oracles.dilation_unitary(1.0, 0.37).phi == pytest.approx(0.0)
 
     def test_eps_zero_identity(self):
-        d = cc.dilation_unitary(0.3, 0.0)
+        d = oracles.dilation_unitary(0.3, 0.0)
         assert np.abs(d.matrix - np.eye(4)).max() <= 1e-12
 
     def test_unitarity_grid(self):
         worst = 0.0
         for eps in np.linspace(0.0, 1.0, 10):
             for kv in np.linspace(0.0, 1.0, 10):
-                u = cc.dilation_unitary(kv, eps).matrix
+                u = oracles.dilation_unitary(kv, eps).matrix
                 worst = max(worst, np.abs(u @ u.T - np.eye(4)).max())
         assert worst <= 1e-12
 
     def test_row_blocks_are_instrument_eigenvalues(self):
         eps, kv = 0.2, 0.5
-        d = cc.dilation_unitary(kv, eps)
+        d = oracles.dilation_unitary(kv, eps)
         # |0>-row blocks: E0 eigenvalues on (Pi, 1-Pi); |1>-row blocks: E1's
         assert d.matrix[0, 0] == pytest.approx(1 - eps * (1 - kv))
         assert d.matrix[1, 1] == pytest.approx(1 - eps)
@@ -68,7 +69,7 @@ class TestDilation:
     def test_small_eps_relative_accuracy(self, eps):
         # acos(1 - eps) loses eps below the spacing of doubles near 1
         kv = 0.5
-        d = cc.dilation_unitary(kv, eps)
+        d = oracles.dilation_unitary(kv, eps)
         e_in = eps * (1 - kv)
         assert math.sin(d.theta) == pytest.approx(np.sqrt(eps * (2 - eps)), rel=1e-12, abs=0)
         assert math.sin(d.phi) == pytest.approx(np.sqrt(e_in * (2 - e_in)), rel=1e-12, abs=0)
@@ -80,7 +81,7 @@ class TestMeasurementCircuit:
         circ = cc.measurement_circuit(term, 1.0, 1.0)
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi /= np.linalg.norm(psi)
-        p0, post0, p1, post1 = cc.simulate_measurement(circ, psi)
+        p0, post0, p1, post1 = oracles.simulate_measurement(circ, psi)
         # ground of +Z is |1>: outcome 0 projects onto it
         assert p0 == pytest.approx(abs(psi[1]) ** 2, abs=1e-12)
         if post0 is not None:
@@ -233,9 +234,9 @@ class TestQasm:
             term = pauli.PauliTerm(1.0, pauli.PauliString(factors))
             circ = cc.measurement_circuit(term, eps, w)
             text = cc.export_qasm(circ)
-            parsed = cc.parse_qasm(text)
-            u1 = cc.circuit_unitary(circ)
-            u2 = cc.parsed_unitary(parsed)
+            parsed = oracles.parse_qasm(text)
+            u1 = oracles.circuit_unitary(circ)
+            u2 = oracles.parsed_unitary(parsed)
             assert np.abs(u1 - u2).max() <= 1e-10
 
     @settings(max_examples=100, derandomize=True, deadline=None)
@@ -247,12 +248,12 @@ class TestQasm:
     def test_sweep_round_trip(self, ham, eps, weighting):
         # a whole sweep on at most 4 qubits survives export and re-import
         circ = cc.full_sweep_circuit(ham, eps, im.term_weights(ham, weighting))
-        parsed = cc.parse_qasm(cc.export_qasm(circ))
+        parsed = oracles.parse_qasm(cc.export_qasm(circ))
         assert parsed.num_qubits == circ.num_qubits == ham.num_qubits + 1
-        assert np.abs(cc.parsed_unitary(parsed) - cc.circuit_unitary(circ)).max() <= 1e-12
+        assert np.abs(oracles.parsed_unitary(parsed) - oracles.circuit_unitary(circ)).max() <= 1e-12
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ConfigError):
-            cc.parse_qasm("OPENQASM 2.0;\nqreg q[2];\nh q[0]")  # missing semicolon
+            oracles.parse_qasm("OPENQASM 2.0;\nqreg q[2];\nh q[0]")  # missing semicolon
         with pytest.raises(ConfigError):
-            cc.parse_qasm("h q[0];\n")  # no qreg
+            oracles.parse_qasm("h q[0];\n")  # no qreg

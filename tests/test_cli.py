@@ -468,7 +468,7 @@ class TestCircuitCommand:
         out = capsys.readouterr().out
         assert "OPENQASM 2.0;" in out
         assert "measure" in out
-        from dqe.circuits import parse_qasm
+        from oracles import parse_qasm
 
         parse_qasm(out.split("// config_hash:")[0] + out.split("\n", 1)[1])
 
@@ -628,6 +628,23 @@ class TestConfigReplay:
         defaulted = parse(["analytics", "--config", str(path)])
         assert cli._experiment_from_args(defaulted, "analytics").hash() == "e54958c7e4835a5c"
         assert defaulted.n_values == "1..8"
+
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("run", "time_cap", "50"),
+            ("ensemble", "trajectories", "abc"),
+            ("run", "seed", "7"),
+            ("run", "max_steps", 2.5),
+            ("run", "cheb_degree", "3"),
+            ("run", "workers", True),
+        ],
+    )
+    def test_non_integer_field_is_a_config_error(self, command, field, value, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"system": {"builder": "heisenberg", "n": 2}, field: value}))
+        assert run_cli([command, "--config", str(path)]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
 
 
 class TestBrokenPipe:

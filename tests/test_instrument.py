@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dqe import _kernels, agsp, analytics as an, circuits as cc, instrument as im, pauli
+from dqe import _kernels, agsp, analytics as an, instrument as im, pauli
 from dqe import stopping as stp, trajectory as tj
-from dqe.errors import InvalidAgspError, ParameterError, SingularFixedPointError
+from dqe.errors import ParameterError, SingularFixedPointError
 
 import oracles
 from oracles import (
@@ -43,19 +43,19 @@ def _rand_density(rng, d):
 class TestMakeInstrument:
     def test_projective_limit(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(p, 1.0, "global")
+        inst = oracles.make_instrument(p, 1.0, "global")
         assert np.allclose(inst.e0, p)
         assert np.allclose(inst.e1, np.eye(2) - p)
 
     def test_trivial_limit(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(p, 0.0, "global")
+        inst = oracles.make_instrument(p, 0.0, "global")
         assert np.allclose(inst.e0, np.eye(2))
         assert np.allclose(inst.e1, 0.0)
 
     def test_weighted_weak_eigenvalues(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(0.5 * p, 0.2, "global")
+        inst = oracles.make_instrument(0.5 * p, 0.2, "global")
         assert sorted(np.linalg.eigvalsh(inst.e0)) == pytest.approx([0.8, 0.9])
         expected = sorted([np.sqrt(1 - 0.81), np.sqrt(1 - 0.64)])
         assert sorted(np.linalg.eigvalsh(inst.e1)) == pytest.approx(expected)
@@ -63,18 +63,18 @@ class TestMakeInstrument:
     def test_completeness(self, heis3, spec3):
         a = agsp.agsp_linear(heis3, spec3)
         for eps in (0.1, 0.5, 1.0):
-            inst = im.make_instrument(a.operator, eps, "global")
+            inst = oracles.make_instrument(a.operator, eps, "global")
             comp = inst.e0.conj().T @ inst.e0 + inst.e1.conj().T @ inst.e1
             assert np.abs(comp - np.eye(8)).max() <= 1e-10
             assert np.linalg.norm(inst.e0, 2) <= 1.0 + 1e-12
 
     def test_overscaled_rejected(self):
-        with pytest.raises(InvalidAgspError):
-            im.make_instrument(2.0 * np.eye(2), 1.0, "global")
+        with pytest.raises(oracles.InvalidAgspError):
+            oracles.make_instrument(2.0 * np.eye(2), 1.0, "global")
 
     def test_eps_out_of_range(self):
         with pytest.raises(ParameterError):
-            im.make_instrument(np.eye(2), 1.5, "global")
+            oracles.make_instrument(np.eye(2), 1.5, "global")
 
 
 @st.composite
@@ -124,7 +124,7 @@ class TestTermInstrument:
         # completeness
         assert np.abs(e0.conj().T @ e0 + e1.conj().T @ e1 - eye).max() <= 1e-12
         # the eigh path
-        ref = im.make_instrument(weight * inst.k_local, eps, "identity")
+        ref = oracles.make_instrument(weight * inst.k_local, eps, "identity")
         assert np.abs(e0 - ref.e0).max() <= 1e-12
         _assert_roots_close(e1, ref.e1, lam)
         # the engine's affine update and closed-form branch weights equal
@@ -146,7 +146,7 @@ class TestTermInstrument:
                 float(np.vdot(ref_out, ref_out).real), abs=1e-12
             )
         # dilation rows: E0 and E1 eigenvalues on (range k_v, its complement)
-        u = cc.dilation_unitary(weight, eps).matrix
+        u = oracles.dilation_unitary(weight, eps).matrix
         k, rest = inst.k_local, eye - inst.k_local
         assert np.abs(e0 - (u[0, 0] * k + u[1, 1] * rest)).max() <= 1e-12
         _assert_roots_close(e1, u[2, 0] * k + u[3, 1] * rest, lam)
@@ -212,7 +212,7 @@ class TestApplySampled:
         # P(0) on |+> from 2x2 arithmetic, checked against 1e5 samples
         eps = 0.2
         pi = np.diag([0.0, 1.0]).astype(complex)  # ground of +Z
-        inst = im.make_instrument(pi, eps, "global")
+        inst = oracles.make_instrument(pi, eps, "global")
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
         p0 = float(np.vdot(inst.e0 @ plus, inst.e0 @ plus).real)
         term = pauli.PauliTerm(1.0, pauli.PauliString("Z"))
@@ -227,7 +227,7 @@ class TestApplySampled:
         term = pauli.PauliTerm(1.0, pauli.PauliString("ZI"))
         weight, eps = 0.8, 0.7
         k_local = (np.eye(2) - pauli.PauliString("Z").to_matrix()) / 2.0
-        inst = im.make_instrument(weight * k_local, eps, "local", support=(0,))
+        inst = oracles.make_instrument(weight * k_local, eps, "local", support=(0,))
         psi = _rand_state(rng, 4)
         rho0 = np.outer(psi, psi.conj())
         t0 = transfer_of_instrument_success(inst, 2).matrix
@@ -271,7 +271,7 @@ class TestTransfer:
 
     def test_spectral_radius_trace_non_increasing(self, heis2, spec2):
         a = agsp.agsp_linear(heis2, spec2)
-        inst = im.make_instrument(a.operator, 0.5, "global")
+        inst = oracles.make_instrument(a.operator, 0.5, "global")
         t0 = transfer_of_instrument_success(inst)
         radius = np.abs(np.linalg.eigvals(t0.matrix)).max()
         assert radius <= 1.0 + 1e-9
@@ -286,23 +286,22 @@ class TestTransfer:
 
     def test_failure_probability_zero_on_top_eigenspace(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(p, 1.0, "global")
+        inst = oracles.make_instrument(p, 1.0, "global")
         t1 = transfer_of_instrument_failure(inst)
         rho = np.diag([1.0, 0.0]).astype(complex)
         assert np.trace(t1.apply(rho)).real <= 1e-12
 
     def test_sum_trace_preserving(self, heis2, spec2):
         a = agsp.agsp_linear(heis2, spec2)
-        inst = im.make_instrument(a.operator, 0.5, "global")
+        inst = oracles.make_instrument(a.operator, 0.5, "global")
         t0 = transfer_of_instrument_success(inst).matrix
         t1 = transfer_of_instrument_failure(inst).matrix
         row = trace_row(4)
         assert np.abs(row @ (t0 + t1) - row).max() <= 1e-10
 
-    def test_local_failure_trace_preserving_sum(self, heis3, spec3):
-        a = agsp.agsp_linear(heis3, spec3)
-        f = a.local_factors[0]
-        inst = im.make_instrument(f.weight * f.k_local, 0.3, "local", support=f.support)
+    def test_local_failure_trace_preserving_sum(self, heis3):
+        f = im.term_instruments(heis3, "sum")[0]
+        inst = oracles.make_instrument(f.weight * f.k_local, 0.3, "local", support=f.support)
         t0 = transfer_of_instrument_success(inst, 3).matrix
         t1 = transfer_of_instrument_failure(inst, 3).matrix
         row = trace_row(8)
@@ -386,7 +385,7 @@ class TestPopulationChain:
         # a support-less "local" instrument resets every qubit, as "global"
         a = agsp.agsp_linear(heis3, spec3)
         t0, t1 = im.population_chain(0.7 + 0.3 * a.values, spec3.eigenvectors, resampler)
-        inst = im.make_instrument(a.operator, 0.3, resampler)
+        inst = oracles.make_instrument(a.operator, 0.3, resampler)
         r0, r1 = transfer_of_instrument_success(inst), transfer_of_instrument_failure(inst)
         rho = t0.sector.unvec(rng.dirichlet(np.ones(8)))
         assert np.abs(t0.apply(rho) - r0.apply(rho)).max() <= 1e-13
@@ -404,21 +403,19 @@ class TestPopulationChain:
 
 
 class TestSweepTransfers:
-    def test_product_sweep_trace_preserving(self, heis3, spec3):
-        a = agsp.agsp_linear(heis3, spec3)
+    def test_product_sweep_trace_preserving(self, heis3):
         insts = [
-            im.make_instrument(f.weight * f.k_local, 0.2, "local", support=f.support)
-            for f in a.local_factors
+            oracles.make_instrument(f.weight * f.k_local, 0.2, "local", support=f.support)
+            for f in im.term_instruments(heis3, "sum")
         ]
         t0, t1 = im.sweep_transfer_product(insts, 3)
         row = trace_row(8)
         assert np.abs(row @ (column_stacked(t0) + column_stacked(t1)) - row).max() <= 1e-9
 
-    def test_mixture_sweep_trace_preserving(self, heis2, spec2):
-        a = agsp.agsp_linear(heis2, spec2)
+    def test_mixture_sweep_trace_preserving(self, heis2):
         insts = [
-            im.make_instrument(f.weight * f.k_local, 0.2, "global", support=f.support)
-            for f in a.local_factors
+            oracles.make_instrument(f.weight * f.k_local, 0.2, "global", support=f.support)
+            for f in im.term_instruments(heis2, "sum")
         ]
         t0, t1 = im.sweep_transfer_mixture(insts, 2)
         row = trace_row(4)

@@ -243,15 +243,15 @@ class TestSecretaryScanSemantics:
         coins = np.ones(4)  # coins >= 0.5: never stop on ties
         # observation covers the first run only; run 1 (length 5) is the
         # first record encountered afterwards
-        stop = _kernels.secretary_scan(lengths, 3, 100, coins)
+        stop = oracles.secretary_scan(lengths, 3, 100, coins)
         assert stop == 1
 
     def test_tie_coin(self):
         lengths = np.array([3, 3, 4], dtype=np.int64)
-        stop_heads = _kernels.secretary_scan(
+        stop_heads = oracles.secretary_scan(
             lengths, 4, 100, np.array([0.0, 0.0, 0.0])
         )
-        stop_tails = _kernels.secretary_scan(
+        stop_tails = oracles.secretary_scan(
             lengths, 4, 100, np.array([1.0, 1.0, 1.0])
         )
         assert stop_heads == 1  # tie at length 3 accepted by the coin
@@ -259,5 +259,5 @@ class TestSecretaryScanSemantics:
 
     def test_horizon_exhausted(self):
         lengths = np.array([1, 1, 1], dtype=np.int64)
-        stop = _kernels.secretary_scan(lengths, 100, 100, np.ones(3))
+        stop = oracles.secretary_scan(lengths, 100, 100, np.ones(3))
         assert stop == -1

@@ -8,6 +8,7 @@ from dqe import agsp, analytics as an, circuits, instrument as im, noise as nz, 
 from dqe import stopping as st, trajectory as tj
 from dqe.errors import InvalidNoiseError
 
+import oracles
 from oracles import (
     DenseTransfer,
     apply_on_axes,
@@ -247,28 +248,28 @@ class TestGateErrors:
 class TestChannelPerturbation:
     def _clean_instrument(self):
         k = np.diag([0.9, 0.85, 0.3, 0.2]).astype(complex)
-        return im.make_instrument(k, 1.0, "global")
+        return oracles.make_instrument(k, 1.0, "global")
 
     def test_zero_delta_identity(self):
         inst = self._clean_instrument()
-        pert = nz.perturb_instrument(inst, nz.ChannelPerturbation(0.0, seed=3))
+        pert = oracles.perturb_instrument(inst, oracles.ChannelPerturbation(0.0, seed=3))
         assert np.abs(pert.e0 - inst.e0).max() <= 1e-15
 
     def test_perturbed_completeness_and_size(self):
         inst = self._clean_instrument()
         for delta in (1e-3, 1e-2):
-            pert = nz.perturb_instrument(inst, nz.ChannelPerturbation(delta, seed=5))
+            pert = oracles.perturb_instrument(inst, oracles.ChannelPerturbation(delta, seed=5))
             comp = pert.e0.conj().T @ pert.e0 + pert.e1.conj().T @ pert.e1
             assert np.abs(comp - np.eye(4)).max() <= 1e-8
-            measured = nz.transfer_delta(inst, pert)
+            measured = oracles.transfer_delta(inst, pert)
             assert measured == pytest.approx(delta, rel=0.2)
 
     def test_perturbed_local_instrument_declares_no_support(self):
         # the direction acts on the instrument's own qubit, so the perturbed
         # pair keeps its support and the sweep equals the padded reference
         k = np.diag([0.9, 0.3]).astype(complex)
-        inst = im.make_instrument(k, 0.5, "global", support=(1,))
-        pert = nz.perturb_instrument(inst, nz.ChannelPerturbation(1e-2, seed=2))
+        inst = oracles.make_instrument(k, 0.5, "global", support=(1,))
+        pert = oracles.perturb_instrument(inst, oracles.ChannelPerturbation(1e-2, seed=2))
         assert pert.support == (1,) and pert.e0.shape == (2, 2)
         assert np.abs(pert.e0 - inst.e0).max() > 1e-4
         t0, _ = im.sweep_transfer_product([pert], 2)
@@ -277,9 +278,9 @@ class TestChannelPerturbation:
 
     def test_norm_guard(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        inst = im.make_instrument(p, 1.0, "global")
+        inst = oracles.make_instrument(p, 1.0, "global")
         with pytest.raises(InvalidNoiseError):
-            nz.perturb_instrument(inst, nz.ChannelPerturbation(0.3, seed=1))
+            oracles.perturb_instrument(inst, oracles.ChannelPerturbation(0.3, seed=1))
 
 
 class TestBounds:
@@ -294,9 +295,9 @@ class TestBounds:
 
     def test_fixed_point_examples(self):
         params = agsp.AgspParams(delta=0.3, gamma=1.0, epsilon=0.0)
-        assert nz.fixed_point_resilience_bound(params, 0.01, 4, 1) == pytest.approx(0.96)
+        assert oracles.fixed_point_resilience_bound(params, 0.01, 4, 1) == pytest.approx(0.96)
         clean = agsp.AgspParams(delta=0.3, gamma=0.9, epsilon=0.0)
-        assert nz.fixed_point_resilience_bound(clean, 0.0, 8, 2) == pytest.approx(
+        assert oracles.fixed_point_resilience_bound(clean, 0.0, 8, 2) == pytest.approx(
             an.fixed_point_overlap_bound(clean, 8, 2), abs=0.2
         )
 
@@ -307,16 +308,16 @@ class TestBounds:
         k = (q * vals) @ q.conj().T
         pi = q[:, :1] @ q[:, :1].conj().T
         params = agsp.verify_agsp(k, pi)
-        inst = im.make_instrument(k, 1.0, "global")
+        inst = oracles.make_instrument(k, 1.0, "global")
         for delta in (1e-3, 1e-2):
             for seed in (0, 1, 2):
-                pert = nz.perturb_instrument(inst, nz.ChannelPerturbation(delta, seed=seed))
+                pert = oracles.perturb_instrument(inst, oracles.ChannelPerturbation(delta, seed=seed))
                 channel = global_channel(pert.e0)
                 rho = fixed_point_iterate(channel, tol=1e-12)
                 overlap = float(np.trace(pi @ rho).real)
                 # ||E' - E||_1 <= 4 ||E0' - E0||, a valid rate for the theorem
                 delta_eff = 4.0 * float(np.linalg.norm(pert.e0 - inst.e0, 2))
-                bound = nz.fixed_point_resilience_bound(params, delta_eff, 8, 1)
+                bound = oracles.fixed_point_resilience_bound(params, delta_eff, 8, 1)
                 assert overlap >= bound - 1e-9
 
 

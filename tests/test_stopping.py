@@ -6,6 +6,7 @@ import pytest
 from dqe import stopping as st
 from dqe.errors import InternalOrderingError, ParameterError
 
+import oracles
 from oracles import chow_expected_rank_enumerated, geometric_run_stream, longest_zero_run
 
 
@@ -164,7 +165,7 @@ class TestSyntheticStreams:
             lengths = rng.permutation(np.arange(1, n_runs + 1) * 2).astype(np.int64)
             horizon = int(lengths.sum() + n_runs)
             coins = rng.random(n_runs)
-            stop_kernel = st.secretary_select(lengths, horizon, coins)
+            stop_kernel = oracles.secretary_select(lengths, horizon, coins)
             tracker = st.RuleTracker(st.Secretary(horizon), np.random.default_rng(1))
             stop_tracker = -1
             step = 0
