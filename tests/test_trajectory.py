@@ -1,9 +1,12 @@
+import copy
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from dqe import analytics as an, instrument as im, noise as nz, pauli, stopping as st
 from dqe import trajectory as tj
@@ -423,15 +426,29 @@ class TestSilentFallbacks:
         ts.rng = _StubRng(u=2.0, index=index)  # u >= p0: the failure branch
         return ts
 
-    def test_clean_local_p1_underflow_resets(self, heis2):
+    @pytest.mark.parametrize("segmented", [False, True], ids=["micro", "segment"])
+    def test_clean_local_p1_underflow_resets(self, heis2, segmented):
         engine = tj.TrajectoryEngine(_cfg(heis2, agsp_mode="product-sweep", resampler="local"))
+        assert engine.segmented
+        engine.segmented = segmented
         term = engine.terms[0]
         assert term.term.string.factors == "XX" and term.weight == 1.0
         # the XX = -1 state is where the weight-1 E0 is the identity: p1 = 0
         psi = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
         ts = self._state(engine, psi, index=3)
-        assert tj._measure_term_clean(ts, term, term.branch_row(0.3), "local") == 1
-        assert np.array_equal(ts.psi, np.eye(4)[3])
+        # one sweep: the first micro-measurement fails and resets to index 3,
+        # the other five succeed; the local resampler's draws would empty
+        # the queues early
+        ts.rng = _QueuedRng(uniforms=[2.0] + [0.0] * 5, integers=[3])
+        assert engine.sweep_order[0] == 0
+        assert tj._run_sweep(ts, engine, 0.3) == 1
+        assert not ts.rng.uniforms and not ts.rng.ints
+        expected = np.eye(4, dtype=complex)[3]
+        for v in engine.sweep_order[1:]:
+            a0, b0, _, _ = engine.terms[v].coefficients(0.3)
+            expected = a0 * expected + b0 * (engine.terms[v].term.string.to_matrix() @ expected)
+        expected /= np.linalg.norm(expected)
+        assert np.abs(ts.psi - expected).max() <= 1e-14
 
     @pytest.mark.parametrize(
         "kraus0,kraus1",
@@ -655,3 +672,125 @@ class TestPinnedRecords:
             )
             assert rec.final_energy == pytest.approx(energy, abs=1e-12)
             assert rec.final_overlap == pytest.approx(overlap, abs=1e-12)
+
+
+@hst.composite
+def _pauli_hamiltonians(draw):
+    """1..5 terms of any weight on 1..4 qubits, real or complex."""
+    n = draw(hst.integers(1, 4))
+    factors = hst.text("IXYZ", min_size=n, max_size=n)
+    coeff = hst.floats(0.05, 2.0) | hst.floats(0.05, 2.0).map(lambda c: -c)
+    terms = draw(hst.lists(hst.tuples(factors, coeff), min_size=1, max_size=5))
+    return pauli.PauliHamiltonian(
+        n, tuple(pauli.PauliTerm(c, pauli.PauliString(f)) for f, c in terms)
+    )
+
+
+def _product_engine(ham, eps, resampler):
+    return tj.TrajectoryEngine(tj.RunConfig(
+        ham, agsp_mode="product-sweep", schedule=st.EpsilonSchedule.constant(eps),
+        resampler=resampler, rule=st.FirstRunOfZeros(3),
+    ))
+
+
+class TestSegmentSampler:
+    """The segment sampler against the per-micro loop it replaces."""
+
+    SWEEPS = 200
+
+    def _twin_sweeps(self, engine, eps, seed):
+        assert engine.segmented
+        micro = copy.copy(engine)
+        micro.segmented = False
+        a = tj._TrajectoryState(engine, np.random.SeedSequence(seed))
+        b = tj._TrajectoryState(micro, np.random.SeedSequence(seed))
+        assert np.array_equal(a.psi, b.psi)
+        for _ in range(self.SWEEPS):
+            assert tj._run_sweep(a, engine, eps) == tj._run_sweep(b, micro, eps)
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state
+            assert np.abs(a.psi - b.psi).max() <= 1e-12
+
+    @pytest.mark.parametrize("resampler", ["global", "local", "identity"])
+    @pytest.mark.parametrize("name", ["heisenberg-3", "heisenberg-4", "heisenberg-5", "witness"])
+    def test_twin_sweeps(self, name, resampler):
+        ham = _witness() if name == "witness" else pauli.build_heisenberg_chain(int(name[-1]))
+        self._twin_sweeps(_product_engine(ham, 0.3, resampler), 0.3, seed=11)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(
+        ham=_pauli_hamiltonians(),
+        eps=hst.floats(0.0, 1.0, exclude_min=True),
+        resampler=hst.sampled_from(("global", "local", "identity")),
+        seed=hst.integers(0, 2**16),
+    )
+    def test_twin_sweeps_random_hamiltonians(self, ham, eps, resampler, seed):
+        self._twin_sweeps(_product_engine(ham, eps, resampler), eps, seed)
+
+    @pytest.mark.parametrize(
+        "case,segmented",
+        [
+            ("clean", True),
+            ("mixture", False),
+            ("decaying", False),
+            ("gate-noise", False),
+            ("heisenberg-6", False),
+            ("many-terms", False),
+        ],
+    )
+    def test_path_selection(self, heis4, monkeypatch, case, segmented):
+        cfg = tj.RunConfig(heis4, schedule=st.EpsilonSchedule.constant(0.3),
+                           rule=st.FirstRunOfZeros(3), max_steps=50)
+        if case == "mixture":
+            cfg = replace(cfg, agsp_mode="mixture-random")
+        elif case == "decaying":
+            cfg = replace(cfg, schedule=st.EpsilonSchedule.decaying(0.3))
+        elif case == "gate-noise":
+            cfg = replace(cfg, noise=nz.DepolarizingPerGate(1e-3, 1e-3))
+        elif case == "heisenberg-6":
+            cfg = replace(cfg, hamiltonian=pauli.build_heisenberg_chain(6))
+        elif case == "many-terms":
+            # 40 terms on 5 qubits: 80 blocks per sweep put the stacks above
+            # the byte ceiling at D = 32
+            strings = ["".join(p if q == i else r if q == j else "I" for q in range(5))
+                       for i, j in itertools.combinations(range(5), 2)
+                       for p in "XZ" for r in "XZ"]
+            terms = tuple(pauli.PauliTerm(1.0, pauli.PauliString(f)) for f in strings)
+            cfg = replace(cfg, hamiltonian=pauli.PauliHamiltonian(5, terms))
+        engine = tj.TrajectoryEngine(cfg)
+        assert engine.segmented == segmented
+        calls = {"segments": 0, "micro": 0}
+        segments, clean = tj._sweep_segments, tj._measure_term_clean
+
+        def spy_segments(*args):
+            calls["segments"] += 1
+            return segments(*args)
+
+        def spy_clean(*args):
+            calls["micro"] += 1
+            return clean(*args)
+
+        monkeypatch.setattr(tj, "_sweep_segments", spy_segments)
+        monkeypatch.setattr(tj, "_measure_term_clean", spy_clean)
+        tj.run_trajectory(engine)
+        assert (calls["segments"] > 0, calls["micro"] > 0) == (segmented, not segmented)
+        assert bool(engine._prefix_stacks) == segmented
+
+    def test_stacks_built_on_first_sweep_and_shared_by_rebind(self, heis4):
+        cfg = tj.RunConfig(heis4, schedule=st.EpsilonSchedule.constant(0.2),
+                           resampler="local", rule=st.FirstRunOfZeros(3))
+        engine = tj.TrajectoryEngine(cfg)
+        assert engine.segmented and engine._prefix_stacks == {}
+        tj.run_trajectory(engine)
+        stacks = engine._prefix_stacks[0.2]
+        bound = engine.rebind(replace(cfg, seed=5))
+        assert bound is not engine and bound.prefix_stacks(0.2) is stacks
+        tj.run_trajectory(bound)
+        assert list(engine._prefix_stacks) == [0.2] and engine._prefix_stacks[0.2] is stacks
+
+    def test_heisenberg_5_cache_under_ceiling(self):
+        engine = _product_engine(pauli.build_heisenberg_chain(5), 0.2, "local")
+        assert engine.segmented
+        stacks = engine.prefix_stacks(0.2)
+        n = len(engine.sweep_order)
+        assert [s.shape for s in stacks] == [((n - s + 1) * 32, 32) for s in range(n)]
+        assert sum(s.nbytes for s in stacks) <= tj.SEGMENT_MAX_BYTES
